@@ -17,6 +17,7 @@
 #include "obs/sketch.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
+#include "shard/ring.h"
 #include "sim/fair_share.h"
 #include "sim/process.h"
 #include "sim/replication.h"
@@ -311,6 +312,10 @@ void BM_RollupRecordDisabled(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
       lat.Record(1e-4 * (1 + i % 997));
+      // In a real run the enabled flag is re-read on every call, behind
+      // other stores; without the clobber the optimiser hoists the check
+      // out of the loop and deletes the loop, measuring nothing.
+      benchmark::ClobberMemory();
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -338,6 +343,20 @@ void BM_SketchMergeMany(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * shards);
 }
 BENCHMARK(BM_SketchMergeMany)->Arg(64);
+
+// Shard ring construction (shard/ring.h): the bulk constructor's single
+// rebuild over `range` members — what a testbed pays once at setup. 64
+// is the kv cell's store tier; 1024 is a large fleet.
+void BM_RingBuild(benchmark::State& state) {
+  const std::vector<int> ids =
+      shard::DenseIds(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const shard::Ring ring(shard::RingConfig{}, ids);
+    benchmark::DoNotOptimize(ring.PrimaryOf(0));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RingBuild)->Arg(64)->Arg(1024);
 
 void BM_DhrystoneKernel(benchmark::State& state) {
   for (auto _ : state) {

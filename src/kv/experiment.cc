@@ -31,7 +31,7 @@ struct KvTestbed {
       : fabric(&sched),
         clstr(&sched, &fabric),
         rng(config.seed),
-        ring(StoreRingConfig(config)) {
+        ring(StoreRingConfig(config), shard::DenseIds(config.node_count)) {
     fabric.SetGroupLink("client-room", "store-room", Gbps(10),
                         Milliseconds(0.02));
     auto store_nodes = clstr.AddNodes(config.node_profile,
@@ -43,7 +43,6 @@ struct KvTestbed {
     for (auto* node : store_nodes) {
       stores.push_back(std::make_unique<KvNode>(node, &fabric,
                                                 config.store, rng.Next()));
-      ring.AddNode(static_cast<int>(stores.size()) - 1);
     }
     for (auto* node : client_nodes) client_ids.push_back(node->id());
 
@@ -108,6 +107,12 @@ struct KvTestbed {
     handle.track = static_cast<std::int32_t>(query & 0x7fffffff);
     handle.ctx.trace_id = tracer->NewTraceId();
     return handle;
+  }
+
+  // Settle the attributor while the scheduler and nodes still exist: the
+  // caller may take its ledger after this testbed is gone.
+  ~KvTestbed() {
+    if (energy != nullptr) energy->UnobserveAll();
   }
 
   sim::Scheduler sched;

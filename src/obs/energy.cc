@@ -11,10 +11,17 @@ std::function<void(SimTime, Watts)> EnergyAttributor::ObserveNode(
   node.watts = initial_watts;
   node.last = sched->now();
   return [this, node_id](SimTime t, Watts w) {
-    NodeState& n = nodes_[node_id];
-    Accrue(n, t);
-    n.watts = w;
+    auto it = nodes_.find(node_id);
+    if (it == nodes_.end()) return;  // unobserved (testbed torn down)
+    Accrue(it->second, t);
+    it->second.watts = w;
   };
+}
+
+void EnergyAttributor::UnobserveAll() {
+  AccrueAll();
+  nodes_.clear();
+  sched_ = nullptr;
 }
 
 void EnergyAttributor::Accrue(NodeState& node, SimTime now) {

@@ -73,6 +73,12 @@ class EnergyAttributor {
                                                   int node_id,
                                                   Watts initial_watts);
 
+  // Settles every observed node at the scheduler's current time, then
+  // stops observing them and forgets the scheduler; the ledger is kept.
+  // A testbed calls this as it is torn down, so a later TakeLedger or
+  // window mark reads nothing of the destroyed scheduler or nodes.
+  void UnobserveAll();
+
   bool observing(int node_id) const {
     return nodes_.find(node_id) != nodes_.end();
   }
@@ -90,7 +96,8 @@ class EnergyAttributor {
   void EndWindow();
 
   // Settles all nodes at the current time and moves the ledger out,
-  // zeroing the accumulators but keeping node subscriptions live.
+  // zeroing the accumulators but keeping node subscriptions live. After
+  // UnobserveAll there is nothing left to settle.
   EnergyLedger TakeLedger();
 
  private:

@@ -146,6 +146,12 @@ struct ShardTestbed {
     return handle;
   }
 
+  // Settle the attributor while the scheduler and nodes still exist: the
+  // caller may take its ledger after this testbed is gone.
+  ~ShardTestbed() {
+    if (energy != nullptr) energy->UnobserveAll();
+  }
+
   sim::Scheduler sched;
   net::Fabric fabric;
   net::HierarchicalTopology topo;

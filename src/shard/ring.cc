@@ -1,7 +1,9 @@
 #include "shard/ring.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <numeric>
 
 namespace wimpy::shard {
 
@@ -24,16 +26,43 @@ std::uint64_t PointHash(std::uint64_t salt, int node, int replica) {
 
 bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
+// Always-on invariant check: a broken ring geometry or member set would
+// silently corrupt every shard lookup (ShardOf indexes past the table),
+// so these stay armed in the NDEBUG builds every bench runs in.
+void Check(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "shard::Ring: %s\n", what);
+  std::abort();
+}
+
 }  // namespace
 
+std::vector<int> DenseIds(int n) {
+  std::vector<int> ids(static_cast<std::size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
+
 Ring::Ring(const RingConfig& config) : config_(config) {
-  assert(config_.vnodes_per_node > 0);
-  assert(IsPowerOfTwo(config_.shards));
-  assert(config_.replication >= 1);
+  Check(config_.vnodes_per_node > 0, "vnodes_per_node must be > 0");
+  Check(IsPowerOfTwo(config_.shards), "shards must be a power of two");
+  Check(config_.replication >= 1, "replication must be >= 1");
   int log2 = 0;
   while ((1 << log2) < config_.shards) ++log2;
   shift_ = 64 - log2;
   prefs_.assign(static_cast<std::size_t>(config_.shards), {});
+}
+
+Ring::Ring(const RingConfig& config, const std::vector<int>& node_ids)
+    : Ring(config) {
+  members_ = node_ids;
+  std::sort(members_.begin(), members_.end());
+  Check(members_.empty() || members_.front() >= 0,
+        "node ids must be >= 0");
+  Check(std::adjacent_find(members_.begin(), members_.end()) ==
+            members_.end(),
+        "duplicate node id");
+  Rebuild();
 }
 
 bool Ring::has_node(int node_id) const {
@@ -41,15 +70,15 @@ bool Ring::has_node(int node_id) const {
 }
 
 void Ring::AddNode(int node_id) {
-  assert(node_id >= 0);
-  assert(!has_node(node_id) && "node already on the ring");
+  Check(node_id >= 0, "node ids must be >= 0");
+  Check(!has_node(node_id), "node already on the ring");
   members_.insert(
       std::lower_bound(members_.begin(), members_.end(), node_id), node_id);
   Rebuild();
 }
 
 void Ring::RemoveNode(int node_id) {
-  assert(has_node(node_id) && "node not on the ring");
+  Check(has_node(node_id), "node not on the ring");
   members_.erase(
       std::lower_bound(members_.begin(), members_.end(), node_id));
   Rebuild();
@@ -99,7 +128,7 @@ void Ring::Rebuild() {
 }
 
 std::vector<int> Ring::MovedPrimaries(const Ring& before, const Ring& after) {
-  assert(before.shards() == after.shards());
+  Check(before.shards() == after.shards(), "rings differ in shard count");
   std::vector<int> moved;
   for (int s = 0; s < before.shards(); ++s) {
     if (before.PrimaryOf(s) != after.PrimaryOf(s)) moved.push_back(s);

@@ -41,13 +41,25 @@ struct RingConfig {
   std::uint64_t salt = 0x5EED5A17ULL;
 };
 
+// Ids 0..n-1: the member set of a ring over a dense tier (store or cache
+// indices).
+std::vector<int> DenseIds(int n);
+
 class Ring {
  public:
+  // The config's geometry is checked in every build type: a
+  // non-power-of-two `shards`, `vnodes_per_node <= 0` or
+  // `replication < 1` aborts with a message.
   explicit Ring(const RingConfig& config);
+  // Bulk constructor: the ring over `node_ids` (any order), built with a
+  // single rebuild. Equal to adding the ids one by one; duplicate or
+  // negative ids abort.
+  Ring(const RingConfig& config, const std::vector<int>& node_ids);
 
-  // Membership. Node ids are small dense application-level indices
-  // (e.g. positions in a store vector). Adding an existing node or
-  // removing an absent one is an error (asserted).
+  // Membership (live join and leave). Node ids are small dense
+  // application-level indices (e.g. positions in a store vector). Each
+  // call rebuilds the whole map; adding an existing node or removing an
+  // absent one aborts.
   void AddNode(int node_id);
   void RemoveNode(int node_id);
   bool has_node(int node_id) const;

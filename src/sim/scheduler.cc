@@ -123,7 +123,14 @@ void Scheduler::WheelInsert(unsigned level, std::uint64_t tick, SimTime t,
   ++wheel_chains_;
   ++level_chains_[level];
   ++wheel_inserts_;
-  if (tick < wheel_next_lb_tick_) wheel_next_lb_tick_ = tick;
+  // Cache the bucket's window start, not the chain's exact tick: the
+  // PrepareNext fast path and WheelMinLowerBound reason in window starts,
+  // and a bound above the window start would let the clock enter this
+  // unpromoted bucket's window (after which it reads as next rotation and
+  // its chain fires in the past).
+  const unsigned shift = level * kWheelBits;
+  const std::uint64_t window_start = (tick >> shift) << shift;
+  if (window_start < wheel_next_lb_tick_) wheel_next_lb_tick_ = window_start;
 }
 
 std::uint64_t Scheduler::WheelMinLowerBound(unsigned* level,

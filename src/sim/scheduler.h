@@ -353,8 +353,9 @@ class Scheduler {
   // PrepareNext guarantees the cursor never enters an occupied bucket's
   // tick window, so every occupied bucket's unwrapped lower bound is
   // exact and strictly ahead of the clock. `wheel_next_lb_tick_` caches a
-  // conservative (never above the true) lower bound so the per-event cost
-  // of the wheel on the drain path is one compare.
+  // conservative (never above the true) lower bound — in bucket-window
+  // starts, like WheelMinLowerBound — so the per-event cost of the wheel
+  // on the drain path is one compare.
   std::vector<std::uint32_t> bucket_head_;  // kWheelLevels * kWheelBuckets
   std::uint64_t occupancy_[kWheelLevels][kWheelBuckets / 64] = {};
   std::uint32_t level_chains_[kWheelLevels] = {};  // resident chains/level

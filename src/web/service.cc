@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
+#include "shard/ring.h"
 #include "sim/process.h"
 
 namespace wimpy::web {
@@ -71,7 +72,11 @@ namespace {
 // A fully wired deployment, built fresh for every measurement run.
 struct Testbed {
   explicit Testbed(const WebTestbedConfig& config, int client_count)
-      : fabric(&sched), clstr(&sched, &fabric), rng(config.seed) {
+      : fabric(&sched),
+        clstr(&sched, &fabric),
+        rng(config.seed),
+        cache_ring(shard::RingConfig{},
+                   shard::DenseIds(config.cache_servers)) {
     // Room-level topology (paper §5.1.2): clients reach the Edison room
     // over a single 1 Gbps uplink but the Dell room at 2 Gbps aggregate;
     // the Edison and Dell rooms interconnect at 1 Gbps.
@@ -110,7 +115,7 @@ struct Testbed {
 
     for (auto* node : web_nodes) {
       webs.push_back(std::make_unique<WebServer>(
-          node, &fabric, cache_ptrs, db_ptrs, config.web_config,
+          node, &fabric, cache_ptrs, cache_ring, db_ptrs, config.web_config,
           rng.Next()));
     }
 
@@ -263,10 +268,19 @@ struct Testbed {
     return host;
   }
 
+  // Settle the attributor while the scheduler and nodes still exist: the
+  // caller may take its ledger after this testbed is gone.
+  ~Testbed() {
+    if (energy != nullptr) energy->UnobserveAll();
+  }
+
   sim::Scheduler sched;
   net::Fabric fabric;
   cluster::Cluster clstr;
   Rng rng;
+  // One cache ring for the whole web tier, shared by const reference;
+  // declared before `webs` so it outlives every server.
+  shard::Ring cache_ring;
   std::vector<std::unique_ptr<CacheServer>> caches;
   std::vector<std::unique_ptr<DatabaseServer>> dbs;
   std::vector<std::unique_ptr<WebServer>> webs;

@@ -13,12 +13,13 @@ constexpr Bytes kErrorReplyBytes = 320;  // terse 500 page
 
 WebServer::WebServer(hw::ServerNode* node, net::Fabric* fabric,
                      std::vector<CacheServer*> caches,
+                     const shard::Ring& cache_ring,
                      std::vector<DatabaseServer*> databases,
                      const WebServerConfig& config, std::uint64_t seed)
     : node_(node),
       fabric_(fabric),
       caches_(std::move(caches)),
-      cache_ring_(shard::RingConfig{}),
+      cache_ring_(cache_ring),
       databases_(std::move(databases)),
       config_(config),
       tcp_host_(fabric, node->id(), config.tcp),
@@ -26,9 +27,7 @@ WebServer::WebServer(hw::ServerNode* node, net::Fabric* fabric,
       accept_serial_(&node->scheduler(), 1),
       rng_(seed) {
   assert(config.service_efficiency > 0);
-  for (std::size_t i = 0; i < caches_.size(); ++i) {
-    cache_ring_.AddNode(static_cast<int>(i));
-  }
+  assert(cache_ring_.node_count() == static_cast<int>(caches_.size()));
 }
 
 void WebServer::ResetStats() {

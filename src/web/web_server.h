@@ -66,8 +66,11 @@ struct CallResult {
 
 class WebServer {
  public:
+  // `cache_ring` maps request keys to indices into `caches`; its members
+  // must be exactly 0..caches.size()-1. It is borrowed, not copied: one
+  // ring is shared by every web server of a tier and must outlive them.
   WebServer(hw::ServerNode* node, net::Fabric* fabric,
-            std::vector<CacheServer*> caches,
+            std::vector<CacheServer*> caches, const shard::Ring& cache_ring,
             std::vector<DatabaseServer*> databases,
             const WebServerConfig& config, std::uint64_t seed);
 
@@ -123,7 +126,7 @@ class WebServer {
   // Ketama map over cache indices: hot keys pin to a cache the way a
   // memcached client's consistent hashing does, instead of the old
   // uniform per-request draw (same shard map the kv/shard tiers use).
-  shard::Ring cache_ring_;
+  const shard::Ring& cache_ring_;
   std::vector<DatabaseServer*> databases_;
   WebServerConfig config_;
   obs::EnergyAttributor* energy_ = nullptr;

@@ -1,8 +1,9 @@
 // Consistent-hash ring properties (shard/ring.h): map determinism and
 // insertion-order independence (the "same seed + same node set =>
-// byte-identical shard map" contract), ownership invariants, and the
-// consistent-hashing churn bound — one node joining or leaving an
-// N-node ring moves only ~K/N of the K shards.
+// byte-identical shard map" contract, for AddNode one by one and for the
+// bulk constructor alike), ownership invariants, the consistent-hashing
+// churn bound — one node joining or leaving an N-node ring moves only
+// ~K/N of the K shards — and the always-on geometry/membership checks.
 #include "shard/ring.h"
 
 #include <algorithm>
@@ -32,10 +33,16 @@ TEST(ShardRingTest, MapIndependentOfInsertionOrder) {
   RingConfig config;
   config.replication = 3;
   const Ring forward = MakeRing(config, {0, 1, 2, 3, 4, 5, 6, 7});
-  const Ring backward = MakeRing(config, {7, 6, 5, 4, 3, 2, 1, 0});
-  const Ring shuffled = MakeRing(config, {3, 7, 0, 5, 1, 6, 2, 4});
-  EXPECT_TRUE(SameMap(forward, backward));
-  EXPECT_TRUE(SameMap(forward, shuffled));
+  for (const std::vector<int>& order :
+       {std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7},
+        std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0},
+        std::vector<int>{3, 7, 0, 5, 1, 6, 2, 4}}) {
+    EXPECT_TRUE(SameMap(forward, MakeRing(config, order)));
+    // The bulk constructor builds the same map in one rebuild.
+    const Ring bulk(config, order);
+    EXPECT_TRUE(SameMap(forward, bulk));
+    EXPECT_EQ(bulk.members(), forward.members());
+  }
 }
 
 TEST(ShardRingTest, RebuildAfterChurnMatchesFreshRing) {
@@ -46,6 +53,18 @@ TEST(ShardRingTest, RebuildAfterChurnMatchesFreshRing) {
   churned.AddNode(5);
   const Ring fresh = MakeRing(config, {0, 1, 2, 3, 4, 5});
   EXPECT_TRUE(SameMap(churned, fresh));
+  // Churn applied to a bulk-built ring lands on the same map too.
+  Ring bulk(config, {9, 4, 3, 2, 1, 0});
+  bulk.RemoveNode(9);
+  bulk.AddNode(5);
+  EXPECT_TRUE(SameMap(bulk, fresh));
+  EXPECT_TRUE(SameMap(Ring(config, {5, 0, 4, 1, 3, 2}), fresh));
+}
+
+TEST(ShardRingTest, BulkConstructorOverNoNodesIsEmpty) {
+  const Ring ring(RingConfig{}, {});
+  EXPECT_EQ(ring.node_count(), 0);
+  EXPECT_EQ(ring.PrimaryOf(0), -1);
 }
 
 TEST(ShardRingTest, EveryShardOwnedByDistinctChain) {
@@ -141,6 +160,29 @@ TEST(ShardRingTest, BalanceIsReasonable) {
     EXPECT_GE(owned[static_cast<std::size_t>(n)], 10) << "node " << n;
     EXPECT_LE(owned[static_cast<std::size_t>(n)], 96) << "node " << n;
   }
+}
+
+// The checks are always on, not asserts: a bad geometry would otherwise
+// index past the shard table in the NDEBUG builds every bench runs in.
+TEST(ShardRingDeathTest, InvalidGeometryAborts) {
+  RingConfig shards;
+  shards.shards = 100;
+  EXPECT_DEATH(Ring{shards}, "shards must be a power of two");
+  RingConfig vnodes;
+  vnodes.vnodes_per_node = 0;
+  EXPECT_DEATH(Ring{vnodes}, "vnodes_per_node must be > 0");
+  RingConfig replication;
+  replication.replication = 0;
+  EXPECT_DEATH(Ring{replication}, "replication must be >= 1");
+}
+
+TEST(ShardRingDeathTest, InvalidMembershipAborts) {
+  const RingConfig config;
+  EXPECT_DEATH(Ring(config, {0, 1, 1}), "duplicate node id");
+  EXPECT_DEATH(Ring(config, {-1, 0}), "node ids must be >= 0");
+  Ring ring(config, {0, 1});
+  EXPECT_DEATH(ring.AddNode(1), "node already on the ring");
+  EXPECT_DEATH(ring.RemoveNode(2), "node not on the ring");
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Stress and allocation tests for the scheduler hot path.
 //
-// The stress test drives interleaved ScheduleAt / Cancel / Run against a
-// simple model and checks the engine's accounting (`pending_events`,
+// The stress tests drive interleaved ScheduleAt / Cancel / Run against a
+// simple model and check the engine's accounting (`pending_events`,
 // `executed_events`, Cancel return values) stays exact through
 // cancel-after-fire, double-cancel, cancel of the earliest pending event
-// (the heap top), and cancels issued from inside running events.
+// (the heap top), and cancels issued from inside running events — once
+// with coarse heap-tier delays and once with delays spanning both
+// timing-wheel levels and the overflow heap, where an execute hook also
+// checks that the clock never steps backwards.
 //
 // The allocation tests override global operator new to prove the two hot
 // paths are allocation-free once the scheduler's buffers are warm:
@@ -63,9 +66,29 @@ struct Rec {
   bool cancelled = false;
 };
 
-TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
+// Execute hook that checks the clock never steps backwards between
+// executed events. Counted and EXPECTed by the caller rather than
+// asserted, so the check holds in NDEBUG builds too.
+struct ClockWatch {
+  double last = 0.0;
+  int backwards = 0;
+  static void Hook(void* ctx, double time, std::uint64_t /*seq*/) {
+    auto* w = static_cast<ClockWatch*>(ctx);
+    if (time < w->last) ++w->backwards;
+    w->last = time;
+  }
+};
+
+// Drives interleaved ScheduleAt / Cancel / Run(until) against a model.
+// `next_time(now, recs, rng)` picks each new event's timestamp and
+// `step` is the Run(until) window unit.
+template <typename NextTime>
+void RunStress(std::uint64_t seed, int rounds, double step,
+               NextTime next_time) {
   sim::Scheduler sched;
-  Lcg rng{12345};
+  ClockWatch watch;
+  sched.SetExecuteHook(&ClockWatch::Hook, &watch);
+  Lcg rng{seed};
   std::vector<Rec> recs;
   recs.reserve(4096);
 
@@ -93,11 +116,11 @@ TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
     return best;
   };
 
-  for (int round = 0; round < 300; ++round) {
-    // Schedule a burst. Coarse timestamps force same-time chains.
+  for (int round = 0; round < rounds; ++round) {
+    // Schedule a burst.
     const int burst = 1 + static_cast<int>(rng.Next() % 8);
     for (int k = 0; k < burst; ++k) {
-      const double t = sched.now() + (rng.Next() % 64) * 0.25;
+      const double t = next_time(sched.now(), recs, rng);
       const std::size_t idx = recs.size();
       recs.push_back(Rec{0, t, false, false});
       std::vector<Rec>* rs = &recs;
@@ -132,7 +155,7 @@ TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
     // Occasionally schedule an event that cancels another one in-flight.
     if (round % 7 == 0 && !recs.empty()) {
       const std::size_t victim = rng.Next() % recs.size();
-      const double t = sched.now() + (rng.Next() % 64) * 0.25;
+      const double t = next_time(sched.now(), recs, rng);
       const std::size_t idx = recs.size();
       recs.push_back(Rec{0, t, false, false});
       std::vector<Rec>* rs = &recs;
@@ -149,9 +172,10 @@ TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
     EXPECT_EQ(sched.pending_events(), model_pending());
 
     // Advance a short window and reconcile against the model.
-    const double until = sched.now() + (rng.Next() % 12) * 0.5;
+    const double until = sched.now() + (rng.Next() % 12) * step;
     sched.Run(until);
     EXPECT_EQ(sched.now(), until);
+    watch.last = until;  // the clock stands here; nothing may run earlier
     for (std::size_t i = 0; i < recs.size(); ++i) {
       if (recs[i].cancelled) {
         EXPECT_FALSE(recs[i].fired) << "idx " << i;
@@ -171,8 +195,52 @@ TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
   for (std::size_t i = 0; i < recs.size(); ++i) {
     EXPECT_NE(recs[i].fired, recs[i].cancelled) << "idx " << i;
   }
+  EXPECT_EQ(watch.backwards, 0) << "the clock stepped backwards";
   EXPECT_EQ(sched.fn_heap_allocations(), 0u)
       << "a stress-test capture spilled past EventFn::kInlineCapacity";
+}
+
+TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
+  // Coarse timestamps force same-time chains; every delay lies beyond the
+  // wheel horizon, so this exercises the heap tier.
+  RunStress(12345, 300, 0.5,
+            [](double now, const std::vector<Rec>&, Lcg& rng) {
+              return now + (rng.Next() % 64) * 0.25;
+            });
+}
+
+TEST(SchedulerStressTest, WheelLevelSpanningDelaysKeepClockMonotonic) {
+  // Delays in whole ticks span wheel level 0 (< 256 ticks), level 1
+  // (< 2^16 ticks) and the overflow heap beyond it. A quarter of the
+  // events land a few ticks after the earliest pending event — usually
+  // already promoted to the heap — so a fresh level-1 chain shares its
+  // bucket window with an earlier heap chain: the bucket must be promoted
+  // before the clock enters that window, or its chain fires late, with
+  // the clock stepping backwards.
+  constexpr double kTick = sim::Scheduler::wheel_geometry().tick_seconds;
+  RunStress(
+      777, 600, 2e-3,
+      [kTick](double now, const std::vector<Rec>& recs, Lcg& rng) {
+        switch (rng.Next() % 4) {
+          case 0:
+            return now + (rng.Next() % 256) * kTick;
+          case 1:
+            return now + (256 + rng.Next() % 65280) * kTick;
+          case 2:
+            return now + (65536 + rng.Next() % 65536) * kTick;
+          default: {
+            // A few ticks after the earliest pending event.
+            double base = now;
+            bool any = false;
+            for (const Rec& r : recs) {
+              if (r.fired || r.cancelled || r.time <= now) continue;
+              if (!any || r.time < base) base = r.time;
+              any = true;
+            }
+            return base + (1 + rng.Next() % 64) * kTick;
+          }
+        }
+      });
 }
 
 // Minimal self-destroying coroutine: resuming it runs the body once and

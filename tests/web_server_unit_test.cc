@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "hw/profiles.h"
+#include "shard/ring.h"
 #include "sim/process.h"
 #include "web/backend.h"
 #include "web/service.h"
@@ -43,7 +44,7 @@ class WebServerUnitTest : public ::testing::Test {
   std::unique_ptr<WebServer> MakeServer(WebServerConfig config) {
     return std::make_unique<WebServer>(
         web_node_.get(), &fabric_, std::vector<CacheServer*>{cache_.get()},
-        std::vector<DatabaseServer*>{db_.get()}, config, 11);
+        cache_ring_, std::vector<DatabaseServer*>{db_.get()}, config, 11);
   }
 
   static RequestSpec CacheHit(Bytes reply) {
@@ -59,6 +60,8 @@ class WebServerUnitTest : public ::testing::Test {
       client_node_;
   std::unique_ptr<CacheServer> cache_;
   std::unique_ptr<DatabaseServer> db_;
+  // The one-cache tier's ring (member 0 is `cache_`).
+  const shard::Ring cache_ring_{shard::RingConfig{}, {0}};
 };
 
 sim::Process CallOnce(WebServer& web, RequestSpec spec, CallResult* out) {

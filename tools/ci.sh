@@ -13,7 +13,10 @@
 #      interned-id fabric tables — docs/scale.md). The frame pool disables
 #      itself under ASan so every coroutine frame goes through the real
 #      allocator and gets poisoned/unpoisoned individually.
-#   3. tools/check_trace.sh — obs export validation: trace-event JSON
+#   3. Debug build + full ctest — every tier-1 and bench build defines
+#      NDEBUG, so the library's asserts (the scheduler's clock and wheel
+#      invariants among them) only run here.
+#   4. tools/check_trace.sh — obs export validation: trace-event JSON
 #      schema + causal ids + flow arrows, metrics CSV shape, flamegraph
 #      folding, the trace_analyze.py seed-77 golden, and (with
 #      CHECK_DETERMINISM=1) byte-identical exports across --threads.
@@ -25,7 +28,9 @@
 #   tools/ci.sh
 #   BUILD_DIR=out tools/ci.sh            # tree used by check_trace.sh
 #   SKIP_TSAN=1 SKIP_ASAN=1 tools/ci.sh  # skip the sanitizer builds
+#   SKIP_DEBUG=1 tools/ci.sh             # skip the assert-enabled build
 #   TSAN_BUILD_DIR=build-tsan ASAN_BUILD_DIR=build-asan tools/ci.sh
+#   DEBUG_BUILD_DIR=build-debug tools/ci.sh
 #   CHECK_DETERMINISM=1 tools/ci.sh      # forwarded to check_trace.sh
 set -euo pipefail
 
@@ -36,7 +41,8 @@ TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 TSAN_TESTS="${TSAN_TESTS:-replication|profiles_concurrency}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 # Exact names: only the binaries the smoke build compiles.
-ASAN_TESTS="${ASAN_TESTS:-^(sim_scheduler_test|sim_process_test|sim_semaphore_test|sim_fair_share_test|net_fabric_test|net_tcp_test|web_service_test|kv_store_test)\$}"
+ASAN_TESTS="${ASAN_TESTS:-^(sim_scheduler_test|sim_process_test|sim_semaphore_test|sim_fair_share_test|net_fabric_test|net_tcp_test|web_service_test|kv_store_test|kv_failover_test|obs_energy_test)\$}"
+DEBUG_BUILD_DIR="${DEBUG_BUILD_DIR:-build-debug}"
 
 if [[ "${SKIP_TSAN:-0}" == "0" ]]; then
   echo "== WIMPY_TSAN smoke (SKIP_TSAN=1 to skip) =="
@@ -63,15 +69,29 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   fi
   # The model-layer tests that cover the pooled steady-state request path
   # (scheduler, coroutine frames, semaphores, fair-share, fabric, TCP,
-  # web serve, KV store) — the code where pooling bugs would hide.
+  # web serve, KV store) — the code where pooling bugs would hide — plus
+  # the energy attributor, whose ledger outlives the testbeds it observed.
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target \
     sim_scheduler_test sim_process_test sim_semaphore_test \
     sim_fair_share_test net_fabric_test net_tcp_test web_service_test \
-    kv_store_test
+    kv_store_test kv_failover_test obs_energy_test
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"
 else
   echo "== WIMPY_ASAN smoke skipped (SKIP_ASAN=1) =="
+fi
+
+if [[ "${SKIP_DEBUG:-0}" == "0" ]]; then
+  echo
+  echo "== Debug build + full ctest (SKIP_DEBUG=1 to skip) =="
+  if [[ ! -f "${DEBUG_BUILD_DIR}/CMakeCache.txt" ]]; then
+    cmake -B "${DEBUG_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug
+  fi
+  cmake --build "${DEBUG_BUILD_DIR}" -j "$(nproc)"
+  (cd "${DEBUG_BUILD_DIR}" && ctest -j "$(nproc)" --output-on-failure)
+  echo "Debug ctest OK"
+else
+  echo "== Debug build + full ctest skipped (SKIP_DEBUG=1) =="
 fi
 
 echo
