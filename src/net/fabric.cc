@@ -272,6 +272,13 @@ sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes) {
 sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes,
                                  const obs::TraceHandle& trace,
                                  const char* name) {
+  if (!trace) return Transfer(src_id, dst_id, bytes);
+  return TracedTransfer(src_id, dst_id, bytes, trace, name);
+}
+
+sim::Task<void> Fabric::TracedTransfer(int src_id, int dst_id, Bytes bytes,
+                                       obs::TraceHandle trace,
+                                       const char* name) {
   obs::CausalSpan span(trace, name, obs::Category::kNet, bytes);
   co_await Transfer(src_id, dst_id, bytes);
 }

@@ -95,7 +95,9 @@ class Fabric {
 
   // Traced transfer: same semantics, wrapped in a causal child span
   // named `name` (category kNet, arg = bytes) under `trace` — the
-  // message "carries the context header". Null handle = plain Transfer.
+  // message "carries the context header". A null handle returns the
+  // plain Transfer task itself, so an untraced transfer holds no
+  // wrapper frame.
   sim::Task<void> Transfer(int src_id, int dst_id, Bytes bytes,
                            const obs::TraceHandle& trace, const char* name);
 
@@ -150,6 +152,11 @@ class Fabric {
     int nseg = 0;
     Duration latency = 0;
   };
+
+  // The sampled half of the traced Transfer; takes the handle by value
+  // so the span never depends on the caller's storage.
+  sim::Task<void> TracedTransfer(int src_id, int dst_id, Bytes bytes,
+                                 obs::TraceHandle trace, const char* name);
 
   // Returns the dense id for a group name, interning it on first use.
   int InternGroup(const std::string& name);

@@ -2,14 +2,15 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "sim/batch_timer.h"
 
 namespace wimpy::net {
 
 TcpHost::TcpHost(Fabric* fabric, int node_id, const TcpConfig& config)
     : fabric_(fabric), node_id_(node_id), config_(config) {}
 
-TcpHost::~TcpHost() = default;
+TcpHost::~TcpHost() {
+  if (time_wait_event_ != 0) fabric_->scheduler().Cancel(time_wait_event_);
+}
 
 bool TcpHost::TryEnterBacklog() {
   if (backlog_depth_ >= config_.listen_backlog) return false;
@@ -29,19 +30,28 @@ bool TcpHost::TryOpenConnectionSlot() {
 
 void TcpHost::CloseConnectionSlot() {
   if (config_.time_wait > 0) {
-    // The slot stays occupied through TIME_WAIT. Expirations all use the
-    // same fixed delay, so they drain in close order — a batch timer
-    // queue coalesces same-tick expiries into one engine event.
-    if (!time_wait_timers_) {
-      time_wait_timers_ = std::make_unique<sim::BatchTimerQueue>(
-          &fabric_->scheduler(), config_.time_wait);
-    }
-    time_wait_timers_->Arm([this] {
-      if (connections_open_ > 0) --connections_open_;
-    });
+    // The slot stays occupied through TIME_WAIT; it frees in close order.
+    time_wait_due_.push_back(fabric_->scheduler().now() + config_.time_wait);
+    if (time_wait_event_ == 0) ArmTimeWaitHead();
     return;
   }
   if (connections_open_ > 0) --connections_open_;
+}
+
+void TcpHost::ArmTimeWaitHead() {
+  time_wait_event_ = fabric_->scheduler().ScheduleAt(
+      time_wait_due_.front(), [this] { OnTimeWaitExpiry(); });
+}
+
+void TcpHost::OnTimeWaitExpiry() {
+  time_wait_event_ = 0;
+  const SimTime now = fabric_->scheduler().now();
+  // Every expiry due by now frees its slot inside this one engine event.
+  while (!time_wait_due_.empty() && time_wait_due_.front() <= now) {
+    time_wait_due_.pop_front();
+    if (connections_open_ > 0) --connections_open_;
+  }
+  if (!time_wait_due_.empty()) ArmTimeWaitHead();
 }
 
 bool TcpHost::TryAllocatePort() {

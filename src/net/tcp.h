@@ -10,22 +10,19 @@
 #define WIMPY_NET_TCP_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "net/fabric.h"
 #include "obs/context.h"
+#include "sim/ring_buffer.h"
+#include "sim/scheduler.h"
 #include "sim/semaphore.h"
 #include "sim/task.h"
 
 namespace wimpy::obs {
 class MetricsRegistry;
 }  // namespace wimpy::obs
-
-namespace wimpy::sim {
-class BatchTimerQueue;
-}  // namespace wimpy::sim
 
 namespace wimpy::net {
 
@@ -85,6 +82,9 @@ class TcpHost {
                       const std::string& prefix);
 
  private:
+  void ArmTimeWaitHead();
+  void OnTimeWaitExpiry();
+
   Fabric* fabric_;
   int node_id_;
   TcpConfig config_;
@@ -92,10 +92,12 @@ class TcpHost {
   std::int64_t connections_open_ = 0;
   std::int64_t backlog_depth_ = 0;
   std::int64_t syn_drops_ = 0;
-  // Every TIME_WAIT expiry uses the same fixed delay, so the expirations
-  // form a FIFO — one batch queue replaces one engine event per close
-  // (lazily created on the first TIME_WAIT close).
-  std::unique_ptr<sim::BatchTimerQueue> time_wait_timers_;
+  // Every TIME_WAIT expiry uses the same fixed delay, so expiry times are
+  // non-decreasing in close order: a FIFO of due times (8 bytes per
+  // socket) plus ONE engine event armed for its front replaces one engine
+  // event per close, and equal-due expiries drain in that one event.
+  sim::RingDeque<SimTime> time_wait_due_;
+  sim::EventId time_wait_event_ = 0;  // 0 = none armed
 };
 
 // Outcome of a connection attempt, including how long the client spent in

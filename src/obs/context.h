@@ -43,6 +43,9 @@ struct TraceHandle {
   explicit operator bool() const { return tracer != nullptr; }
 };
 
+// The handle of every unsampled span (obs::CausalSpan::handle()).
+inline constexpr TraceHandle kNullTraceHandle{};
+
 }  // namespace wimpy::obs
 
 #endif  // WIMPY_OBS_CONTEXT_H_

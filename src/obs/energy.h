@@ -25,11 +25,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/units.h"
 #include "obs/context.h"
+#include "sim/frame_pool.h"
 
 namespace wimpy::obs {
 
@@ -120,30 +122,37 @@ class EnergyAttributor {
 
 // RAII residency: enters on construction, leaves on destruction. No-op
 // for a null handle or an unobserved node — stack it right next to the
-// CausalSpan whose work runs on `node_id`.
+// CausalSpan whose work runs on `node_id`. Like CausalSpan, it is one
+// null pointer unless both the attributor and the handle are non-null;
+// only then does it copy the handle into a frame-pool record.
 class ScopedResidency {
  public:
   ScopedResidency() = default;
   ScopedResidency(EnergyAttributor* attributor, int node_id,
-                  const TraceHandle& handle, const char* name)
-      : attributor_(attributor), node_id_(node_id), handle_(handle) {
-    if (attributor_ != nullptr) {
-      attributor_->SpanEnter(node_id_, handle_, name);
-    }
+                  const TraceHandle& handle, const char* name) {
+    if (attributor == nullptr || !handle) return;
+    rec_ = ::new (sim::PoolAlloc(sizeof(Record)))
+        Record{attributor, node_id, handle};
+    attributor->SpanEnter(node_id, handle, name);
   }
   ~ScopedResidency() {
-    if (attributor_ != nullptr) {
-      attributor_->SpanLeave(node_id_, handle_);
-    }
+    if (rec_ == nullptr) return;
+    rec_->attributor->SpanLeave(rec_->node_id, rec_->handle);
+    sim::PoolFree(rec_, sizeof(Record));  // Record is trivially destructible
   }
 
   ScopedResidency(const ScopedResidency&) = delete;
   ScopedResidency& operator=(const ScopedResidency&) = delete;
 
  private:
-  EnergyAttributor* attributor_ = nullptr;
-  int node_id_ = 0;
-  TraceHandle handle_;
+  struct Record {
+    EnergyAttributor* attributor;
+    int node_id;
+    TraceHandle handle;
+  };
+  static_assert(std::is_trivially_destructible_v<Record>);
+
+  Record* rec_ = nullptr;
 };
 
 }  // namespace wimpy::obs

@@ -35,10 +35,12 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.h"
 #include "obs/context.h"
+#include "sim/frame_pool.h"
 #include "sim/scheduler.h"
 
 namespace wimpy::obs {
@@ -286,8 +288,10 @@ class ScopedSpan {
 // begins on construction, ends on destruction. `handle()` is the context
 // to propagate into callees (its `ctx.span_id` is this span, so children
 // constructed from it nest correctly). With a null-tracer parent the
-// whole object is a no-op and `handle()` stays null — one branch per
-// layer, zero allocations.
+// whole object is one null pointer and `handle()` is the shared null
+// handle — one branch per layer, zero allocations. A sampled span keeps
+// its handle, name, category and arg in a record taken from the frame
+// pool, so the handle a callee borrows stays put for the span's life.
 class CausalSpan {
  public:
   CausalSpan() = default;
@@ -299,41 +303,50 @@ class CausalSpan {
   // (e.g. MapReduce task attempts under the job span). The exporter
   // renders a Perfetto flow arrow when parent and child tracks differ.
   CausalSpan(const TraceHandle& parent, std::int32_t track,
-             const char* name, Category category, std::int64_t arg = 0)
-      : h_(parent), name_(name), category_(category), arg_(arg) {
-    if (h_.tracer == nullptr) return;
-    h_.track = track;
-    h_.ctx.parent_id = parent.ctx.span_id;
-    h_.ctx.span_id = h_.tracer->NewSpanId();
-    h_.tracer->BeginSpanAt(h_.sched->now(), name_, category_, h_.track,
-                           h_.ctx, arg_);
+             const char* name, Category category, std::int64_t arg = 0) {
+    if (parent.tracer == nullptr) return;
+    rec_ = ::new (sim::PoolAlloc(sizeof(Record)))
+        Record{parent, name, category, arg};
+    TraceHandle& h = rec_->h;
+    h.track = track;
+    h.ctx.parent_id = parent.ctx.span_id;
+    h.ctx.span_id = h.tracer->NewSpanId();
+    h.tracer->BeginSpanAt(h.sched->now(), name, category, track, h.ctx, arg);
   }
   ~CausalSpan() {
-    if (h_.tracer != nullptr) {
-      h_.tracer->EndSpanAt(h_.sched->now(), name_, category_, h_.track,
-                           h_.ctx, arg_);
-    }
+    if (rec_ == nullptr) return;
+    const TraceHandle& h = rec_->h;
+    h.tracer->EndSpanAt(h.sched->now(), rec_->name, rec_->category, h.track,
+                        h.ctx, rec_->arg);
+    sim::PoolFree(rec_, sizeof(Record));  // Record is trivially destructible
   }
 
   CausalSpan(const CausalSpan&) = delete;
   CausalSpan& operator=(const CausalSpan&) = delete;
 
   // Context for callees: ctx.span_id is this span.
-  const TraceHandle& handle() const { return h_; }
+  const TraceHandle& handle() const {
+    return rec_ != nullptr ? rec_->h : kNullTraceHandle;
+  }
 
   // Point event inside this span (e.g. "http_500", "syn_retry").
   void Instant(const char* name, std::int64_t arg = 0) {
-    if (h_.tracer == nullptr) return;
-    h_.tracer->InstantAt(
-        h_.sched->now(), name, category_, h_.track,
-        TraceContext{h_.ctx.trace_id, 0, h_.ctx.span_id}, arg);
+    if (rec_ == nullptr) return;
+    const TraceHandle& h = rec_->h;
+    h.tracer->InstantAt(h.sched->now(), name, rec_->category, h.track,
+                        TraceContext{h.ctx.trace_id, 0, h.ctx.span_id}, arg);
   }
 
  private:
-  TraceHandle h_;
-  const char* name_ = "";
-  Category category_ = Category::kApp;
-  std::int64_t arg_ = 0;
+  struct Record {
+    TraceHandle h;
+    const char* name;
+    Category category;
+    std::int64_t arg;
+  };
+  static_assert(std::is_trivially_destructible_v<Record>);
+
+  Record* rec_ = nullptr;
 };
 
 }  // namespace wimpy::obs

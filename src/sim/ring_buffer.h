@@ -3,16 +3,14 @@
 // libstdc++'s std::deque allocates and frees a block every ~512 bytes of
 // throughput even when the queue's *size* is stable — at 100k+
 // connections that is a malloc per handful of semaphore waits or
-// TIME_WAIT arms (docs/scale.md). RingDeque keeps one power-of-two
+// TIME_WAIT closes (docs/scale.md). RingDeque keeps one power-of-two
 // backing array: push_back/pop_front are index bumps, and the array only
 // reallocates when the high-water population grows, so after warm-up the
 // serve path performs zero heap operations here
 // (tests/model_alloc_test.cc pins this).
 //
-// Supports exactly the FIFO surface the sim layer needs: push_back,
-// pop_front, front, size and random access by queue position (index 0 is
-// the front) — the BatchTimerQueue's token arithmetic indexes resident
-// entries that way. T must be default-constructible and movable.
+// Supports exactly the FIFO surface Semaphore and TcpHost need: push_back,
+// pop_front, front and size. T must be default-constructible and movable.
 #ifndef WIMPY_SIM_RING_BUFFER_H_
 #define WIMPY_SIM_RING_BUFFER_H_
 
@@ -36,16 +34,6 @@ class RingDeque {
   const T& front() const {
     assert(count_ > 0);
     return slots_[head_];
-  }
-
-  // Queue-position access: (*this)[0] is the front, [size()-1] the back.
-  T& operator[](std::size_t i) {
-    assert(i < count_);
-    return slots_[(head_ + i) & mask_];
-  }
-  const T& operator[](std::size_t i) const {
-    assert(i < count_);
-    return slots_[(head_ + i) & mask_];
   }
 
   void push_back(T value) {

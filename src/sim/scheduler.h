@@ -16,15 +16,15 @@
 //    only touched twice per event (store on schedule, move-out on fire).
 //    Chunking means growth never relocates live closures.
 //  * The pending set is two-tiered. A hierarchical timing wheel
-//    (4 levels x 256 buckets, 1 µs tick) absorbs the dense short-delay
+//    (2 levels x 256 buckets, 1 µs tick) absorbs the dense short-delay
 //    traffic that dominates web runs — insertion is O(1), no comparisons.
 //    A 4-ary min-heap of *timestamp chains* is the overflow/frontier
 //    tier: due and near-due chains, far-future chains beyond the wheel
-//    horizon (~4300 s of lookahead), and non-finite timestamps. Wheel
-//    buckets are promoted wholesale into the heap before the clock can
-//    reach them, so the heap comparator — (time, key), key packing
-//    {seq:40, slot:24} — restores the exact global order and the wheel
-//    never has to be ordered internally.
+//    horizon (256^2 ticks, ~65.5 ms of lookahead), and non-finite
+//    timestamps. Wheel buckets are promoted wholesale into the heap
+//    before the clock can reach them, so the heap comparator — (time,
+//    key), key packing {seq:40, slot:24} — restores the exact global
+//    order and the wheel never has to be ordered internally.
 //  * Events at an already-pending timestamp append to that timestamp's
 //    chain in O(1) (found via a small lossy cache; a miss just starts
 //    another chain for the same instant, which the heap merges back in

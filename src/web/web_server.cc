@@ -1,6 +1,8 @@
 #include "web/web_server.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "obs/energy.h"
 #include "obs/tracer.h"
@@ -9,6 +11,21 @@ namespace wimpy::web {
 
 namespace {
 constexpr Bytes kErrorReplyBytes = 320;  // terse 500 page
+
+// Always-on, like shard::Ring's checks: a ring that does not map onto
+// `caches` would index past the vector in every build type.
+void CheckCacheRing(const shard::Ring& ring, std::size_t caches) {
+  const std::vector<int>& members = ring.members();  // sorted, unique
+  if (members.size() == caches &&
+      (members.empty() || members.back() == static_cast<int>(caches) - 1)) {
+    return;
+  }
+  std::fprintf(stderr,
+               "web::WebServer: cache ring members must be 0..caches-1 "
+               "for %zu caches (ring has %zu members)\n",
+               caches, members.size());
+  std::abort();
+}
 }  // namespace
 
 WebServer::WebServer(hw::ServerNode* node, net::Fabric* fabric,
@@ -27,7 +44,7 @@ WebServer::WebServer(hw::ServerNode* node, net::Fabric* fabric,
       accept_serial_(&node->scheduler(), 1),
       rng_(seed) {
   assert(config.service_efficiency > 0);
-  assert(cache_ring_.node_count() == static_cast<int>(caches_.size()));
+  CheckCacheRing(cache_ring_, caches_.size());
 }
 
 void WebServer::ResetStats() {
@@ -67,7 +84,7 @@ sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
   // The serve span brackets exactly the interval `result.total` measures
   // (`started` to the co_return), so Table 7's total delay is
   // re-derivable from the trace alone; likewise the cache/db child spans
-  // below bracket exactly the recorded fetch delays.
+  // (FetchFromCache/FetchFromDb) bracket exactly the recorded fetch delays.
   obs::CausalSpan serve(parent, "serve", obs::Category::kRequest,
                         node_->id());
   obs::ScopedResidency serve_res(energy_, node_->id(), serve.handle(),
@@ -99,32 +116,11 @@ sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
 
     // Content fetch: cache tier on a hit, database tier on a miss.
     if (spec.cache_hit && !caches_.empty()) {
-      // The request's key hash picks the shard; its primary owner is the
-      // cache holding the entry.
-      CacheServer* cache = caches_[static_cast<std::size_t>(
-          cache_ring_.PrimaryOf(cache_ring_.ShardOf(rng_.Next())))];
-      const SimTime t0 = sched.now();
-      {
-        obs::CausalSpan fetch(serve.handle(), "cache",
-                              obs::Category::kRequest, cache->node().id());
-        obs::ScopedResidency fetch_res(energy_, cache->node().id(),
-                                       fetch.handle(), "cache");
-        co_await cache->Get(node_->id(), spec.reply_bytes);
-      }
-      result.cache_delay = sched.now() - t0;
+      result.cache_delay =
+          co_await FetchFromCache(spec.reply_bytes, serve.handle());
       cache_delay_.Add(result.cache_delay);
     } else if (!databases_.empty()) {
-      DatabaseServer* db =
-          databases_[rng_.NextBelow(databases_.size())];
-      const SimTime t0 = sched.now();
-      {
-        obs::CausalSpan fetch(serve.handle(), "db", obs::Category::kRequest,
-                              db->node().id());
-        obs::ScopedResidency fetch_res(energy_, db->node().id(),
-                                       fetch.handle(), "db");
-        co_await db->Query(node_->id(), spec.reply_bytes);
-      }
-      result.db_delay = sched.now() - t0;
+      result.db_delay = co_await FetchFromDb(spec.reply_bytes, serve.handle());
       db_delay_.Add(result.db_delay);
     }
 
@@ -144,6 +140,35 @@ sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
   result.reply_bytes = spec.reply_bytes;
   total_delay_.Add(result.total);
   co_return result;
+}
+
+// The fetch spans live in these sub-task frames, only as long as the
+// fetch itself, and bracket exactly the delay each one returns.
+sim::Task<Duration> WebServer::FetchFromCache(Bytes reply_bytes,
+                                              const obs::TraceHandle& serve) {
+  // The request's key hash picks the shard; its primary owner is the
+  // cache holding the entry.
+  CacheServer* cache = caches_[static_cast<std::size_t>(
+      cache_ring_.PrimaryOf(cache_ring_.ShardOf(rng_.Next())))];
+  const SimTime t0 = node_->scheduler().now();
+  obs::CausalSpan fetch(serve, "cache", obs::Category::kRequest,
+                        cache->node().id());
+  obs::ScopedResidency fetch_res(energy_, cache->node().id(), fetch.handle(),
+                                 "cache");
+  co_await cache->Get(node_->id(), reply_bytes);
+  co_return node_->scheduler().now() - t0;
+}
+
+sim::Task<Duration> WebServer::FetchFromDb(Bytes reply_bytes,
+                                           const obs::TraceHandle& serve) {
+  DatabaseServer* db = databases_[rng_.NextBelow(databases_.size())];
+  const SimTime t0 = node_->scheduler().now();
+  obs::CausalSpan fetch(serve, "db", obs::Category::kRequest,
+                        db->node().id());
+  obs::ScopedResidency fetch_res(energy_, db->node().id(), fetch.handle(),
+                                 "db");
+  co_await db->Query(node_->id(), reply_bytes);
+  co_return node_->scheduler().now() - t0;
 }
 
 }  // namespace wimpy::web

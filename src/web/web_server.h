@@ -67,7 +67,8 @@ struct CallResult {
 class WebServer {
  public:
   // `cache_ring` maps request keys to indices into `caches`; its members
-  // must be exactly 0..caches.size()-1. It is borrowed, not copied: one
+  // must be exactly 0..caches.size()-1 (checked in every build type:
+  // a mismatch aborts with a message). It is borrowed, not copied: one
   // ring is shared by every web server of a tier and must outlive them.
   WebServer(hw::ServerNode* node, net::Fabric* fabric,
             std::vector<CacheServer*> caches, const shard::Ring& cache_ring,
@@ -119,6 +120,13 @@ class WebServer {
   double Derated(double minstr) const {
     return minstr / config_.service_efficiency;
   }
+
+  // ServeCall's content fetch on a cache hit / miss: picks the server,
+  // traces the "cache"/"db" span under `serve`, returns the fetch delay.
+  sim::Task<Duration> FetchFromCache(Bytes reply_bytes,
+                                     const obs::TraceHandle& serve);
+  sim::Task<Duration> FetchFromDb(Bytes reply_bytes,
+                                  const obs::TraceHandle& serve);
 
   hw::ServerNode* node_;
   net::Fabric* fabric_;

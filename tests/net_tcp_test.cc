@@ -145,5 +145,85 @@ TEST_F(TcpTest, ExchangeMovesBytesBothWays) {
   EXPECT_EQ(client_node_->nic().bytes_received(), MB(125));
 }
 
+// TIME_WAIT expiry: every close arms the same fixed delay, so TcpHost
+// keeps a FIFO of due times and one engine event for its front.
+
+TEST_F(TcpTest, TimeWaitSlotsFreeInCloseOrderAtClosePlusTimeWait) {
+  TcpConfig server_cfg;
+  server_cfg.time_wait = Seconds(5);
+  MakeHosts(TcpConfig{}, server_cfg);
+  ASSERT_TRUE(server_->TryOpenConnectionSlot());
+  ASSERT_TRUE(server_->TryOpenConnectionSlot());
+  const std::size_t before = sched_.pending_events();
+
+  server_->CloseConnectionSlot();  // t = 0, frees at 5
+  sched_.Run(2.0);
+  server_->CloseConnectionSlot();  // t = 2, frees at 7
+  // The second close rides the event already armed for the first.
+  EXPECT_EQ(sched_.pending_events(), before + 1);
+  sched_.Run(4.5);
+  EXPECT_EQ(server_->connections_open(), 2);
+  sched_.Run(6.0);
+  EXPECT_EQ(server_->connections_open(), 1);
+  // One re-arm for the later due time, then nothing is left pending.
+  EXPECT_EQ(sched_.pending_events(), before + 1);
+  sched_.Run();
+  EXPECT_EQ(server_->connections_open(), 0);
+  EXPECT_EQ(sched_.now(), 7.0);
+  EXPECT_EQ(sched_.pending_events(), before);
+}
+
+TEST_F(TcpTest, EqualDueTimeWaitExpiriesDrainInOneEngineEvent) {
+  TcpConfig server_cfg;
+  server_cfg.time_wait = Seconds(5);
+  MakeHosts(TcpConfig{}, server_cfg);
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(server_->TryOpenConnectionSlot());
+  for (int i = 0; i < 50; ++i) server_->CloseConnectionSlot();
+  EXPECT_EQ(server_->connections_open(), 50);
+
+  const std::size_t executed = sched_.executed_events();
+  sched_.Run();
+  // 50 sockets due at the same instant cost a single engine event.
+  EXPECT_EQ(sched_.executed_events() - executed, 1u);
+  EXPECT_EQ(server_->connections_open(), 0);
+  EXPECT_EQ(sched_.now(), 5.0);
+}
+
+TEST_F(TcpTest, TimeWaitKeepsAtMostOnePendingEventPerHost) {
+  // Sustained churn: a close every step and a millisecond of simulated
+  // time every other step, so pairs of closes share a due time and the
+  // drains (from t = 2 s on) interleave with new closes.
+  TcpConfig server_cfg;
+  server_cfg.max_connections = 1 << 20;
+  server_cfg.time_wait = Seconds(2);  // seconds: rides the overflow heap
+  MakeHosts(TcpConfig{}, server_cfg);
+  const std::size_t before = sched_.pending_events();
+  const std::size_t executed = sched_.executed_events();
+  for (int step = 0; step < 5000; ++step) {
+    ASSERT_TRUE(server_->TryOpenConnectionSlot());
+    server_->CloseConnectionSlot();
+    ASSERT_EQ(sched_.pending_events(), before + 1);
+    if (step % 2 == 1) sched_.Run(sched_.now() + 1e-3);
+  }
+  sched_.Run();
+  EXPECT_EQ(server_->connections_open(), 0);
+  EXPECT_EQ(sched_.pending_events(), before);
+  // One engine event per distinct due time (2500 of them), not per close.
+  EXPECT_EQ(sched_.executed_events() - executed, 2500u);
+}
+
+TEST_F(TcpTest, DestroyingAHostCancelsItsTimeWaitEvent) {
+  TcpConfig server_cfg;
+  server_cfg.time_wait = Seconds(5);
+  MakeHosts(TcpConfig{}, server_cfg);
+  const std::size_t before = sched_.pending_events();
+  ASSERT_TRUE(server_->TryOpenConnectionSlot());
+  server_->CloseConnectionSlot();
+  EXPECT_EQ(sched_.pending_events(), before + 1);
+  server_.reset();
+  EXPECT_EQ(sched_.pending_events(), before);
+  sched_.Run();  // nothing fires into the destroyed host
+}
+
 }  // namespace
 }  // namespace wimpy::net

@@ -8,8 +8,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "hw/profiles.h"
+#include "hw/server_node.h"
+#include "net/fabric.h"
 #include "obs/critical_path.h"
 #include "obs/energy.h"
 #include "obs/export.h"
@@ -130,6 +134,113 @@ TEST(CausalSpanTest, NullHandleIsCompleteNoOp) {
     EXPECT_FALSE(static_cast<bool>(child.handle()));
   }
   EXPECT_EQ(tracer.size(), 0u);
+}
+
+TEST(CausalSpanTest, UnsampledSpanAndResidencyAreOneNullPointer) {
+  // The per-connection memory contract (docs/scale.md): an unsampled
+  // span or residency is one null pointer inside its coroutine frame.
+  EXPECT_EQ(sizeof(CausalSpan), sizeof(void*));
+  EXPECT_LE(sizeof(ScopedResidency), 24u);
+  CausalSpan noop(TraceHandle{}, "x", Category::kApp);
+  EXPECT_EQ(&noop.handle(), &kNullTraceHandle);
+}
+
+sim::Process ChurnSpans(sim::Scheduler& sched, TraceHandle root, int n) {
+  for (int i = 0; i < n; ++i) {
+    CausalSpan span(root, "churn", Category::kApp);
+    co_await sim::Delay(sched, 0.1);
+  }
+}
+
+sim::Process HoldSpan(sim::Scheduler& sched, TraceHandle root,
+                      std::vector<TraceHandle>* seen) {
+  CausalSpan span(root, "held", Category::kRequest, 3);
+  const TraceHandle* handle = &span.handle();
+  seen->push_back(*handle);
+  // Other sampled spans take and return pooled records meanwhile.
+  co_await sim::Delay(sched, 2.0);
+  EXPECT_EQ(&span.handle(), handle);
+  seen->push_back(*handle);
+}
+
+TEST(CausalSpanTest, SampledHandleKeepsItsIdsForTheSpansLife) {
+  sim::Scheduler sched;
+  Tracer tracer;
+  TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &sched;
+  root.track = 4;
+  root.ctx.trace_id = tracer.NewTraceId();
+  std::vector<TraceHandle> seen;
+  sim::Spawn(sched, HoldSpan(sched, root, &seen));
+  sim::Spawn(sched, ChurnSpans(sched, root, 10));
+  sched.Run();
+
+  ASSERT_EQ(seen.size(), 2u);
+  for (const TraceHandle& h : seen) {
+    EXPECT_EQ(h.tracer, &tracer);
+    EXPECT_EQ(h.sched, &sched);
+    EXPECT_EQ(h.track, 4);
+    EXPECT_EQ(h.ctx.trace_id, root.ctx.trace_id);
+    EXPECT_EQ(h.ctx.span_id, seen[0].ctx.span_id);
+    EXPECT_EQ(h.ctx.parent_id, 0u);
+  }
+  EXPECT_NE(seen[0].ctx.span_id, 0u);
+  // The end record carries the ids the span began with.
+  const TraceEvent& end = tracer.events().back();
+  EXPECT_EQ(std::string_view(end.name), "held");
+  EXPECT_EQ(end.phase, 'E');
+  EXPECT_EQ(end.span_id, seen[0].ctx.span_id);
+  EXPECT_EQ(end.arg, 3);
+}
+
+sim::Process TransferOnce(net::Fabric& fabric, const TraceHandle* trace,
+                          SimTime* done) {
+  if (trace != nullptr) {
+    co_await fabric.Transfer(0, 1, KB(64), *trace, "x");
+  } else {
+    co_await fabric.Transfer(0, 1, KB(64));
+  }
+  *done = fabric.scheduler().now();
+}
+
+// Runs one 64 KB transfer between two nodes and returns its finish time
+// and the engine events it took; `trace` null uses the 3-argument form.
+std::pair<SimTime, std::size_t> RunTransfer(const TraceHandle* trace,
+                                            sim::Scheduler& sched) {
+  net::Fabric fabric(&sched);
+  hw::ServerNode a(&sched, hw::EdisonProfile(), 0);
+  hw::ServerNode b(&sched, hw::EdisonProfile(), 1);
+  fabric.AddNode(&a, "room");
+  fabric.AddNode(&b, "room");
+  SimTime done = -1;
+  sim::Spawn(sched, TransferOnce(fabric, trace, &done));
+  sched.Run();
+  return {done, sched.executed_events()};
+}
+
+TEST(CausalSpanTest, NullHandleTransferIsThePlainTransfer) {
+  sim::Scheduler plain_sched;
+  const auto plain = RunTransfer(nullptr, plain_sched);
+  ASSERT_GT(plain.first, 0.0);
+
+  sim::Scheduler null_sched;
+  const TraceHandle null_handle;
+  EXPECT_EQ(RunTransfer(&null_handle, null_sched), plain);
+
+  // Sampled: the same transfer, bracketed by one "x" net span.
+  sim::Scheduler traced_sched;
+  Tracer tracer;
+  TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &traced_sched;
+  root.ctx.trace_id = tracer.NewTraceId();
+  EXPECT_EQ(RunTransfer(&root, traced_sched), plain);
+  ASSERT_EQ(tracer.size(), 2u);
+  EXPECT_EQ(std::string_view(tracer.events()[0].name), "x");
+  EXPECT_EQ(tracer.events()[0].category, Category::kNet);
+  EXPECT_EQ(tracer.events()[0].arg, KB(64));
+  EXPECT_EQ(tracer.events()[1].time, plain.first);
 }
 
 TEST(TracerTest, BalancedTracksAreErasedFromOpenSet) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/energy.h"
+#include "obs/tracer.h"
+
 namespace wimpy::shard {
 namespace {
 
@@ -75,6 +78,35 @@ TEST(ShardExperimentTest, RunsAreDeterministic) {
   EXPECT_EQ(ra.migration.bulk_bytes, rb.migration.bulk_bytes);
   EXPECT_EQ(ra.migration.finished, rb.migration.finished);
   EXPECT_EQ(ra.executed_events, rb.executed_events);
+}
+
+TEST(ShardExperimentTest, TracingEveryQueryChangesNoSimulatedEvent) {
+  // Sampled spans and residencies live in pooled records that callees
+  // borrow by reference through the join migration; tracing every query
+  // must leave the simulation untouched and the energy ledger conserved.
+  ShardExperimentConfig config = BaseConfig();
+  config.churn = Churn::kJoin;
+  ShardExperiment untraced(config);
+  obs::Tracer tracer;
+  obs::EnergyAttributor energy;
+  config.tracer = &tracer;
+  config.energy = &energy;
+  config.trace_sample_every = 1;
+  ShardExperiment traced(std::move(config));
+  const ShardReport ru = untraced.Measure(1200.0, Seconds(4));
+  const ShardReport rt = traced.Measure(1200.0, Seconds(4));
+  EXPECT_EQ(rt.done, ru.done);
+  EXPECT_EQ(rt.p99_latency, ru.p99_latency);
+  EXPECT_EQ(rt.migration.finished, ru.migration.finished);
+  EXPECT_EQ(rt.executed_events, ru.executed_events);
+  EXPECT_GT(tracer.size(), 0u);
+
+  const obs::EnergyLedger ledger = energy.TakeLedger();
+  ASSERT_FALSE(ledger.rows.empty());
+  Joules attributed = 0;
+  for (const obs::SpanEnergyRow& row : ledger.rows) attributed += row.joules;
+  EXPECT_NEAR(attributed + ledger.unattributed_joules, ledger.total_joules,
+              ledger.total_joules * 1e-9);
 }
 
 TEST(ShardExperimentTest, OversubscriptionBendsTheThroughputCurve) {

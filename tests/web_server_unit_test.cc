@@ -176,5 +176,26 @@ TEST_F(WebServerUnitTest, FailedFlagIsSticky) {
   EXPECT_FALSE(web->failed());
 }
 
+using WebServerUnitDeathTest = WebServerUnitTest;
+
+TEST_F(WebServerUnitDeathTest, MismatchedCacheRingAborts) {
+  // The ring indexes `caches` on every cache hit, so a ring that does not
+  // map onto it aborts at construction in every build type.
+  const std::vector<CacheServer*> one_cache{cache_.get()};
+  const std::vector<DatabaseServer*> dbs{db_.get()};
+  const shard::Ring two_members(shard::RingConfig{}, {0, 1});
+  EXPECT_DEATH(WebServer(web_node_.get(), &fabric_, one_cache, two_members,
+                         dbs, EdisonWebConfig(), 11),
+               "for 1 caches \\(ring has 2 members\\)");
+  const shard::Ring out_of_range(shard::RingConfig{}, {1});
+  EXPECT_DEATH(WebServer(web_node_.get(), &fabric_, one_cache, out_of_range,
+                         dbs, EdisonWebConfig(), 11),
+               "ring has 1 members");
+  const shard::Ring empty(shard::RingConfig{}, {});
+  EXPECT_DEATH(WebServer(web_node_.get(), &fabric_, one_cache, empty, dbs,
+                         EdisonWebConfig(), 11),
+               "ring has 0 members");
+}
+
 }  // namespace
 }  // namespace wimpy::web
