@@ -110,6 +110,9 @@ class KvExperiment {
   const KvExperimentConfig& config() const { return config_; }
 
  private:
+  // The one run body: Measure is MeasureWithFailover with no failures.
+  KvReport Run(double target_qps, int failed_nodes, Duration measure);
+
   KvExperimentConfig config_;
 };
 

@@ -119,6 +119,10 @@ class AdmissionGate {
   std::deque<Pending> queue_;
 };
 
+// The gate of every open-loop experiment: a pending request carries its
+// own forked random stream (load/driver.h).
+using OpenLoopGate = AdmissionGate<Rng>;
+
 // Optional live taps off the recorder: every shed and every completion
 // (windowed or not) is streamed as it happens, so an online consumer
 // (obs::Telemetry via obs::SloStreamInto) sees the same event stream the

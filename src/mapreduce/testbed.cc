@@ -96,15 +96,11 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
   // the job itself (dynamic name, interned for tracer lifetime); task
   // attempts become cross-track children, so Perfetto draws flow arrows
   // job -> attempt.
-  obs::TraceHandle job_trace;
   std::unique_ptr<obs::CausalSpan> job_span;
   if (config_.tracer != nullptr) {
-    job_trace.tracer = config_.tracer;
-    job_trace.sched = &sched_;
-    job_trace.track = 0;
-    job_trace.ctx.trace_id = config_.tracer->NewTraceId();
     job_span = std::make_unique<obs::CausalSpan>(
-        job_trace, config_.tracer->Intern(spec.name), obs::Category::kApp);
+        obs::RootTrace(config_.tracer, &sched_, /*track=*/0),
+        config_.tracer->Intern(spec.name), obs::Category::kApp);
   }
   job.set_trace(job_span != nullptr ? job_span->handle()
                                     : obs::TraceHandle{});

@@ -1,22 +1,38 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "net/fabric.h"
 
 namespace wimpy::net {
 
+namespace {
+
+// A bad geometry divides by zero (racks_per_pod = 0) or builds
+// zero-bandwidth links, so these checks stay armed in the NDEBUG builds
+// every bench runs in.
+void Check(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "net::HierarchicalTopology: %s\n", what);
+  std::abort();
+}
+
+}  // namespace
+
 HierarchicalTopology::HierarchicalTopology(
     Fabric* fabric, const HierarchicalTopologyConfig& config)
     : fabric_(fabric), config_(config) {
-  assert(fabric != nullptr);
-  assert(config_.racks > 0);
-  assert(config_.racks_per_pod > 0);
-  assert(config_.nodes_per_rack > 0);
-  assert(config_.node_bandwidth > 0);
-  assert(config_.rack_oversubscription >= 1.0);
-  assert(config_.core_oversubscription >= 1.0);
+  Check(fabric != nullptr, "fabric must not be null");
+  Check(config_.racks > 0, "racks must be > 0");
+  Check(config_.racks_per_pod > 0, "racks_per_pod must be > 0");
+  Check(config_.nodes_per_rack > 0, "nodes_per_rack must be > 0");
+  Check(config_.node_bandwidth > 0, "node_bandwidth must be > 0");
+  Check(config_.rack_oversubscription >= 1.0,
+        "rack_oversubscription must be >= 1");
+  Check(config_.core_oversubscription >= 1.0,
+        "core_oversubscription must be >= 1");
 
   rack_uplink_bw_ = config_.nodes_per_rack * config_.node_bandwidth /
                     config_.rack_oversubscription;

@@ -252,6 +252,15 @@ class Tracer {
       std::make_shared<std::set<std::string, std::less<>>>();
 };
 
+// Root handle of a new trace tree on `track`: a fresh trace id under
+// `tracer`, or the null handle when `tracer` is null. Every causal tree
+// (a sampled request, a MapReduce job, a shard migration) starts here.
+inline TraceHandle RootTrace(Tracer* tracer, sim::Scheduler* sched,
+                             std::int32_t track) {
+  if (tracer == nullptr) return kNullTraceHandle;
+  return TraceHandle{tracer, sched, track, TraceContext{tracer->NewTraceId()}};
+}
+
 // RAII span: begins on construction, ends (at the scheduler's then-current
 // time) on destruction — robust to early co_return in coroutine processes.
 // A default-constructed or null-tracer guard is a no-op.

@@ -8,12 +8,11 @@
 #include "cluster/cluster.h"
 #include "common/stats.h"
 #include "hw/profiles.h"
+#include "load/driver.h"
 #include "net/fabric.h"
 #include "net/topology.h"
 #include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
-#include "obs/tracer.h"
+#include "obs/sinks.h"
 #include "shard/router.h"
 #include "sim/process.h"
 
@@ -38,7 +37,9 @@ struct ShardTestbed {
       : fabric(&sched),
         topo(&fabric, TopologyConfig(config)),
         clstr(&sched, &fabric),
-        rng(config.seed) {
+        rng(config.seed),
+        sinks(&sched, config.tracer, config.metrics, config.energy,
+              config.telemetry, config.trace_sample_every) {
     // Clients live in their own room hanging off the core switch, like
     // the kv testbed's client room — only now the path to any store
     // crosses core → agg → rack, so client traffic and replication
@@ -78,78 +79,38 @@ struct ShardTestbed {
     migrator = std::make_unique<Migrator>(&clstr, router.get(),
                                           config.migration);
 
-    tracer = config.tracer;
-    metrics = config.metrics;
-    energy = config.energy;
-    trace_sample_every = std::max(1, config.trace_sample_every);
-    if (energy != nullptr) {
-      // The whole provisioned store tier is observed (members + spares):
-      // an idle spare still burns idle watts, which is exactly the
-      // provisioning cost the scale-out bench wants visible.
-      for (auto& store : stores) store->node().ObserveEnergy(energy);
+    // The whole provisioned store tier is observed (members + spares):
+    // an idle spare still burns idle watts, which is exactly the
+    // provisioning cost the scale-out bench wants visible.
+    for (std::size_t i = 0; i < store_nodes.size(); ++i) {
+      sinks.Observe(*store_nodes[i], "shard" + std::to_string(i));
     }
-    if (metrics != nullptr) {
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        stores[i]->node().PublishMetrics(metrics,
-                                         "shard" + std::to_string(i));
-      }
-      fabric.PublishMetrics(metrics, "net");
+    if (sinks.metrics() != nullptr) {
+      fabric.PublishMetrics(sinks.metrics(), "net");
     }
-    telemetry = config.telemetry;
-    if (telemetry != nullptr) {
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        stores[i]->node().PublishTelemetry(telemetry,
-                                           "shard" + std::to_string(i));
-      }
-      obs::NodeHealthConfig health_config;
-      health_config.power_cap_w = config.node_profile.power.busy +
-                                  config.node_profile.power.constant_adapter;
-      // The lag input is a 0/1 in-migration flag: an active churn
-      // handoff costs the full lag weight.
-      health_config.lag_cap = 1.0;
-      health = std::make_unique<obs::NodeHealth>(telemetry, health_config);
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        const std::string node = "shard" + std::to_string(i);
-        obs::NodeHealthInputs inputs;
-        inputs.utilization = node + ".cpu_busy";
-        inputs.power = node + ".power_w";
-        inputs.queue_depth = "gate.queue_depth";
-        inputs.shed = "slo.shed";
-        // Churn hurts every member's score while handoffs are in
-        // flight: catch-up lag is a cluster-wide signal here.
-        inputs.lag = "migration.inflight";
-        health->AddNode(static_cast<int>(i), std::move(inputs));
-      }
-      if (metrics != nullptr) health->PublishMetrics(metrics, "health");
-      if (tracer != nullptr) health->EmitTraceInstants(tracer);
-    }
+    // Churn hurts every member's score while handoffs are in flight:
+    // catch-up lag is a cluster-wide signal here, a 0/1 in-migration
+    // flag that costs the full lag weight.
+    const hw::PowerSpec& power = config.node_profile.power;
+    sinks.ScoreHealth(store_nodes, "shard",
+                      {.power_cap_w = power.busy + power.constant_adapter,
+                       .lag_cap = 1.0},
+                      "migration.inflight");
   }
 
   int StoreNodeId(int store_index) const {
     return stores[static_cast<std::size_t>(store_index)]->node().id();
   }
 
-  // 1-in-N query trace sampling (same contract as the kv/web testbeds:
-  // the counter lives outside the random streams, so tracing on/off
-  // never changes simulated behaviour).
-  obs::TraceHandle StartTrace() {
-    const std::uint64_t query = query_counter_++;
-    if (tracer == nullptr ||
-        query % static_cast<std::uint64_t>(trace_sample_every) != 0) {
-      return {};
+  // Time-averaged busy fraction of the hottest rack uplink.
+  double MaxRackUplinkBusy() const {
+    double busy = 0.0;
+    for (int r = 0; r < topo.racks(); ++r) {
+      busy = std::max(busy, fabric.GroupLinkAverageBusyFraction(
+                                topo.RackGroup(r),
+                                topo.AggGroup(topo.PodOfRack(r))));
     }
-    obs::TraceHandle handle;
-    handle.tracer = tracer;
-    handle.sched = &sched;
-    handle.track = static_cast<std::int32_t>(query & 0x7fffffff);
-    handle.ctx.trace_id = tracer->NewTraceId();
-    return handle;
-  }
-
-  // Settle the attributor while the scheduler and nodes still exist: the
-  // caller may take its ledger after this testbed is gone.
-  ~ShardTestbed() {
-    if (energy != nullptr) energy->UnobserveAll();
+    return busy;
   }
 
   sim::Scheduler sched;
@@ -161,13 +122,7 @@ struct ShardTestbed {
   std::vector<int> client_ids;
   std::unique_ptr<Router> router;
   std::unique_ptr<Migrator> migrator;
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EnergyAttributor* energy = nullptr;
-  obs::Telemetry* telemetry = nullptr;
-  std::unique_ptr<obs::NodeHealth> health;
-  int trace_sample_every = 64;
-  std::uint64_t query_counter_ = 0;
+  obs::RunSinks sinks;  // after the nodes: settles the ledger first
 };
 
 struct ShardWindow {
@@ -200,11 +155,9 @@ int RouteToHealthy(ShardTestbed& tb, int shard) {
   return -1;
 }
 
-using ShardGate = load::AdmissionGate<Rng>;
-
 sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
                       ShardWindow& window, load::OpenLoopRecorder& recorder,
-                      ShardGate& gate, SimTime intended, Rng rng) {
+                      load::OpenLoopGate& gate, SimTime intended, Rng rng) {
   const SimTime started = tb.sched.now();
   const int shard = tb.router->ShardOf(rng.Next());
   const int serving = RouteToHealthy(tb, shard);
@@ -212,7 +165,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
   // child brackets the whole routed interaction with the owner chain, so
   // trace_analyze decomposes time spent inside each shard — and, via the
   // nested req/reply/repl net hops, across racks — without changes.
-  obs::CausalSpan query_span(tb.StartTrace(), "query",
+  obs::CausalSpan query_span(tb.sinks.SampleTrace(), "query",
                              obs::Category::kRequest, shard);
   if (serving < 0) query_span.Instant("route_failed");
   const int client = tb.client_ids[rng.NextBelow(tb.client_ids.size())];
@@ -229,8 +182,8 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
     if (rng.Bernoulli(config.get_fraction)) {
       obs::CausalSpan op(hop.handle(), "get", obs::Category::kRequest,
                          store->node().id());
-      obs::ScopedResidency res(tb.energy, store->node().id(), op.handle(),
-                               "get");
+      obs::ScopedResidency res(tb.sinks.energy(), store->node().id(),
+                               op.handle(), "get");
       co_await store->Get(client, value, op.handle());
     } else {
       // Writes to a migrating shard are counted at routing time so the
@@ -239,7 +192,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
       {
         obs::CausalSpan op(hop.handle(), "put", obs::Category::kRequest,
                            store->node().id());
-        obs::ScopedResidency res(tb.energy, store->node().id(),
+        obs::ScopedResidency res(tb.sinks.energy(), store->node().id(),
                                  op.handle(), "put");
         co_await store->Put(client, value, op.handle());
       }
@@ -260,7 +213,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
         {
           obs::CausalSpan op(hop.handle(), "replicate",
                              obs::Category::kRequest, replica->node().id());
-          obs::ScopedResidency res(tb.energy, replica->node().id(),
+          obs::ScopedResidency res(tb.sinks.energy(), replica->node().id(),
                                    op.handle(), "replicate");
           co_await replica->ApplyReplicatedWrite(tb.StoreNodeId(upstream),
                                                  value, op.handle());
@@ -292,32 +245,6 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
   }
 }
 
-sim::Process Arrivals(ShardTestbed& tb, const ShardExperimentConfig& config,
-                      ShardWindow& window, load::OpenLoopRecorder& recorder,
-                      ShardGate& gate, double qps, Rng rng) {
-  load::ArrivalConfig shape = config.openloop.arrival;
-  shape.rate = qps;
-  load::ArrivalProcess arrivals(shape);
-  while (tb.sched.now() < window.end) {
-    co_await sim::Delay(tb.sched, arrivals.NextGap(rng));
-    if (tb.sched.now() >= window.end) break;
-    const SimTime intended = tb.sched.now();
-    Rng child = rng.Fork();
-    switch (gate.Admit()) {
-      case load::Admission::kDispatch:
-        sim::Spawn(tb.sched, OneQuery(tb, config, window, recorder, gate,
-                                      intended, std::move(child)));
-        break;
-      case load::Admission::kQueue:
-        gate.Enqueue(intended, std::move(child));
-        break;
-      case load::Admission::kShed:
-        recorder.OnShed(intended);
-        break;
-    }
-  }
-}
-
 }  // namespace
 
 ShardExperimentConfig::ShardExperimentConfig()
@@ -342,48 +269,34 @@ ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
         // serving its shards until each one commits its handoff.
         moves = tb.router->Leave(tb.router->ring().members().back());
       }
-      if (tb.tracer != nullptr) {
-        tb.tracer->InstantAt(tb.sched.now(),
-                             config_.churn == Churn::kJoin ? "churn_join"
-                                                           : "churn_leave",
-                             obs::Category::kApp,
-                             static_cast<std::int64_t>(moves.size()));
+      if (obs::Tracer* tracer = tb.sinks.tracer()) {
+        tracer->InstantAt(tb.sched.now(),
+                          config_.churn == Churn::kJoin ? "churn_join"
+                                                        : "churn_leave",
+                          obs::Category::kApp,
+                          static_cast<std::int64_t>(moves.size()));
       }
-      sim::Spawn(tb.sched, tb.migrator->Run(std::move(moves), tb.tracer,
-                                            &migration));
+      sim::Spawn(tb.sched, tb.migrator->Run(std::move(moves),
+                                            tb.sinks.tracer(), &migration));
     });
   }
 
   Joules epoch = 0;
   tb.sched.ScheduleAt(window.start, [&] {
     epoch = tb.clstr.CumulativeJoules({"shard-store"});
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
+    tb.sinks.OpenWindow();
   });
   Joules spent = 0;
   tb.sched.ScheduleAt(window.end, [&] {
     spent = tb.clstr.CumulativeJoules({"shard-store"}) - epoch;
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.telemetry != nullptr) tb.telemetry->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
+    tb.sinks.CloseWindow();
   });
 
   load::OpenLoopRecorder recorder(window.start, window.end,
                                   config_.openloop.slo);
-  ShardGate gate(config_.openloop);
-  if (tb.telemetry != nullptr) {
-    obs::Telemetry* telemetry = tb.telemetry;
-    recorder.set_stream(obs::SloStreamInto(telemetry, "slo"));
-    telemetry->AddProbe("gate.queue_depth", [&gate] {
-      return static_cast<double>(gate.queue_depth());
-    });
+  load::OpenLoopGate gate(config_.openloop);
+  tb.sinks.ArmSloRules(recorder, gate, config_.openloop.slo);
+  if (obs::Telemetry* telemetry = tb.sinks.telemetry()) {
     // Live migration-lag probes over the stats the migrator fills
     // in-place during churn; `inflight` (1 while a started migration has
     // not committed its last cutover) is the NodeHealth lag term.
@@ -396,50 +309,28 @@ ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
     telemetry->AddProbe("migration.catchup_bytes", [&migration] {
       return static_cast<double>(migration.catchup_bytes);
     });
-    telemetry->AddProbe("net.max_uplink_busy", [&tb] {
-      double busy = 0.0;
-      for (int r = 0; r < tb.topo.racks(); ++r) {
-        busy = std::max(busy, tb.fabric.GroupLinkAverageBusyFraction(
-                                  tb.topo.RackGroup(r),
-                                  tb.topo.AggGroup(tb.topo.PodOfRack(r))));
-      }
-      return busy;
-    });
-    obs::ThresholdRule uplink;
-    uplink.name = "uplink_saturated";
-    uplink.metric = "net.max_uplink_busy";
-    uplink.agg = obs::Agg::kMax;
-    uplink.threshold = 0.90;
-    uplink.window = Seconds(4);
-    telemetry->AddThresholdRule(uplink);
-    if (config_.openloop.slo > 0.0) {
-      obs::BurnRateRule burn;
-      burn.name = "slo_burn";
-      burn.good_metric = "slo.good";
-      burn.total_metric = "slo.offered";
-      burn.slo_target = 0.9;
-      burn.burn_threshold = 1.0;
-      burn.short_window = Seconds(2);
-      burn.long_window = Seconds(8);
-      telemetry->AddBurnRateRule(burn);
-      obs::ThresholdRule sheds;
-      sheds.name = "shed_spike";
-      sheds.metric = "slo.shed";
-      sheds.agg = obs::Agg::kRate;
-      sheds.threshold = 1.0;
-      sheds.window = Seconds(2);
-      telemetry->AddThresholdRule(sheds);
-    }
-    telemetry->Start(&tb.sched, tb.tracer);
+    telemetry->AddProbe("net.max_uplink_busy",
+                        [&tb] { return tb.MaxRackUplinkBusy(); });
+    telemetry->AddThresholdRule({.name = "uplink_saturated",
+                                 .metric = "net.max_uplink_busy",
+                                 .agg = obs::Agg::kMax,
+                                 .threshold = 0.90,
+                                 .window = Seconds(4)});
   }
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
-  sim::Spawn(tb.sched, Arrivals(tb, config_, window, recorder, gate,
-                                target_qps, tb.rng.Fork()));
+  tb.sinks.StartTelemetry();
+  tb.sinks.StartMetrics();
+  load::ArrivalConfig shape = config_.openloop.arrival;
+  shape.rate = target_qps;
+  sim::Spawn(tb.sched,
+             load::DriveOpenLoop(
+                 tb.sched, shape, window.end, gate, recorder, tb.rng.Fork(),
+                 [&](SimTime intended, Rng rng) {
+                   sim::Spawn(tb.sched,
+                              OneQuery(tb, config_, window, recorder, gate,
+                                       intended, std::move(rng)));
+                 }));
   tb.sched.Run();
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.FinishMetrics();
 
   ShardReport report;
   report.target_qps = target_qps;
@@ -464,13 +355,7 @@ ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
           ? 0.0
           : static_cast<double>(window.cross_rack_replica_hops) /
                 static_cast<double>(window.replica_hops);
-  for (int r = 0; r < tb.topo.racks(); ++r) {
-    report.max_rack_uplink_busy =
-        std::max(report.max_rack_uplink_busy,
-                 tb.fabric.GroupLinkAverageBusyFraction(
-                     tb.topo.RackGroup(r),
-                     tb.topo.AggGroup(tb.topo.PodOfRack(r))));
-  }
+  report.max_rack_uplink_busy = tb.MaxRackUplinkBusy();
   for (int p = 0; p < tb.topo.pods(); ++p) {
     report.max_core_link_busy =
         std::max(report.max_core_link_busy,

@@ -55,15 +55,15 @@ struct ShardExperimentConfig {
   double get_fraction = 0.90;
   Churn churn = Churn::kNone;
   std::uint64_t seed = 20260808;
-  // Observability sinks (borrowed, may be null; see kv/experiment.h for
+  // Observability sinks (borrowed, may be null; see obs/sinks.h for
   // the sampling contract).
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   obs::EnergyAttributor* energy = nullptr;
   int trace_sample_every = 64;
   // Online telemetry plane (obs/telemetry.h; null = zero overhead).
-  // Beyond the kv wiring (SLO stream, queue probe, burn-rate/shed/p99
-  // rules, NodeHealth), a Measure adds migration-lag probes
+  // Beyond the shared wiring (SLO stream, queue probe, burn-rate/shed/p99
+  // rules, NodeHealth; obs/sinks.h), a Measure adds migration-lag probes
   // (`migration.inflight|shards_moved|catchup_bytes` over the live
   // MigrationStats — the NodeHealth lag term) and a
   // `net.max_uplink_busy` probe with a hottest-uplink saturation rule.

@@ -105,15 +105,9 @@ sim::Process Migrator::Run(std::vector<Router::ShardMove> moves,
     plans.back().targets.push_back(move.to);
   }
 
-  obs::TraceHandle root_handle;
-  if (tracer != nullptr) {
-    root_handle.tracer = tracer;
-    root_handle.sched = &sched;
-    root_handle.track = kMigrationTrackBase;
-    root_handle.ctx.trace_id = tracer->NewTraceId();
-  }
   {
-    obs::CausalSpan root(root_handle, "migration", obs::Category::kApp,
+    obs::CausalSpan root(obs::RootTrace(tracer, &sched, kMigrationTrackBase),
+                         "migration", obs::Category::kApp,
                          static_cast<std::int64_t>(plans.size()));
     std::vector<sim::ProcessRef> children;
     children.reserve(plans.size());

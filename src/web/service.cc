@@ -8,10 +8,9 @@
 #include "cluster/cluster.h"
 #include "cluster/metrics.h"
 #include "hw/profiles.h"
-#include "obs/energy.h"
+#include "load/driver.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
-#include "obs/tracer.h"
+#include "obs/sinks.h"
 #include "shard/ring.h"
 #include "sim/process.h"
 
@@ -76,7 +75,9 @@ struct Testbed {
         clstr(&sched, &fabric),
         rng(config.seed),
         cache_ring(shard::RingConfig{},
-                   shard::DenseIds(config.cache_servers)) {
+                   shard::DenseIds(config.cache_servers)),
+        sinks(&sched, config.tracer, config.metrics, config.energy,
+              config.telemetry, config.trace_sample_every) {
     // Room-level topology (paper §5.1.2): clients reach the Edison room
     // over a single 1 Gbps uplink but the Dell room at 2 Gbps aggregate;
     // the Edison and Dell rooms interconnect at 1 Gbps.
@@ -125,64 +126,34 @@ struct Testbed {
           std::make_unique<net::TcpHost>(&fabric, node->id(), client_tcp));
     }
 
-    tracer = config.tracer;
-    metrics = config.metrics;
-    energy = config.energy;
-    trace_sample_every = std::max(1, config.trace_sample_every);
-    if (metrics != nullptr) PublishProbes();
-    telemetry = config.telemetry;
-    if (telemetry != nullptr) {
-      for (std::size_t i = 0; i < webs.size(); ++i) {
-        webs[i]->node().PublishTelemetry(telemetry,
-                                         "web" + std::to_string(i));
-      }
-      obs::NodeHealthConfig health_config;
-      health_config.power_cap_w = config.middle_profile.power.busy +
-                                  config.middle_profile.power.constant_adapter;
-      health = std::make_unique<obs::NodeHealth>(telemetry, health_config);
-      for (std::size_t i = 0; i < webs.size(); ++i) {
-        const std::string prefix = "web" + std::to_string(i);
-        obs::NodeHealthInputs inputs;
-        inputs.utilization = prefix + ".cpu_busy";
-        inputs.power = prefix + ".power_w";
-        inputs.queue_depth = "gate.queue_depth";
-        inputs.shed = "slo.shed";
-        health->AddNode(static_cast<int>(i), inputs);
-      }
-      if (metrics != nullptr) health->PublishMetrics(metrics, "health");
-      if (tracer != nullptr) health->EmitTraceInstants(tracer);
-    }
-    if (energy != nullptr) {
-      // Observation order (web, cache, db) fixes ledger row order for a
-      // given simulation, keeping exports deterministic.
-      for (auto& web : webs) {
-        web->node().ObserveEnergy(energy);
-        web->set_energy(energy);
-      }
-      for (auto& cache : caches) cache->node().ObserveEnergy(energy);
-      for (auto& db : dbs) db->node().ObserveEnergy(energy);
-    }
-  }
-
-  // Probe registration order is fixed (web tier, cache tier, dbs, links,
-  // aggregates), so exported column order is deterministic.
-  void PublishProbes() {
+    // Wiring order is fixed (web tier, cache tier, dbs, then links and
+    // aggregates), so ledger rows and metrics columns are deterministic.
     for (std::size_t i = 0; i < webs.size(); ++i) {
-      const std::string prefix = "web" + std::to_string(i);
-      webs[i]->node().PublishMetrics(metrics, prefix);
-      webs[i]->tcp_host().PublishMetrics(metrics, prefix + ".tcp");
+      const std::string name = "web" + std::to_string(i);
+      sinks.Observe(webs[i]->node(), name);
+      webs[i]->set_energy(sinks.energy());
+      if (sinks.metrics() != nullptr) {
+        webs[i]->tcp_host().PublishMetrics(sinks.metrics(), name + ".tcp");
+      }
     }
     for (std::size_t i = 0; i < caches.size(); ++i) {
-      caches[i]->node().PublishMetrics(metrics,
-                                       "cache" + std::to_string(i));
+      sinks.Observe(caches[i]->node(), "cache" + std::to_string(i));
     }
     for (std::size_t i = 0; i < dbs.size(); ++i) {
-      dbs[i]->node().PublishMetrics(metrics, "db" + std::to_string(i));
+      sinks.Observe(dbs[i]->node(), "db" + std::to_string(i));
     }
+    if (sinks.metrics() != nullptr) PublishAggregates(sinks.metrics());
+    const hw::PowerSpec& power = config.middle_profile.power;
+    sinks.ScoreHealth(web_nodes, "web",
+                      {.power_cap_w = power.busy + power.constant_adapter});
+  }
+
+  // Links, then the aggregate delay decomposition, merged across web
+  // servers exactly as CollectServerDelays merges the final report — the
+  // last exported row (sampled after the run drains) reproduces Table 7
+  // from the CSV.
+  void PublishAggregates(obs::MetricsRegistry* metrics) {
     fabric.PublishMetrics(metrics, "net");
-    // Aggregate delay decomposition, merged across web servers exactly as
-    // CollectServerDelays merges the final report — the last exported row
-    // (sampled after the run drains) reproduces Table 7 from the CSV.
     metrics->AddGauge("svc.db_delay_mean",
                       [this] { return MergedDbDelay().mean(); });
     metrics->AddCounter("svc.db_delay_count", [this] {
@@ -232,26 +203,6 @@ struct Testbed {
     return s;
   }
 
-  // 1-in-N connection trace sampling. A sampled connection gets a root
-  // trace handle — fresh trace id, its own track — that the connection
-  // process threads through the whole serving path; unsampled
-  // connections get a null handle and every downstream tracing call
-  // no-ops. The counter is part of the testbed, not the random streams,
-  // so tracing on/off never changes simulated behaviour.
-  obs::TraceHandle StartTrace() {
-    const std::uint64_t conn = conn_counter_++;
-    if (tracer == nullptr ||
-        conn % static_cast<std::uint64_t>(trace_sample_every) != 0) {
-      return {};
-    }
-    obs::TraceHandle handle;
-    handle.tracer = tracer;
-    handle.sched = &sched;
-    handle.track = static_cast<std::int32_t>(conn & 0x7fffffff);
-    handle.ctx.trace_id = tracer->NewTraceId();
-    return handle;
-  }
-
   WebServer* NextWeb() {
     // The balancer health-checks backends: failed servers are skipped.
     for (std::size_t i = 0; i < webs.size(); ++i) {
@@ -268,12 +219,6 @@ struct Testbed {
     return host;
   }
 
-  // Settle the attributor while the scheduler and nodes still exist: the
-  // caller may take its ledger after this testbed is gone.
-  ~Testbed() {
-    if (energy != nullptr) energy->UnobserveAll();
-  }
-
   sim::Scheduler sched;
   net::Fabric fabric;
   cluster::Cluster clstr;
@@ -285,13 +230,7 @@ struct Testbed {
   std::vector<std::unique_ptr<DatabaseServer>> dbs;
   std::vector<std::unique_ptr<WebServer>> webs;
   std::vector<std::unique_ptr<net::TcpHost>> client_hosts;
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EnergyAttributor* energy = nullptr;
-  obs::Telemetry* telemetry = nullptr;
-  std::unique_ptr<obs::NodeHealth> health;
-  int trace_sample_every = 64;
-  std::uint64_t conn_counter_ = 0;
+  obs::RunSinks sinks;  // after the nodes: settles the ledger first
   std::size_t next_web_ = 0;
   std::size_t next_client_ = 0;
 };
@@ -355,7 +294,7 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
   // Root span of the connection's trace tree; null for unsampled
   // connections. The handle rides every downstream call — the simulated
   // context header.
-  obs::CausalSpan conn_span(tb.StartTrace(), "conn",
+  obs::CausalSpan conn_span(tb.sinks.SampleTrace(), "conn",
                             obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   const net::ConnectResult cres =
@@ -428,8 +367,6 @@ sim::Process ClosedLoopArrivals(Testbed& tb, Windows windows,
   }
 }
 
-using WebGate = load::AdmissionGate<Rng>;
-
 // One open-loop (python urllib2) request: fresh connection per request.
 // `intended` is the arrival the load engine scheduled; with an unbounded
 // gate it equals the dispatch time, with a bounded gate a queued request
@@ -438,10 +375,11 @@ sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
                              const WorkloadMix& mix, WebServer* web,
                              net::TcpHost* client,
                              LinearHistogram* histogram,
-                             load::OpenLoopRecorder& recorder, WebGate& gate,
-                             SimTime intended, Rng rng) {
+                             load::OpenLoopRecorder& recorder,
+                             load::OpenLoopGate& gate, SimTime intended,
+                             Rng rng) {
   const SimTime start = tb.sched.now();
-  obs::CausalSpan request_span(tb.StartTrace(), "request",
+  obs::CausalSpan request_span(tb.sinks.SampleTrace(), "request",
                                obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   bool ok = false;
@@ -485,35 +423,6 @@ sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
   }
 }
 
-sim::Process OpenLoopArrivals(Testbed& tb, RunWindow& window,
-                              const WorkloadMix& mix,
-                              const load::ArrivalConfig& shape,
-                              LinearHistogram* histogram,
-                              load::OpenLoopRecorder& recorder, WebGate& gate,
-                              Rng rng) {
-  load::ArrivalProcess arrivals(shape);
-  while (tb.sched.now() < window.measure_end) {
-    co_await sim::Delay(tb.sched, arrivals.NextGap(rng));
-    if (tb.sched.now() >= window.measure_end) break;
-    const SimTime intended = tb.sched.now();
-    Rng child = rng.Fork();
-    switch (gate.Admit()) {
-      case load::Admission::kDispatch:
-        sim::Spawn(tb.sched,
-                   OpenLoopRequest(tb, window, mix, tb.NextWeb(),
-                                   tb.NextClient(), histogram, recorder,
-                                   gate, intended, std::move(child)));
-        break;
-      case load::Admission::kQueue:
-        gate.Enqueue(intended, std::move(child));
-        break;
-      case load::Admission::kShed:
-        recorder.OnShed(intended);
-        break;
-    }
-  }
-}
-
 // Merges the per-server delay decompositions into the report.
 template <typename Report>
 void CollectServerDelays(Testbed& tb, Report* report) {
@@ -554,11 +463,7 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
     cache_sampler.Start();
     // Window marks at the very instant the stats reset, so the trace
     // analyzer can reproduce the report's windowing exactly.
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
+    tb.sinks.OpenWindow();
   });
   Joules window_joules = 0;
   tb.sched.ScheduleAt(window.measure_end, [&] {
@@ -567,27 +472,15 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
         epoch_joules;
     web_sampler.Stop();
     cache_sampler.Stop();
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
+    tb.sinks.CloseWindow();
   });
 
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched,
              ClosedLoopArrivals(tb, {&window}, mix, concurrency,
                                 calls_per_connection, tb.rng.Fork()));
   tb.sched.Run();
-  // Final sample after the queue drains: cumulative counters and the
-  // merged delay stats now match the report exactly. Then detach: the
-  // registry outlives this function-local testbed, so its probes must
-  // not.
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.FinishMetrics();
 
   LevelReport report;
   report.target_concurrency = concurrency;
@@ -646,34 +539,18 @@ WebExperiment::FailureReport WebExperiment::MeasureWithFailure(
   const int to_fail =
       std::min<int>(failed_servers,
                     static_cast<int>(tb.webs.size()) - 1);
-  tb.sched.ScheduleAt(before.warmup_end, [&tb] {
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
-  });
+  tb.sched.ScheduleAt(before.warmup_end, [&tb] { tb.sinks.OpenWindow(); });
   tb.sched.ScheduleAt(before.measure_end, [&tb, to_fail] {
     for (int i = 0; i < to_fail; ++i) tb.webs[i]->set_failed(true);
   });
-  tb.sched.ScheduleAt(after.measure_end, [&tb] {
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
-  });
+  tb.sched.ScheduleAt(after.measure_end, [&tb] { tb.sinks.CloseWindow(); });
 
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched,
              ClosedLoopArrivals(tb, {&before, &after}, mix, concurrency,
                                 calls_per_connection, tb.rng.Fork()));
   tb.sched.Run();
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.FinishMetrics();
 
   auto fill = [&](const RunWindow& window) {
     LevelReport report;
@@ -743,76 +620,35 @@ OpenLoopReport WebExperiment::MeasureOpenLoop(
     for (auto& web : tb.webs) web->ResetStats();
     epoch_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"});
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_start",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->BeginWindow();
+    tb.sinks.OpenWindow();
   });
   Joules window_joules = 0;
   tb.sched.ScheduleAt(window.measure_end, [&] {
     window_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"}) -
         epoch_joules;
-    if (tb.metrics != nullptr) tb.metrics->Stop();
-    if (tb.telemetry != nullptr) tb.telemetry->Stop();
-    if (tb.tracer != nullptr) {
-      tb.tracer->InstantAt(tb.sched.now(), "measure_end",
-                           obs::Category::kApp, 0);
-    }
-    if (tb.energy != nullptr) tb.energy->EndWindow();
+    tb.sinks.CloseWindow();
   });
 
   load::OpenLoopRecorder recorder(window.warmup_end, window.measure_end,
                                   load_config.slo);
-  WebGate gate(load_config);
-  // Per-measure telemetry wiring mirrors kv::WireTelemetry: recorder SLO
-  // stream, gate queue-depth probe, SLO-gated default rules. Thresholds
-  // are pure functions of the config, so alert instants stay
-  // deterministic.
-  if (tb.telemetry != nullptr) {
-    obs::Telemetry* telemetry = tb.telemetry;
-    recorder.set_stream(obs::SloStreamInto(telemetry, "slo"));
-    telemetry->AddProbe("gate.queue_depth", [&gate] {
-      return static_cast<double>(gate.queue_depth());
-    });
-    if (load_config.slo > 0.0) {
-      obs::BurnRateRule burn;
-      burn.name = "slo_burn";
-      burn.good_metric = "slo.good";
-      burn.total_metric = "slo.offered";
-      burn.slo_target = 0.9;      // 10% error budget
-      burn.burn_threshold = 1.0;  // burning faster than budget
-      burn.short_window = Seconds(2);
-      burn.long_window = Seconds(8);
-      telemetry->AddBurnRateRule(burn);
-      obs::ThresholdRule p99;
-      p99.name = "latency_p99_high";
-      p99.metric = "slo.latency";
-      p99.agg = obs::Agg::kP99;
-      p99.threshold = load_config.slo;
-      p99.window = Seconds(2);
-      telemetry->AddThresholdRule(p99);
-      obs::ThresholdRule sheds;
-      sheds.name = "shed_spike";
-      sheds.metric = "slo.shed";
-      sheds.agg = obs::Agg::kRate;
-      sheds.threshold = 1.0;  // sheds/s
-      sheds.window = Seconds(2);
-      telemetry->AddThresholdRule(sheds);
-    }
-    telemetry->Start(&tb.sched, tb.tracer);
-  }
-  if (tb.metrics != nullptr) tb.metrics->Start(&tb.sched, Seconds(1));
+  load::OpenLoopGate gate(load_config);
+  tb.sinks.ArmSloRules(recorder, gate, load_config.slo);
+  tb.sinks.StartTelemetry();
+  tb.sinks.StartMetrics();
   sim::Spawn(tb.sched,
-             OpenLoopArrivals(tb, window, mix, load_config.arrival,
-                              &report.delay_histogram, recorder, gate,
-                              tb.rng.Fork()));
+             load::DriveOpenLoop(
+                 tb.sched, load_config.arrival, window.measure_end, gate,
+                 recorder, tb.rng.Fork(), [&](SimTime intended, Rng rng) {
+                   sim::Spawn(tb.sched,
+                              OpenLoopRequest(tb, window, mix, tb.NextWeb(),
+                                              tb.NextClient(),
+                                              &report.delay_histogram,
+                                              recorder, gate, intended,
+                                              std::move(rng)));
+                 }));
   tb.sched.Run();
-  if (tb.metrics != nullptr) {
-    tb.metrics->SampleNow();
-    tb.metrics->Detach();
-  }
+  tb.sinks.FinishMetrics();
 
   report.achieved_rps = static_cast<double>(window.ok) / measure;
   report.error_rate =

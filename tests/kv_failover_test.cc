@@ -87,5 +87,31 @@ TEST(KvFailoverTest, FailoverRunIsDeterministic) {
   EXPECT_EQ(la.total_joules, lb.total_joules);
 }
 
+TEST(KvFailoverTest, FailingNoNodesIsExactlyMeasure) {
+  // Measure and MeasureWithFailover share one run body; with nothing to
+  // fail, the failover run schedules no failure event at all.
+  KvExperimentConfig config;
+  config.node_profile = hw::EdisonProfile();
+  config.seed = 77;
+  config.openloop.slo = Milliseconds(20);  // exercise the SLO fields too
+  KvExperiment exp(std::move(config));
+  const KvReport plain = exp.Measure(400.0, Seconds(4));
+  const KvReport failover = exp.MeasureWithFailover(400.0, 0, Seconds(4));
+  EXPECT_EQ(failover.target_qps, plain.target_qps);
+  EXPECT_EQ(failover.achieved_qps, plain.achieved_qps);
+  EXPECT_EQ(failover.error_rate, plain.error_rate);
+  EXPECT_EQ(failover.mean_latency, plain.mean_latency);
+  EXPECT_EQ(failover.p99_latency, plain.p99_latency);
+  EXPECT_EQ(failover.store_power, plain.store_power);
+  EXPECT_EQ(failover.queries_per_joule, plain.queries_per_joule);
+  EXPECT_EQ(failover.executed_events, plain.executed_events);
+  EXPECT_EQ(failover.p99_intended_latency, plain.p99_intended_latency);
+  EXPECT_EQ(failover.shed, plain.shed);
+  EXPECT_EQ(failover.slo_good_fraction, plain.slo_good_fraction);
+  EXPECT_EQ(failover.slo_goodput_per_joule, plain.slo_goodput_per_joule);
+  EXPECT_GT(plain.achieved_qps, 0.0);
+  EXPECT_GT(plain.slo_good_fraction, 0.0);
+}
+
 }  // namespace
 }  // namespace wimpy::kv

@@ -160,5 +160,24 @@ TEST(TopologyMetricsTest, WholeTreePublishesOneGaugePerLink) {
   EXPECT_EQ(registry.probe_count(), 6u);
 }
 
+TEST(TopologyDeathTest, InvalidGeometryAbortsInEveryBuild) {
+  sim::Scheduler sched;
+  Fabric fabric(&sched);
+  HierarchicalTopologyConfig config;
+  config.node_bandwidth = Mbps(100);
+  HierarchicalTopologyConfig no_pods = config;
+  no_pods.racks_per_pod = 0;  // the pod count would divide by zero
+  EXPECT_DEATH(HierarchicalTopology(&fabric, no_pods),
+               "racks_per_pod must be > 0");
+  HierarchicalTopologyConfig no_bandwidth = config;
+  no_bandwidth.node_bandwidth = 0;  // would build zero-bandwidth links
+  EXPECT_DEATH(HierarchicalTopology(&fabric, no_bandwidth),
+               "node_bandwidth must be > 0");
+  HierarchicalTopologyConfig undersubscribed = config;
+  undersubscribed.rack_oversubscription = 0.5;
+  EXPECT_DEATH(HierarchicalTopology(&fabric, undersubscribed),
+               "rack_oversubscription must be >= 1");
+}
+
 }  // namespace
 }  // namespace wimpy::net

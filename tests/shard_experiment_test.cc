@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "obs/energy.h"
+#include "obs/telemetry.h"
 #include "obs/tracer.h"
 
 namespace wimpy::shard {
@@ -132,6 +135,31 @@ TEST(ShardExperimentTest, OversubscriptionBendsTheThroughputCurve) {
   EXPECT_GT(starved.p99_latency, 2.0 * full.p99_latency);
   EXPECT_GT(starved.max_rack_uplink_busy, 0.9);
   EXPECT_LT(full.max_rack_uplink_busy, 0.6);
+}
+
+TEST(ShardExperimentTest, OverloadFiresTheDefaultLatencyRule) {
+  // The shard run arms the same default SLO rules as the kv and web
+  // runs: with starved uplinks the tail blows through the SLO, and
+  // latency_p99_high fires next to the shard's own uplink rule.
+  ShardExperimentConfig config = BaseConfig();
+  config.get_fraction = 0.2;
+  config.rack_oversubscription = 32.0;
+  config.openloop.slo = Milliseconds(20);
+  config.openloop.max_outstanding = 512;
+  config.openloop.queue_limit = 512;
+  obs::Telemetry telemetry;
+  config.telemetry = &telemetry;
+  ShardExperiment exp(std::move(config));
+  const ShardReport report = exp.Measure(8000.0, Seconds(4));
+  EXPECT_LT(report.slo_good_fraction, 0.5);
+  auto fired = [&telemetry](const std::string& rule) {
+    for (const obs::Alert& alert : telemetry.alerts()) {
+      if (alert.rule == rule) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(fired("latency_p99_high"));
+  EXPECT_TRUE(fired("uplink_saturated"));
 }
 
 }  // namespace
