@@ -1,23 +1,21 @@
 // Key-value cluster experiment: queries-per-joule on any hardware profile
 // (the FAWN comparison, reproduced on this library's substrate).
+//
+// A thin adapter over the one store harness (shard/experiment.h): the
+// FAWN rig is its one-rack case with no spares and no churn, where the
+// client room links straight to the store rack (net/topology.h). The
+// tier keeps its names: role `kv-store`, metrics and telemetry probes
+// `kv<i>.*`.
 #ifndef WIMPY_KV_EXPERIMENT_H_
 #define WIMPY_KV_EXPERIMENT_H_
 
 #include <cstdint>
-#include <string>
 
-#include "common/stats.h"
 #include "common/units.h"
 #include "hw/profile.h"
 #include "kv/store.h"
 #include "load/openloop.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-
-namespace wimpy::obs {
-class EnergyAttributor;
-class Telemetry;
-}  // namespace wimpy::obs
+#include "shard/experiment.h"
 
 namespace wimpy::kv {
 
@@ -28,39 +26,24 @@ struct KvExperimentConfig {
   KvConfig store;
   double get_fraction = 0.90;
   // FAWN-style chain replication across ring successors (1 = none).
+  // Stores crashed mid-run by MeasureWithFailover are skipped: reads and
+  // writes route to the next healthy successor.
   int replication = 1;
-  // Nodes failed mid-run by FailNodes(); reads/writes route to the next
-  // healthy successor.
   std::uint64_t seed = 20090101;  // FAWN's year
-  // Observability sinks (optional; null = zero overhead, identical
-  // simulated behaviour). The tracer records a "query" span for
-  // 1-in-`trace_sample_every` queries; the registry samples per-store
-  // node probes (`kv<i>.*`) and fabric link probes once per simulated
-  // second for the duration of the measurement window.
+  // Observability sinks, telemetry plane and open-loop shape, passed
+  // through to the harness (ShardExperimentConfig and obs/sinks.h
+  // document them; null = zero overhead, identical simulated behaviour).
+  // Sampled queries carry a "query" span tree, the registry samples the
+  // `kv<i>.*` node probes and the link probes, and the energy ledger's
+  // window subtotal equals the store-tier energy the report divides by
+  // for queries_per_joule. `openloop.arrival.rate` is overridden by the
+  // per-run target qps; the default shape reproduces the legacy
+  // generator draw for draw, so the seed-77 trace golden stays valid.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   int trace_sample_every = 64;
-  // Online telemetry plane (obs/telemetry.h; null = zero overhead). When
-  // set, a Measure call wires: per-store `kv<i>.cpu_busy|power_w` probes,
-  // the recorder's SLO stream into `slo.*` instruments, a
-  // `gate.queue_depth` probe, default alert rules (SLO burn rate over
-  // 2 s/8 s windows, shed-rate spike, p99-over-SLO — installed only when
-  // `openloop.slo > 0`), and an obs::NodeHealth scorer whose per-node
-  // gauges land in `metrics` under `health.*` and on the trace as
-  // kHealth instants. One Telemetry per Measure call (instrument names
-  // are registered fresh each run). Borrowed; must outlive the call.
   obs::Telemetry* telemetry = nullptr;
-  // Optional span-energy attribution over the store tier (obs/energy.h):
-  // sampled query trees carry joules-per-span, and the ledger's window
-  // subtotal equals the store-tier energy the report divides by for
-  // queries_per_joule (the golden test re-derives that quotient from the
-  // trace + ledger alone). Borrowed; may be null.
   obs::EnergyAttributor* energy = nullptr;
-  // Open-loop load shape (docs/openloop.md): arrival model/burstiness,
-  // client-side admission gate, SLO bound. `openloop.arrival.rate` is
-  // overridden by the per-run target qps. The default (Poisson, unbounded,
-  // no SLO) reproduces the legacy generator draw-for-draw, so the seed-77
-  // trace golden stays valid.
   load::OpenLoopConfig openloop;
 };
 
@@ -87,8 +70,9 @@ struct KvReport {
 
 class KvExperiment {
  public:
-  explicit KvExperiment(KvExperimentConfig config)
-      : config_(std::move(config)) {}
+  // The harness checks the config in every build type: node_count and
+  // client_machines >= 1, get_fraction in [0, 1].
+  explicit KvExperiment(KvExperimentConfig config);
 
   // Open-loop Poisson load at `target_qps` for `measure` seconds (after a
   // short warm-up); keys route over a ketama consistent-hash ring
@@ -110,10 +94,8 @@ class KvExperiment {
   const KvExperimentConfig& config() const { return config_; }
 
  private:
-  // The one run body: Measure is MeasureWithFailover with no failures.
-  KvReport Run(double target_qps, int failed_nodes, Duration measure);
-
   KvExperimentConfig config_;
+  shard::ShardExperiment harness_;
 };
 
 }  // namespace wimpy::kv

@@ -1,7 +1,7 @@
 // The open-loop arrival driver (docs/openloop.md): one coroutine that
 // turns an ArrivalProcess into admitted requests for every open-loop
-// experiment (kv::KvExperiment, shard::ShardExperiment and
-// web::WebExperiment::MeasureOpenLoop).
+// experiment (the store harness shard::ShardExperiment, which also runs
+// kv::KvExperiment, and web::WebExperiment::MeasureOpenLoop).
 //
 // Per arrival, in this order: draw the gap (`NextGap`), sleep it, fork
 // the request's own random stream (`Fork`), then ask the gate (`Admit`).

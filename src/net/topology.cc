@@ -1,9 +1,8 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
+#include "common/check.h"
 #include "net/fabric.h"
 
 namespace wimpy::net {
@@ -11,12 +10,9 @@ namespace wimpy::net {
 namespace {
 
 // A bad geometry divides by zero (racks_per_pod = 0) or builds
-// zero-bandwidth links, so these checks stay armed in the NDEBUG builds
-// every bench runs in.
+// zero-bandwidth links.
 void Check(bool ok, const char* what) {
-  if (ok) return;
-  std::fprintf(stderr, "net::HierarchicalTopology: %s\n", what);
-  std::abort();
+  wimpy::Check(ok, "net::HierarchicalTopology", what);
 }
 
 }  // namespace
@@ -47,6 +43,10 @@ HierarchicalTopology::HierarchicalTopology(
   for (int p = 0; p < pods; ++p) {
     agg_groups_.push_back("agg" + std::to_string(p));
   }
+
+  // One rack is the degenerate tree: its ToR is the whole fabric, so it
+  // has no uplink, and AttachToCore links a room straight to it.
+  if (config_.racks == 1) return;
 
   // Access layer: each rack's ToR uplink into its pod's aggregation
   // switch, thinned by the rack oversubscription ratio.
@@ -89,15 +89,21 @@ BytesPerSecond HierarchicalTopology::pod_uplink_bandwidth(int pod) const {
 void HierarchicalTopology::AttachToCore(const std::string& group,
                                         BytesPerSecond bandwidth,
                                         Duration latency) {
-  fabric_->SetGroupLink(group, CoreGroup(), bandwidth, latency);
+  // In the degenerate one-rack tree, rack0's ToR stands in for the core:
+  // the room's access link ends there and is its only hop to a node.
+  const bool one_rack = config_.racks == 1;
+  const std::string hub = one_rack ? RackGroup(0) : CoreGroup();
+  fabric_->SetGroupLink(group, hub, bandwidth, latency);
   // The new room reaches every rack through core → pod agg, and other
-  // attached rooms through the core switch alone.
-  for (int r = 0; r < config_.racks; ++r) {
-    fabric_->SetGroupPath(group, RackGroup(r),
-                          {CoreGroup(), AggGroup(PodOfRack(r))});
+  // attached rooms through the hub alone.
+  if (!one_rack) {
+    for (int r = 0; r < config_.racks; ++r) {
+      fabric_->SetGroupPath(group, RackGroup(r),
+                            {CoreGroup(), AggGroup(PodOfRack(r))});
+    }
   }
   for (const std::string& other : attached_) {
-    fabric_->SetGroupPath(group, other, {CoreGroup()});
+    fabric_->SetGroupPath(group, other, {hub});
   }
   attached_.push_back(group);
 }

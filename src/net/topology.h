@@ -11,6 +11,10 @@
 // occupies both rack uplinks and the core hop concurrently. Node
 // placement stays with the caller (cluster::Cluster::AddNodes into
 // `RackGroup(i)`).
+//
+// One rack is the degenerate tree, the paper's single-room rig: it
+// builds no aggregation or core link, and `AttachToCore` links a room
+// straight to `rack0`, so a client↔store flow crosses exactly one link.
 #ifndef WIMPY_NET_TOPOLOGY_H_
 #define WIMPY_NET_TOPOLOGY_H_
 
@@ -61,7 +65,8 @@ class HierarchicalTopology {
 
   // Attaches an external group (a client room, a storage pool) directly
   // to the core switch with its own access link, and declares paths from
-  // it to every rack and every previously attached group.
+  // it to every rack and every previously attached group. In a one-rack
+  // tree the access link ends at `rack0` instead.
   void AttachToCore(const std::string& group, BytesPerSecond bandwidth,
                     Duration latency);
 

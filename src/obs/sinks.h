@@ -1,10 +1,10 @@
 // One experiment run's observation plumbing (docs/observability.md).
 //
-// kv::KvExperiment, shard::ShardExperiment and web::WebExperiment build
-// a fresh testbed per measurement and attach the same four optional,
-// borrowed sinks to it: tracer, metrics registry, energy attributor and
-// telemetry plane. `RunSinks` holds them for the run and is the one place
-// that
+// The store harness (shard::ShardExperiment, which also runs
+// kv::KvExperiment) and web::WebExperiment build a fresh testbed per
+// measurement and attach the same four optional, borrowed sinks to it:
+// tracer, metrics registry, energy attributor and telemetry plane.
+// `RunSinks` holds them for the run and is the one place that
 //   * samples 1 in `trace_sample_every` requests as trace roots;
 //   * wires a server tier into the sinks and scores its health;
 //   * arms an open-loop run's default SLO telemetry;

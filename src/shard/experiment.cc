@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/check.h"
 #include "common/stats.h"
 #include "hw/profiles.h"
 #include "load/driver.h"
@@ -34,16 +35,18 @@ net::HierarchicalTopologyConfig TopologyConfig(
 
 struct ShardTestbed {
   explicit ShardTestbed(const ShardExperimentConfig& config)
-      : fabric(&sched),
+      : role(config.name + "-store"),
+        fabric(&sched),
         topo(&fabric, TopologyConfig(config)),
         clstr(&sched, &fabric),
         rng(config.seed),
         sinks(&sched, config.tracer, config.metrics, config.energy,
               config.telemetry, config.trace_sample_every) {
-    // Clients live in their own room hanging off the core switch, like
-    // the kv testbed's client room — only now the path to any store
-    // crosses core → agg → rack, so client traffic and replication
-    // traffic contend for the same oversubscribed uplinks.
+    // Clients live in their own room hanging off the core switch, so the
+    // path to any store crosses core → agg → rack, and client traffic
+    // and replication traffic contend for the same oversubscribed
+    // uplinks. With one rack the room links straight to it: the FAWN
+    // rig's single client↔store hop.
     topo.AttachToCore("client-room", Gbps(10), Milliseconds(0.02));
 
     // Ring members rack by rack (store index == fabric node id because
@@ -52,13 +55,13 @@ struct ShardTestbed {
     std::vector<hw::ServerNode*> store_nodes;
     for (int r = 0; r < config.racks; ++r) {
       auto rack_nodes = clstr.AddNodes(config.node_profile,
-                                       config.nodes_per_rack, "shard-store",
+                                       config.nodes_per_rack, role,
                                        topo.RackGroup(r));
       store_nodes.insert(store_nodes.end(), rack_nodes.begin(),
                          rack_nodes.end());
     }
     for (int s = 0; s < config.spare_nodes; ++s) {
-      auto spare = clstr.AddNodes(config.node_profile, 1, "shard-store",
+      auto spare = clstr.AddNodes(config.node_profile, 1, role,
                                   topo.RackGroup(s % config.racks));
       store_nodes.push_back(spare[0]);
     }
@@ -73,9 +76,8 @@ struct ShardTestbed {
     }
     for (auto* node : client_nodes) client_ids.push_back(node->id());
 
-    std::vector<int> members;
-    for (int i = 0; i < config.ring_nodes(); ++i) members.push_back(i);
-    router = std::make_unique<Router>(config.ring, members);
+    router = std::make_unique<Router>(config.ring,
+                                      DenseIds(config.ring_nodes()));
     migrator = std::make_unique<Migrator>(&clstr, router.get(),
                                           config.migration);
 
@@ -83,7 +85,7 @@ struct ShardTestbed {
     // an idle spare still burns idle watts, which is exactly the
     // provisioning cost the scale-out bench wants visible.
     for (std::size_t i = 0; i < store_nodes.size(); ++i) {
-      sinks.Observe(*store_nodes[i], "shard" + std::to_string(i));
+      sinks.Observe(*store_nodes[i], config.name + std::to_string(i));
     }
     if (sinks.metrics() != nullptr) {
       fabric.PublishMetrics(sinks.metrics(), "net");
@@ -92,7 +94,7 @@ struct ShardTestbed {
     // catch-up lag is a cluster-wide signal here, a 0/1 in-migration
     // flag that costs the full lag weight.
     const hw::PowerSpec& power = config.node_profile.power;
-    sinks.ScoreHealth(store_nodes, "shard",
+    sinks.ScoreHealth(store_nodes, config.name,
                       {.power_cap_w = power.busy + power.constant_adapter,
                        .lag_cap = 1.0},
                       "migration.inflight");
@@ -102,7 +104,8 @@ struct ShardTestbed {
     return stores[static_cast<std::size_t>(store_index)]->node().id();
   }
 
-  // Time-averaged busy fraction of the hottest rack uplink.
+  // Time-averaged busy fraction of the hottest rack uplink (0 on one
+  // rack, which has none).
   double MaxRackUplinkBusy() const {
     double busy = 0.0;
     for (int r = 0; r < topo.racks(); ++r) {
@@ -113,6 +116,7 @@ struct ShardTestbed {
     return busy;
   }
 
+  std::string role;  // the store tier's cluster role
   sim::Scheduler sched;
   net::Fabric fabric;
   net::HierarchicalTopology topo;
@@ -138,8 +142,8 @@ struct ShardWindow {
 };
 
 // First healthy member of the shard's serving chain; when the whole
-// chain is down, fall back to the target ring's preference order (the
-// same walk the kv experiment does). -1 when every store is down.
+// chain is down, fall back to the target ring's preference order
+// (FAWN's consistent-hashing failover). -1 when every store is down.
 int RouteToHealthy(ShardTestbed& tb, int shard) {
   const Router::Chain chain = tb.router->ServingChain(shard);
   for (int member : chain) {
@@ -151,6 +155,36 @@ int RouteToHealthy(ShardTestbed& tb, int shard) {
     if (!tb.stores[static_cast<std::size_t>(member)]->failed()) {
       return member;
     }
+  }
+  return -1;
+}
+
+// The replication walk: the next store after `*cursor` in the serving
+// chain followed by the target ring's preference list, skipping the
+// serving store, failed stores and chain members already passed; -1 when
+// none is left. In steady state the preference list starts with the
+// chain, so this is FAWN's walk down the ring successors. During a
+// migration without failures it stays in the serving chain unless the
+// target ring wants more copies than that chain holds. Both lists are
+// read afresh at each step: a commit or a failure may land while the
+// previous copy is in flight.
+int NextReplica(ShardTestbed& tb, int shard, const Router::Chain& chain,
+                int serving, int* cursor) {
+  const std::vector<int>& pref = tb.router->Preference(shard);
+  const int walk = chain.length + static_cast<int>(pref.size());
+  while (*cursor < walk) {
+    const int i = (*cursor)++;
+    const bool in_chain = i < chain.length;
+    const int member = in_chain
+                           ? chain.nodes[i]
+                           : pref[static_cast<std::size_t>(i - chain.length)];
+    if (member == serving ||
+        tb.stores[static_cast<std::size_t>(member)]->failed() ||
+        (!in_chain &&
+         std::find(chain.begin(), chain.end(), member) != chain.end())) {
+      continue;
+    }
+    return member;
   }
   return -1;
 }
@@ -196,15 +230,18 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
                                  op.handle(), "put");
         co_await store->Put(client, value, op.handle());
       }
-      // Chain replication along the healthy remainder of the serving
-      // chain, counting rack-boundary crossings for the report.
+      // Chain replication until the target ring's chain length of copies
+      // is written (NextReplica), counting rack-boundary crossings for
+      // the report.
       const Router::Chain chain = tb.router->ServingChain(shard);
+      const int copies = tb.router->ring().chain_length();
       int upstream = serving;
-      for (int member : chain) {
-        if (member == serving) continue;
+      int cursor = 0;
+      for (int written = 1; written < copies; ++written) {
+        const int member = NextReplica(tb, shard, chain, serving, &cursor);
+        if (member < 0) break;
         kv::KvNode* replica =
             tb.stores[static_cast<std::size_t>(member)].get();
-        if (replica->failed()) continue;
         ++window.replica_hops;
         if (tb.fabric.GroupIdOf(tb.StoreNodeId(upstream)) !=
             tb.fabric.GroupIdOf(replica->node().id())) {
@@ -250,11 +287,52 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
 ShardExperimentConfig::ShardExperimentConfig()
     : node_profile(hw::EdisonProfile()) {}
 
+ShardExperiment::ShardExperiment(ShardExperimentConfig config)
+    : config_(std::move(config)) {
+  // A zero-sized tier indexes an empty vector (client_machines = 0 draws
+  // NextBelow(0)), and a join with no spare adds a store that does not
+  // exist.
+  const char* where = "shard::ShardExperiment";
+  Check(config_.racks >= 1, where, "racks must be >= 1");
+  Check(config_.nodes_per_rack >= 1, where, "nodes_per_rack must be >= 1");
+  Check(config_.spare_nodes >= 0, where, "spare_nodes must be >= 0");
+  Check(config_.client_machines >= 1, where, "client_machines must be >= 1");
+  Check(config_.get_fraction >= 0.0 && config_.get_fraction <= 1.0, where,
+        "get_fraction must be in [0, 1]");
+  Check(config_.churn != Churn::kJoin || config_.spare_nodes >= 1, where,
+        "a join needs spare_nodes >= 1");
+}
+
 ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
+  return Run(target_qps, /*failed_nodes=*/0, measure);
+}
+
+ShardReport ShardExperiment::MeasureWithFailover(double target_qps,
+                                                 int failed_nodes,
+                                                 Duration measure) {
+  return Run(target_qps, failed_nodes, measure);
+}
+
+ShardReport ShardExperiment::Run(double target_qps, int failed_nodes,
+                                 Duration measure) {
   ShardTestbed tb(config_);
   ShardWindow window;
   window.start = Seconds(2);
   window.end = window.start + measure;
+
+  // Scheduled before the churn and the window edges: same-instant events
+  // run in scheduling order, so a zero-length window still fails first.
+  const int to_fail = std::min<int>(
+      failed_nodes, static_cast<int>(tb.stores.size()) - 1);
+  if (to_fail > 0) {
+    tb.sched.ScheduleAt(window.start + measure / 2, [&tb, to_fail] {
+      for (int i = 0; i < to_fail; ++i) tb.stores[i]->set_failed(true);
+      if (obs::Tracer* tracer = tb.sinks.tracer()) {
+        tracer->InstantAt(tb.sched.now(), "nodes_failed", obs::Category::kNet,
+                          /*track=*/0, to_fail);
+      }
+    });
+  }
 
   MigrationStats migration;
   if (config_.churn != Churn::kNone) {
@@ -281,14 +359,16 @@ ShardReport ShardExperiment::Measure(double target_qps, Duration measure) {
     });
   }
 
+  // The energy epoch is captured at the window marks, so the ledger's
+  // window subtotal equals `spent` below.
   Joules epoch = 0;
   tb.sched.ScheduleAt(window.start, [&] {
-    epoch = tb.clstr.CumulativeJoules({"shard-store"});
+    epoch = tb.clstr.CumulativeJoules({tb.role});
     tb.sinks.OpenWindow();
   });
   Joules spent = 0;
   tb.sched.ScheduleAt(window.end, [&] {
-    spent = tb.clstr.CumulativeJoules({"shard-store"}) - epoch;
+    spent = tb.clstr.CumulativeJoules({tb.role}) - epoch;
     tb.sinks.CloseWindow();
   });
 

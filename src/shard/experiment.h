@@ -1,19 +1,21 @@
-// Sharded KV/web-tier scale-out experiment (docs/sharding.md).
+// Sharded KV store-tier experiment (docs/sharding.md): the one store
+// harness.
 //
-// Where kv::KvExperiment reproduces FAWN on one rack behind one flat
-// fabric, this experiment is the ROADMAP's million-user scale-out rig: a
-// store tier spread over a rack → aggregation → core hierarchy
+// A store tier spread over a rack → aggregation → core hierarchy
 // (net/topology.h) with configurable oversubscription, fronted by the
 // consistent-hash shard router, with optional mid-run membership churn
-// (a node joining or gracefully leaving) driving live migration while
-// the open-loop load keeps flowing. The report carries the throughput /
-// p99 / queries-per-joule triple plus the rebalance cost and the
-// link-utilisation evidence for the cross-rack bandwidth cliffs the flat
-// fabric hides.
+// (a node joining or gracefully leaving) driving live migration and
+// optional mid-run node failures, while the open-loop load keeps
+// flowing. The report carries the throughput / p99 / queries-per-joule
+// triple plus the rebalance cost and the link-utilisation evidence for
+// the cross-rack bandwidth cliffs. One rack with no spares is the
+// paper's FAWN rig: kv::KvExperiment is that case, under the tier name
+// "kv".
 #ifndef WIMPY_SHARD_EXPERIMENT_H_
 #define WIMPY_SHARD_EXPERIMENT_H_
 
 #include <cstdint>
+#include <string>
 
 #include "common/units.h"
 #include "hw/profile.h"
@@ -38,6 +40,9 @@ enum class Churn { kNone, kJoin, kLeave };
 
 struct ShardExperimentConfig {
   hw::HardwareProfile node_profile;  // defaulted to Edison in the ctor
+  // Tier name: store role `<name>-store`, metrics and telemetry node
+  // probes `<name><i>.*`.
+  std::string name = "shard";
   int racks = 3;
   int nodes_per_rack = 4;
   // Provisioned-but-idle nodes outside the ring (round-robin across
@@ -116,16 +121,29 @@ struct ShardReport {
 
 class ShardExperiment {
  public:
-  explicit ShardExperiment(ShardExperimentConfig config)
-      : config_(std::move(config)) {}
+  // Checks the geometry in every build type: racks, nodes_per_rack and
+  // client_machines >= 1, spare_nodes >= 0 (>= 1 for kJoin), and
+  // get_fraction in [0, 1]; a bad config aborts with a message.
+  explicit ShardExperiment(ShardExperimentConfig config);
 
   // Open-loop Poisson load at `target_qps` for `measure` seconds after a
   // 2 s warm-up; churn (if any) fires at the window midpoint.
   ShardReport Measure(double target_qps, Duration measure = Seconds(12));
 
+  // Measure, plus a crash of the first `failed_nodes` stores (at most all
+  // but one) at the window midpoint, before any churn. Requests route to
+  // the first healthy store down the serving chain, then down the target
+  // ring's preference list; replication must be >= 2 for failed
+  // primaries' data to remain readable.
+  ShardReport MeasureWithFailover(double target_qps, int failed_nodes,
+                                  Duration measure = Seconds(12));
+
   const ShardExperimentConfig& config() const { return config_; }
 
  private:
+  // The one run body: Measure is MeasureWithFailover with no failures.
+  ShardReport Run(double target_qps, int failed_nodes, Duration measure);
+
   ShardExperimentConfig config_;
 };
 

@@ -1,8 +1,8 @@
 #include "shard/migrator.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "common/check.h"
 #include "net/fabric.h"
 #include "obs/tracer.h"
 
@@ -23,8 +23,11 @@ Migrator::Migrator(cluster::Cluster* cluster, Router* router,
       router_(router),
       config_(config),
       slots_(&cluster->scheduler(), std::max(1, config.concurrent_shards)) {
-  assert(config_.shard_bytes > 0);
-  assert(config_.batch_bytes > 0);
+  // batch_bytes = 0 would make StreamBytes loop forever.
+  Check(config_.shard_bytes > 0, "shard::Migrator",
+        "shard_bytes must be > 0");
+  Check(config_.batch_bytes > 0, "shard::Migrator",
+        "batch_bytes must be > 0");
 }
 
 sim::Task<void> Migrator::StreamBytes(int from, int to, Bytes bytes,

@@ -1,9 +1,9 @@
 #include "shard/ring.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
+
+#include "common/check.h"
 
 namespace wimpy::shard {
 
@@ -26,13 +26,10 @@ std::uint64_t PointHash(std::uint64_t salt, int node, int replica) {
 
 bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
-// Always-on invariant check: a broken ring geometry or member set would
-// silently corrupt every shard lookup (ShardOf indexes past the table),
-// so these stay armed in the NDEBUG builds every bench runs in.
+// A broken ring geometry or member set would silently corrupt every
+// shard lookup (ShardOf indexes past the table).
 void Check(bool ok, const char* what) {
-  if (ok) return;
-  std::fprintf(stderr, "shard::Ring: %s\n", what);
-  std::abort();
+  wimpy::Check(ok, "shard::Ring", what);
 }
 
 }  // namespace

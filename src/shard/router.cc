@@ -1,7 +1,8 @@
 #include "shard/router.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "common/check.h"
 
 namespace wimpy::shard {
 
@@ -63,7 +64,8 @@ void Router::MarkMigrating(const std::vector<ShardMove>& moves) {
 }
 
 std::vector<Router::ShardMove> Router::Join(int node_id) {
-  assert(pending_ == 0 && "membership change while migration in flight");
+  Check(pending_ == 0, "shard::Router",
+        "membership change while migration in flight");
   ring_.AddNode(node_id);
   std::vector<ShardMove> moves = PlanMoves();
   MarkMigrating(moves);
@@ -71,7 +73,8 @@ std::vector<Router::ShardMove> Router::Join(int node_id) {
 }
 
 std::vector<Router::ShardMove> Router::Leave(int node_id) {
-  assert(pending_ == 0 && "membership change while migration in flight");
+  Check(pending_ == 0, "shard::Router",
+        "membership change while migration in flight");
   ring_.RemoveNode(node_id);
   std::vector<ShardMove> moves = PlanMoves();
   MarkMigrating(moves);
@@ -80,7 +83,8 @@ std::vector<Router::ShardMove> Router::Leave(int node_id) {
 
 void Router::Commit(int shard) {
   std::uint8_t& flag = migrating_[static_cast<std::size_t>(shard)];
-  assert(flag != 0 && "commit of a shard that is not migrating");
+  Check(flag != 0, "shard::Router",
+        "commit of a shard that is not migrating");
   flag = 0;
   --pending_;
   ++commits_;

@@ -71,11 +71,13 @@ class Router {
   // Serving chains are untouched; each shard cuts over on Commit. A
   // leaving node must keep serving its shards until they commit (graceful
   // drain) — only `set_failed`-style crashes bypass the router. At most
-  // one membership change may be in flight (asserted).
+  // one membership change may be in flight; a second one aborts in every
+  // build, since it would re-plan over half-committed shards.
   std::vector<ShardMove> Join(int node_id);
   std::vector<ShardMove> Leave(int node_id);
 
   // Cutover: the shard's serving chain becomes the target ring's chain.
+  // Committing a shard that is not migrating aborts in every build.
   void Commit(int shard);
 
   bool migrating(int shard) const {

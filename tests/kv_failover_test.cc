@@ -1,7 +1,7 @@
-// KV failover routing over the consistent-hash ring (kv/experiment.cc +
-// shard/ring.h): a replica failing mid-run must be routed around with no
-// lost acks, and span-energy attribution must stay conserved through the
-// failure (ISSUE: failover coverage satellite).
+// KV failover routing over the consistent-hash ring (the one-rack case
+// of shard/experiment.h): a replica failing mid-run must be routed
+// around with no lost acks, span-energy attribution must stay conserved
+// through the failure, and the reports are pinned bit for bit.
 #include <gtest/gtest.h>
 
 #include "hw/profiles.h"
@@ -111,6 +111,59 @@ TEST(KvFailoverTest, FailingNoNodesIsExactlyMeasure) {
   EXPECT_EQ(failover.slo_goodput_per_joule, plain.slo_goodput_per_joule);
   EXPECT_GT(plain.achieved_qps, 0.0);
   EXPECT_GT(plain.slo_good_fraction, 0.0);
+}
+
+TEST(KvFailoverTest, ReportsArePinnedBitForBit) {
+  // Every report field of a small write-heavy run, with and without two
+  // crashed stores, printed with %.17g from the standalone kv testbed
+  // this experiment replaced. The failover run walks the replication
+  // chain past crashed stores, which no other pinned output covers.
+  KvExperimentConfig config;
+  config.node_profile = hw::EdisonProfile();
+  config.node_count = 8;
+  config.replication = 2;
+  config.get_fraction = 0.5;
+  config.seed = 77;
+  config.openloop.slo = Milliseconds(20);
+  KvExperiment exp(std::move(config));
+
+  const KvReport plain = exp.Measure(400.0, Seconds(4));
+  EXPECT_EQ(plain.target_qps, 400);
+  EXPECT_EQ(plain.achieved_qps, 395);
+  EXPECT_EQ(plain.error_rate, 0);
+  EXPECT_EQ(plain.mean_latency, 0.0037362138285566421);
+  EXPECT_EQ(plain.p99_latency, 0.0099210650267604148);
+  EXPECT_EQ(plain.store_power, 11.222583452061397);
+  EXPECT_EQ(plain.queries_per_joule, 35.19688685651478);
+  EXPECT_EQ(plain.executed_events, 47596u);
+  EXPECT_EQ(plain.p99_intended_latency, 0.0099210650267604148);
+  EXPECT_EQ(plain.shed, 0);
+  EXPECT_EQ(plain.slo_good_fraction, 1);
+  EXPECT_EQ(plain.slo_goodput_per_joule, 35.19688685651478);
+
+  const KvReport failover =
+      exp.MeasureWithFailover(400.0, /*failed_nodes=*/2, Seconds(4));
+  EXPECT_EQ(failover.target_qps, 400);
+  EXPECT_EQ(failover.achieved_qps, 395);
+  EXPECT_EQ(failover.error_rate, 0);
+  EXPECT_EQ(failover.mean_latency, 0.0037870197976104187);
+  EXPECT_EQ(failover.p99_latency, 0.01206100785530141);
+  EXPECT_EQ(failover.store_power, 11.222824081776778);
+  EXPECT_EQ(failover.queries_per_joule, 35.196132196475119);
+  EXPECT_EQ(failover.executed_events, 47597u);
+  EXPECT_EQ(failover.p99_intended_latency, 0.01206100785530141);
+  EXPECT_EQ(failover.shed, 0);
+  EXPECT_EQ(failover.slo_good_fraction, 1);
+  EXPECT_EQ(failover.slo_goodput_per_joule, 35.196132196475119);
+}
+
+TEST(KvFailoverDeathTest, NoClientMachinesAbortsInEveryBuild) {
+  // Every query would draw its client with NextBelow(0).
+  KvExperimentConfig config;
+  config.node_profile = hw::EdisonProfile();
+  config.client_machines = 0;
+  EXPECT_DEATH(KvExperiment(std::move(config)),
+               "client_machines must be >= 1");
 }
 
 }  // namespace

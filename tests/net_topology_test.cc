@@ -160,6 +160,33 @@ TEST(TopologyMetricsTest, WholeTreePublishesOneGaugePerLink) {
   EXPECT_EQ(registry.probe_count(), 6u);
 }
 
+TEST(TopologyMetricsTest, OneRackTreeLinksTheRoomStraightToTheRack) {
+  // The degenerate tree is the single-room rig: no agg or core link, and
+  // the attached room's access link is the only hop to a node.
+  sim::Scheduler sched;
+  Fabric fabric(&sched);
+  HierarchicalTopologyConfig config;
+  config.racks = 1;
+  config.nodes_per_rack = 2;
+  config.node_bandwidth = Mbps(100);
+  HierarchicalTopology topo(&fabric, config);
+  topo.AttachToCore("client-room", Gbps(10), Milliseconds(0.02));
+  obs::MetricsRegistry registry;
+  fabric.PublishMetrics(&registry, "net");
+  registry.Start(&sched, Seconds(1));  // one sample names the probes
+  registry.Stop();
+  ASSERT_EQ(registry.probe_count(), 1u);
+  EXPECT_EQ(registry.series().names[0], "net.link.client-room-rack0");
+
+  hw::ServerNode store(&sched, hw::EdisonProfile(), 0);
+  hw::ServerNode client(&sched, hw::DellR620Profile(), 1);
+  fabric.AddNode(&store, topo.RackGroup(0));
+  fabric.AddNode(&client, "client-room");
+  EXPECT_EQ(fabric.Latency(client.id(), store.id()),
+            client.nic().endpoint_latency() +
+                store.nic().endpoint_latency() + Milliseconds(0.02));
+}
+
 TEST(TopologyDeathTest, InvalidGeometryAbortsInEveryBuild) {
   sim::Scheduler sched;
   Fabric fabric(&sched);

@@ -1,6 +1,7 @@
 // Sharded scale-out experiment (shard/experiment.h): live rebalance with
-// zero failed requests, run-to-run determinism, and the oversubscription
-// throughput cliff the hierarchical topology exists to expose.
+// zero failed requests, also through node failures, run-to-run
+// determinism, the oversubscription throughput cliff the hierarchical
+// topology exists to expose, and config checks that hold in every build.
 #include "shard/experiment.h"
 
 #include <gtest/gtest.h>
@@ -160,6 +161,59 @@ TEST(ShardExperimentTest, OverloadFiresTheDefaultLatencyRule) {
   };
   EXPECT_TRUE(fired("latency_p99_high"));
   EXPECT_TRUE(fired("uplink_saturated"));
+}
+
+TEST(ShardExperimentTest, FailoverDuringAJoinLosesNoAcks) {
+  // Failover and churn in one run: two stores crash at the midpoint, just
+  // as a join starts migrating; reads and chained writes route around
+  // the crashed stores while the handoff completes.
+  ShardExperimentConfig config = BaseConfig();
+  config.churn = Churn::kJoin;
+  ShardExperiment exp(std::move(config));
+  const ShardReport report =
+      exp.MeasureWithFailover(1500.0, /*failed_nodes=*/2, Seconds(6));
+  EXPECT_EQ(report.failed, 0);
+  EXPECT_GE(report.achieved_qps, 0.9 * 1500.0);
+  EXPECT_TRUE(report.migration.done);
+  EXPECT_GT(report.migration.shards_moved, 0);
+}
+
+TEST(ShardExperimentDeathTest, InvalidConfigAbortsInEveryBuild) {
+  auto with = [](auto edit) {
+    ShardExperimentConfig config = BaseConfig();
+    edit(config);
+    return config;
+  };
+  // No load generator: every query would draw NextBelow(0).
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) { c.client_machines = 0; })),
+               "client_machines must be >= 1");
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) { c.racks = 0; })),
+               "racks must be >= 1");
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) { c.nodes_per_rack = 0; })),
+               "nodes_per_rack must be >= 1");
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) { c.spare_nodes = -1; })),
+               "spare_nodes must be >= 0");
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) { c.get_fraction = 1.5; })),
+               "get_fraction must be in");
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) { c.get_fraction = -0.1; })),
+               "get_fraction must be in");
+  EXPECT_DEATH(ShardExperiment(with([](auto& c) {
+                 c.spare_nodes = 0;
+                 c.churn = Churn::kJoin;
+               })),
+               "a join needs spare_nodes >= 1");
+}
+
+TEST(ShardExperimentDeathTest, EmptyMigrationBatchAbortsInEveryBuild) {
+  // batch_bytes = 0 would make every shard copy loop forever.
+  ShardExperimentConfig no_batch = BaseConfig();
+  no_batch.migration.batch_bytes = 0;
+  EXPECT_DEATH(ShardExperiment(no_batch).Measure(100.0, Seconds(0)),
+               "batch_bytes must be > 0");
+  ShardExperimentConfig no_shard = BaseConfig();
+  no_shard.migration.shard_bytes = 0;
+  EXPECT_DEATH(ShardExperiment(no_shard).Measure(100.0, Seconds(0)),
+               "shard_bytes must be > 0");
 }
 
 }  // namespace

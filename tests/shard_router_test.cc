@@ -123,5 +123,18 @@ TEST(ShardRouterTest, DirtyWritesCountOnlyWhileMigrating) {
   EXPECT_EQ(router.TakeDirty(shard), 0);
 }
 
+TEST(ShardRouterDeathTest, LifecycleMisuseAbortsInEveryBuild) {
+  Router router(TestConfig(1), {0, 1, 2, 3, 4, 5});
+  // Committing a shard that is not migrating would drive the pending
+  // count negative.
+  EXPECT_DEATH(router.Commit(0), "commit of a shard that is not migrating");
+  const std::vector<Router::ShardMove> moves = router.Join(6);
+  ASSERT_FALSE(moves.empty());
+  // A second membership change would re-plan over half-committed shards.
+  EXPECT_DEATH(router.Join(7), "membership change while migration in flight");
+  EXPECT_DEATH(router.Leave(0),
+               "membership change while migration in flight");
+}
+
 }  // namespace
 }  // namespace wimpy::shard

@@ -40,8 +40,15 @@ BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 TSAN_TESTS="${TSAN_TESTS:-replication|profiles_concurrency}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
-# Exact names: only the binaries the smoke build compiles.
-ASAN_TESTS="${ASAN_TESTS:-^(sim_scheduler_test|sim_process_test|sim_semaphore_test|sim_fair_share_test|net_fabric_test|net_tcp_test|net_topology_test|web_service_test|kv_store_test|kv_failover_test|load_openloop_test|obs_energy_test|obs_causal_test|obs_telemetry_test|shard_experiment_test)\$}"
+# The ASan smoke's test binaries: the one list both the build targets
+# and the default ctest filter (exact names) come from.
+ASAN_SMOKE=(sim_scheduler_test sim_process_test sim_semaphore_test
+            sim_fair_share_test net_fabric_test net_tcp_test
+            net_topology_test web_service_test kv_store_test
+            kv_failover_test load_openloop_test obs_energy_test
+            obs_causal_test obs_telemetry_test shard_experiment_test
+            shard_router_test)
+ASAN_TESTS="${ASAN_TESTS:-^($(IFS='|'; echo "${ASAN_SMOKE[*]}"))\$}"
 DEBUG_BUILD_DIR="${DEBUG_BUILD_DIR:-build-debug}"
 
 if [[ "${SKIP_TSAN:-0}" == "0" ]]; then
@@ -72,15 +79,12 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   # web serve, KV store) — the code where pooling bugs would hide — plus
   # the energy attributor, whose ledger outlives the testbeds it observed,
   # the sampled span/residency records that callees borrow by reference
-  # (causal tests, traced shard experiment), and the arrival driver and
+  # (causal tests, traced shard experiment), the arrival driver and
   # run-observation helper, which hold the gate, recorder and nodes by
-  # reference across suspensions (open-loop, telemetry, topology tests).
-  cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target \
-    sim_scheduler_test sim_process_test sim_semaphore_test \
-    sim_fair_share_test net_fabric_test net_tcp_test net_topology_test \
-    web_service_test kv_store_test kv_failover_test load_openloop_test \
-    obs_energy_test obs_causal_test obs_telemetry_test \
-    shard_experiment_test
+  # reference across suspensions (open-loop, telemetry, topology tests),
+  # and the router's serving table, which the kv and shard runs read
+  # through chain views held across suspensions (router tests).
+  cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target "${ASAN_SMOKE[@]}"
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"
 else
