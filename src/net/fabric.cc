@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 
+#include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -14,28 +15,12 @@ namespace {
 // Loopback cost: in-kernel copy, effectively instant at this fidelity.
 constexpr Duration kLoopbackLatency = Microseconds(20);
 
-// Awaits service of the same demand on every collected segment
-// concurrently; the slowest segment's completion resumes the awaiting
-// coroutine. Lives in the Transfer coroutine frame across the suspension,
-// so the join state needs no heap and no spawned helper processes.
-// Capacity: two endpoint NICs plus up to kMaxPathHops aggregate links.
-struct SegmentJoin {
-  std::array<sim::FairShareServer*, 2 + Fabric::kMaxPathHops> segments;
-  int count = 0;
-  double demand = 0;
-  std::uint32_t remaining = 0;
-
-  void Add(sim::FairShareServer* s) { segments[count++] = s; }
-
-  bool await_ready() const { return count == 0; }
-  void await_suspend(std::coroutine_handle<> h) {
-    remaining = static_cast<std::uint32_t>(count);
-    for (int i = 0; i < count; ++i) {
-      segments[i]->ServeJoined(demand, &remaining, h);
-    }
-  }
-  void await_resume() const {}
-};
+// Topology-build checks run in every build type: a bad id resizes or
+// overwrites the endpoint table, a bad rate or path corrupts every
+// transfer that crosses it. (The per-transfer Lookup stays an assert.)
+void Check(bool ok, const char* what) {
+  wimpy::Check(ok, "net::Fabric", what);
+}
 
 }  // namespace
 
@@ -62,20 +47,21 @@ int Fabric::FindGroup(const std::string& name) const {
 }
 
 void Fabric::AddNode(hw::ServerNode* node, const std::string& group) {
-  assert(node != nullptr);
+  Check(node != nullptr, "node must not be null");
   const int id = node->id();
-  assert(id >= 0 && "fabric node ids must be non-negative");
+  Check(id >= 0, "node ids must be non-negative");
   if (static_cast<std::size_t>(id) >= endpoints_.size()) {
     endpoints_.resize(static_cast<std::size_t>(id) + 1);
   }
-  assert(endpoints_[id].node == nullptr && "duplicate node id in fabric");
+  Check(endpoints_[static_cast<std::size_t>(id)].node == nullptr,
+        "duplicate node id");
   endpoints_[static_cast<std::size_t>(id)] =
       Endpoint{node, InternGroup(group)};
 }
 
 void Fabric::SetGroupLink(const std::string& a, const std::string& b,
                           BytesPerSecond bandwidth, Duration latency) {
-  assert(bandwidth > 0);
+  Check(bandwidth > 0, "group link bandwidth must be > 0");
   // Canonical pair order is lexicographic by NAME (not by interned id):
   // published gauge names and channel direction must not depend on the
   // order groups happened to be interned.
@@ -104,9 +90,9 @@ void Fabric::SetGroupLink(const std::string& a, const std::string& b,
 
 void Fabric::SetGroupPath(const std::string& a, const std::string& b,
                           const std::vector<std::string>& via) {
-  assert(a != b && "a group path must join two distinct groups");
-  assert(static_cast<int>(via.size()) + 1 <= kMaxPathHops &&
-         "group path exceeds kMaxPathHops hops");
+  Check(a != b, "a group path must join two distinct groups");
+  Check(static_cast<int>(via.size()) + 1 <= kMaxPathHops,
+        "group path exceeds kMaxPathHops hops");
   // Canonical orientation by name, like SetGroupLink: one stored route per
   // unordered pair, replayed into both table directions.
   std::vector<std::string> groups;
@@ -230,57 +216,70 @@ Duration Fabric::Latency(int src_id, int dst_id) const {
   return latency;
 }
 
-sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes) {
-  if (bytes <= 0) co_return;
-  if (src_id == dst_id) {
-    co_await sim::Delay(*sched_, kLoopbackLatency);
-    co_return;
-  }
+int Fabric::Segments(int src_id, int dst_id, SegmentList& out) const {
   const Endpoint& src = Lookup(src_id);
   const Endpoint& dst = Lookup(dst_id);
-  src.node->nic().AddBytesSent(bytes);
-  dst.node->nic().AddBytesReceived(bytes);
-
-  Duration latency = src.node->nic().endpoint_latency() +
-                     dst.node->nic().endpoint_latency();
-  // The flow occupies every segment concurrently; it completes when the
-  // slowest segment has pumped all bytes. This approximates min-rate
-  // fair-shared flows without per-chunk simulation. At most two NIC
-  // channels plus kMaxPathHops aggregate links — joined inline, so the
-  // steady-state path allocates nothing here.
-  SegmentJoin join;
-  join.demand = static_cast<double>(bytes);
-  join.Add(&src.node->nic().tx());
+  int n = 0;
+  out[static_cast<std::size_t>(n++)] = &src.node->nic().tx();
   if (src.group != dst.group) {
     const std::size_t idx =
         static_cast<std::size_t>(src.group) * group_names_.size() +
         static_cast<std::size_t>(dst.group);
     const PathEntry& path = path_table_[idx];
     if (path.nseg > 0) {
-      for (int i = 0; i < path.nseg; ++i) join.Add(path.segs[i]);
-      latency += path.latency;
+      for (int i = 0; i < path.nseg; ++i) {
+        out[static_cast<std::size_t>(n++)] = path.segs[i];
+      }
     } else if (channels_[idx] != nullptr) {
-      join.Add(channels_[idx]);
-      latency += link_latencies_[idx];
+      out[static_cast<std::size_t>(n++)] = channels_[idx];
     }
   }
-  join.Add(&dst.node->nic().rx());
-  co_await sim::Delay(*sched_, latency);
-  co_await join;
+  out[static_cast<std::size_t>(n++)] = &dst.node->nic().rx();
+  return n;
 }
 
-sim::Task<void> Fabric::Transfer(int src_id, int dst_id, Bytes bytes,
-                                 const obs::TraceHandle& trace,
-                                 const char* name) {
-  if (!trace) return Transfer(src_id, dst_id, bytes);
-  return TracedTransfer(src_id, dst_id, bytes, trace, name);
+Fabric::TransferOp Fabric::Transfer(int src_id, int dst_id, Bytes bytes) {
+  return TransferOp(this, src_id, dst_id, bytes, nullptr, nullptr);
 }
 
-sim::Task<void> Fabric::TracedTransfer(int src_id, int dst_id, Bytes bytes,
-                                       obs::TraceHandle trace,
-                                       const char* name) {
-  obs::CausalSpan span(trace, name, obs::Category::kNet, bytes);
-  co_await Transfer(src_id, dst_id, bytes);
+Fabric::TransferOp Fabric::Transfer(int src_id, int dst_id, Bytes bytes,
+                                    const obs::TraceHandle& trace,
+                                    const char* name) {
+  return TransferOp(this, src_id, dst_id, bytes, trace ? &trace : nullptr,
+                    name);
+}
+
+bool Fabric::TransferOp::await_suspend(std::coroutine_handle<> caller) {
+  if (trace_ != nullptr) {
+    span_ = obs::CausalSpan(*trace_, name_, obs::Category::kNet, bytes_);
+  }
+  if (bytes_ <= 0) return false;
+  sim::Scheduler& sched = *fabric_->sched_;
+  if (src_id_ == dst_id_) {
+    sched.ScheduleAfter(kLoopbackLatency, [caller] { caller.resume(); });
+    return true;
+  }
+  const Endpoint& src = fabric_->Lookup(src_id_);
+  const Endpoint& dst = fabric_->Lookup(dst_id_);
+  src.node->nic().AddBytesSent(bytes_);
+  dst.node->nic().AddBytesReceived(bytes_);
+  sched.ScheduleAfter(fabric_->Latency(src_id_, dst_id_),
+                      [this, caller] { Join(caller); });
+  return true;
+}
+
+void Fabric::TransferOp::Join(std::coroutine_handle<> caller) {
+  // The flow occupies every segment concurrently; it completes when the
+  // slowest segment has pumped all bytes. This approximates min-rate
+  // fair-shared flows without per-chunk simulation. The countdown lives
+  // here, in the awaiting frame, so the join allocates nothing.
+  SegmentList segments;
+  const int n = fabric_->Segments(src_id_, dst_id_, segments);
+  remaining_ = static_cast<std::uint32_t>(n);
+  for (int i = 0; i < n; ++i) {
+    segments[static_cast<std::size_t>(i)]->ServeJoined(
+        static_cast<double>(bytes_), &remaining_, caller);
+  }
 }
 
 sim::Task<void> Fabric::RoundTrip(int src_id, int dst_id) {

@@ -28,6 +28,8 @@
 #define WIMPY_NET_FABRIC_H_
 
 #include <array>
+#include <coroutine>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -36,6 +38,7 @@
 #include "common/status.h"
 #include "hw/server_node.h"
 #include "obs/context.h"
+#include "obs/tracer.h"
 #include "sim/fair_share.h"
 #include "sim/process.h"
 #include "sim/task.h"
@@ -89,17 +92,64 @@ class Fabric {
     return 2.0 * Latency(src_id, dst_id);
   }
 
-  // Moves `bytes` from src to dst; completes when the last byte arrives.
-  // Loopback transfers only pay a negligible fixed cost.
-  sim::Task<void> Transfer(int src_id, int dst_id, Bytes bytes);
+  class TransferOp;
 
-  // Traced transfer: same semantics, wrapped in a causal child span
-  // named `name` (category kNet, arg = bytes) under `trace` — the
-  // message "carries the context header". A null handle returns the
-  // plain Transfer task itself, so an untraced transfer holds no
-  // wrapper frame.
-  sim::Task<void> Transfer(int src_id, int dst_id, Bytes bytes,
-                           const obs::TraceHandle& trace, const char* name);
+  // Moves `bytes` from src to dst; completes when the last byte arrives.
+  // Loopback transfers only pay a negligible fixed cost; an empty one
+  // completes without suspending. Returns an awaiter (below), not a
+  // task: co_await it in the expression that creates it.
+  TransferOp Transfer(int src_id, int dst_id, Bytes bytes);
+
+  // Traced transfer: same semantics and the same engine events, wrapped
+  // in a causal child span named `name` (category kNet, arg = bytes)
+  // under `trace` — the message "carries the context header". The span
+  // opens when the awaiting coroutine suspends and closes when it
+  // resumes; an empty transfer still records its zero-length span. A
+  // null handle makes it exactly the untraced transfer.
+  TransferOp Transfer(int src_id, int dst_id, Bytes bytes,
+                      const obs::TraceHandle& trace, const char* name);
+
+  // The awaiter a transfer is: it lives in the awaiting coroutine's frame
+  // across the suspension, so a transfer holds no frame of its own. At
+  // suspend it counts the NIC bytes and schedules one event after the
+  // path latency; that event submits the bytes to every segment the flow
+  // crosses (FairShareServer::ServeJoined), and the slowest segment's
+  // completion resumes the awaiting coroutine directly.
+  class [[nodiscard]] TransferOp {
+   public:
+    TransferOp(const TransferOp&) = delete;
+    TransferOp& operator=(const TransferOp&) = delete;
+
+    bool await_ready() const noexcept {
+      return bytes_ <= 0 && trace_ == nullptr;
+    }
+    // Returns false (resume at once) only for an empty traced transfer.
+    bool await_suspend(std::coroutine_handle<> caller);
+    void await_resume() noexcept { span_ = obs::CausalSpan(); }
+
+   private:
+    friend class Fabric;
+    TransferOp(Fabric* fabric, int src_id, int dst_id, Bytes bytes,
+               const obs::TraceHandle* trace, const char* name)
+        : fabric_(fabric),
+          trace_(trace),
+          name_(name),
+          bytes_(bytes),
+          src_id_(src_id),
+          dst_id_(dst_id) {}
+
+    // The latency event: joins the flow onto its segments.
+    void Join(std::coroutine_handle<> caller);
+
+    Fabric* fabric_;
+    const obs::TraceHandle* trace_;  // null: untraced
+    const char* name_;
+    Bytes bytes_;
+    int src_id_;
+    int dst_id_;
+    std::uint32_t remaining_ = 0;  // segments still serving the bytes
+    obs::CausalSpan span_;         // open while suspended, if traced
+  };
 
   // Small control message pair (SYN/ACK, ping): pays RTT, no bandwidth.
   sim::Task<void> RoundTrip(int src_id, int dst_id);
@@ -153,10 +203,12 @@ class Fabric {
     Duration latency = 0;
   };
 
-  // The sampled half of the traced Transfer; takes the handle by value
-  // so the span never depends on the caller's storage.
-  sim::Task<void> TracedTransfer(int src_id, int dst_id, Bytes bytes,
-                                 obs::TraceHandle trace, const char* name);
+  // The fair-share channels a flow between two distinct nodes occupies
+  // concurrently, in join order: the source NIC's tx, the group path's
+  // hops (or the direct group link) when crossing groups, the
+  // destination NIC's rx. Returns how many were written.
+  using SegmentList = std::array<sim::FairShareServer*, 2 + kMaxPathHops>;
+  int Segments(int src_id, int dst_id, SegmentList& out) const;
 
   // Returns the dense id for a group name, interning it on first use.
   int InternGroup(const std::string& name);

@@ -36,6 +36,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -322,16 +323,20 @@ class CausalSpan {
     h.ctx.span_id = h.tracer->NewSpanId();
     h.tracer->BeginSpanAt(h.sched->now(), name, category, track, h.ctx, arg);
   }
-  ~CausalSpan() {
-    if (rec_ == nullptr) return;
-    const TraceHandle& h = rec_->h;
-    h.tracer->EndSpanAt(h.sched->now(), rec_->name, rec_->category, h.track,
-                        h.ctx, rec_->arg);
-    sim::PoolFree(rec_, sizeof(Record));  // Record is trivially destructible
-  }
+  ~CausalSpan() { End(); }
 
   CausalSpan(const CausalSpan&) = delete;
   CausalSpan& operator=(const CausalSpan&) = delete;
+  // Ends the span held here, then takes over `other`'s: a span that
+  // opens and closes mid-scope (net::Fabric::TransferOp) is assigned a
+  // fresh span to open it and an unsampled `CausalSpan()` to close it.
+  CausalSpan& operator=(CausalSpan&& other) noexcept {
+    if (this != &other) {
+      End();
+      rec_ = std::exchange(other.rec_, nullptr);
+    }
+    return *this;
+  }
 
   // Context for callees: ctx.span_id is this span.
   const TraceHandle& handle() const {
@@ -354,6 +359,15 @@ class CausalSpan {
     std::int64_t arg;
   };
   static_assert(std::is_trivially_destructible_v<Record>);
+
+  void End() noexcept {
+    if (rec_ == nullptr) return;
+    const TraceHandle& h = rec_->h;
+    h.tracer->EndSpanAt(h.sched->now(), rec_->name, rec_->category, h.track,
+                        h.ctx, rec_->arg);
+    sim::PoolFree(rec_, sizeof(Record));  // Record is trivially destructible
+    rec_ = nullptr;
+  }
 
   Record* rec_ = nullptr;
 };

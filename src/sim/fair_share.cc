@@ -4,12 +4,20 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/check.h"
+
 namespace wimpy::sim {
 
 namespace {
 // Completion slack guards against floating-point residue when the minimum
 // job is advanced exactly to its threshold.
 constexpr double kRelativeTolerance = 1e-9;
+
+// Build-time rate setters run in every build type: a zero, negative or
+// NaN rate would schedule completions at +inf or in the past.
+void CheckRate(double rate, const char* what) {
+  Check(rate > 0, "sim::FairShareServer", what);
+}
 }  // namespace
 
 FairShareServer::FairShareServer(Scheduler* sched, double capacity,
@@ -20,7 +28,7 @@ FairShareServer::FairShareServer(Scheduler* sched, double capacity,
       cap_tracks_capacity_(per_job_cap <= 0),
       name_(std::move(name)) {
   assert(sched != nullptr);
-  assert(capacity > 0);
+  CheckRate(capacity, "capacity must be > 0");
   last_update_ = sched_->now();
   busy_history_.Set(last_update_, 0.0);
 }
@@ -52,7 +60,7 @@ void FairShareServer::SetUsageListener(
 }
 
 void FairShareServer::SetCapacity(double capacity) {
-  assert(capacity > 0);
+  CheckRate(capacity, "capacity must be > 0");
   Advance();
   capacity_ = capacity;
   if (cap_tracks_capacity_) per_job_cap_ = capacity;
@@ -60,8 +68,8 @@ void FairShareServer::SetCapacity(double capacity) {
 }
 
 void FairShareServer::SetRates(double capacity, double per_job_cap) {
-  assert(capacity > 0);
-  assert(per_job_cap > 0);
+  CheckRate(capacity, "capacity must be > 0");
+  CheckRate(per_job_cap, "per_job_cap must be > 0");
   Advance();
   capacity_ = capacity;
   per_job_cap_ = per_job_cap;

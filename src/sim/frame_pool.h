@@ -9,36 +9,48 @@
 // blocks per request (tests/model_alloc_test.cc pins this).
 //
 // Design:
-//  * Buckets of 64 bytes up to 4 KiB; larger requests fall through to
-//    ::operator new (rare: no model-layer frame is that big).
+//  * 16-byte size classes up to 4 KiB; larger requests fall through to
+//    ::operator new (rare: no model-layer frame is that big). A block is
+//    its request rounded up to the next multiple of 16 — the default new
+//    alignment — so a 360-byte frame costs 368 bytes, not a 384-byte
+//    bucket plus a malloc header.
+//  * Blocks are carved back to back from 64 KiB slabs, one bump pointer
+//    shared by all classes; a class only carves when its freelist is
+//    empty. A slab is one ::operator new, so a 100k-frame high-water set
+//    costs a few hundred heap blocks instead of one per frame.
 //  * Thread-local caches, no locks and no cross-thread coordination:
 //    replications are single-threaded by contract (sim/replication.h),
 //    so a frame is freed on the thread that allocated it and the pool
 //    adds no synchronization the TSan build would have to reason about.
 //    A block freed on a foreign thread (harmless: sweeps reuse worker
-//    threads) simply migrates to that thread's cache.
+//    threads) simply migrates to that thread's cache; it must not
+//    outlive the thread that carved it.
 //  * Memory is retained until thread exit — the high-water set of a
-//    replication, reused by every subsequent replication on the worker.
+//    replication, reused by every subsequent replication on the worker —
+//    when the thread's slabs are freed.
 //
 // Under ASan the pool is compiled out (plain new/delete) so recycling
-// does not mask use-after-free of coroutine frames.
+// does not mask use-after-free of coroutine frames; kFramePoolEnabled
+// says which build this is (tests/sim_frame_pool_test.cc pins both).
 #ifndef WIMPY_SIM_FRAME_POOL_H_
 #define WIMPY_SIM_FRAME_POOL_H_
 
 #include <cstddef>
 #include <new>
 
-#if defined(__has_feature)
+#if defined(__SANITIZE_ADDRESS__)
+#define WIMPY_FRAME_POOL_DISABLED 1
+#elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define WIMPY_FRAME_POOL_DISABLED 1
 #endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define WIMPY_FRAME_POOL_DISABLED 1
 #endif
 
 namespace wimpy::sim {
 
 #if defined(WIMPY_FRAME_POOL_DISABLED)
+
+inline constexpr bool kFramePoolEnabled = false;
 
 inline void* PoolAlloc(std::size_t bytes) {
   return ::operator new(bytes == 0 ? 1 : bytes);
@@ -49,25 +61,57 @@ inline void PoolFree(void* p, std::size_t /*bytes*/) noexcept {
 
 #else
 
+inline constexpr bool kFramePoolEnabled = true;
+
 namespace internal_pool {
 
-inline constexpr std::size_t kGranularity = 64;
+inline constexpr std::size_t kGranularity = 16;
 inline constexpr std::size_t kMaxPooled = 4096;
-inline constexpr std::size_t kBuckets = kMaxPooled / kGranularity;
+inline constexpr std::size_t kClasses = kMaxPooled / kGranularity;
+inline constexpr std::size_t kSlabBytes = 64 * 1024;
+static_assert(kGranularity % __STDCPP_DEFAULT_NEW_ALIGNMENT__ == 0,
+              "carved blocks must keep the default new alignment");
 
 struct FreeNode {
   FreeNode* next;
 };
 
+// Bytes a pooled request of `bytes` (1..kMaxPooled) occupies.
+constexpr std::size_t BlockBytes(std::size_t bytes) {
+  return (bytes + kGranularity - 1) / kGranularity * kGranularity;
+}
+
+inline std::size_t ClassOf(std::size_t bytes) {
+  return (bytes + kGranularity - 1) / kGranularity - 1;
+}
+
 struct ThreadCache {
-  FreeNode* buckets[kBuckets] = {};
+  FreeNode* classes[kClasses] = {};
+  // Slabs are linked through their first word; blocks are carved from
+  // [bump, bump_end) of the newest one. A slab tail too small for the
+  // next block is abandoned (less than 4 KiB per 64 KiB slab).
+  FreeNode* slabs = nullptr;
+  char* bump = nullptr;
+  char* bump_end = nullptr;
+
+  void* Carve(std::size_t block) {
+    if (static_cast<std::size_t>(bump_end - bump) < block) {
+      auto* slab = static_cast<FreeNode*>(::operator new(kSlabBytes));
+      slab->next = slabs;
+      slabs = slab;
+      bump = reinterpret_cast<char*>(slab) + kGranularity;
+      bump_end = reinterpret_cast<char*>(slab) + kSlabBytes;
+    }
+    void* p = bump;
+    bump += block;
+    return p;
+  }
+
   ~ThreadCache() {
-    for (FreeNode* node : buckets) {
-      while (node != nullptr) {
-        FreeNode* next = node->next;
-        ::operator delete(node);
-        node = next;
-      }
+    while (slabs != nullptr) {
+      FreeNode* next = slabs->next;
+      ::operator delete(slabs);
+      slabs = next;
     }
   }
 };
@@ -77,22 +121,18 @@ inline ThreadCache& Cache() {
   return cache;
 }
 
-inline std::size_t BucketFor(std::size_t bytes) {
-  return (bytes + kGranularity - 1) / kGranularity - 1;
-}
-
 }  // namespace internal_pool
 
 inline void* PoolAlloc(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
   if (bytes > internal_pool::kMaxPooled) return ::operator new(bytes);
-  const std::size_t b = internal_pool::BucketFor(bytes);
+  const std::size_t c = internal_pool::ClassOf(bytes);
   auto& cache = internal_pool::Cache();
-  if (internal_pool::FreeNode* node = cache.buckets[b]) {
-    cache.buckets[b] = node->next;
+  if (internal_pool::FreeNode* node = cache.classes[c]) {
+    cache.classes[c] = node->next;
     return node;
   }
-  return ::operator new((b + 1) * internal_pool::kGranularity);
+  return cache.Carve(internal_pool::BlockBytes(bytes));
 }
 
 inline void PoolFree(void* p, std::size_t bytes) noexcept {
@@ -104,9 +144,9 @@ inline void PoolFree(void* p, std::size_t bytes) noexcept {
   }
   auto* node = static_cast<internal_pool::FreeNode*>(p);
   auto& cache = internal_pool::Cache();
-  const std::size_t b = internal_pool::BucketFor(bytes);
-  node->next = cache.buckets[b];
-  cache.buckets[b] = node;
+  const std::size_t c = internal_pool::ClassOf(bytes);
+  node->next = cache.classes[c];
+  cache.classes[c] = node;
 }
 
 #endif  // WIMPY_FRAME_POOL_DISABLED

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "cluster/cluster.h"
 #include "cluster/metrics.h"
@@ -13,6 +14,7 @@
 #include "obs/sinks.h"
 #include "shard/ring.h"
 #include "sim/process.h"
+#include "sim/task.h"
 
 namespace wimpy::web {
 
@@ -284,6 +286,24 @@ SimTime WindowsEnd(const Windows& windows) {
   return end;
 }
 
+// Handshake and accept for one client connection: the connect delay, or
+// nullopt (after a "connect_error" instant on `span`) when the handshake
+// failed. A sub-task, so the ConnectResult — its Status holds a string —
+// and the handshake's awaiters leave the caller's frame once the
+// connection is up.
+sim::Task<std::optional<Duration>> Establish(net::TcpConnection& conn,
+                                             WebServer* web,
+                                             obs::CausalSpan& span) {
+  const net::ConnectResult cres =
+      co_await conn.Connect(/*hold_backlog=*/true, span.handle());
+  if (!cres.status.ok()) {
+    span.Instant("connect_error", cres.retries);
+    co_return std::nullopt;
+  }
+  co_await web->AcceptWork();
+  co_return cres.connect_delay;
+}
+
 // One httperf connection: connect, then `calls` sequential HTTP calls.
 sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
                                   const WorkloadMix& mix, WebServer* web,
@@ -297,20 +317,11 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
   obs::CausalSpan conn_span(tb.sinks.SampleTrace(), "conn",
                             obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
-  const net::ConnectResult cres =
-      co_await conn.Connect(/*hold_backlog=*/true, conn_span.handle());
-  if (!cres.status.ok()) {
-    conn_span.Instant("connect_error", cres.retries);
-    if (RunWindow* w = FindWindow(windows, conn_start)) {
-      ++w->attempts;
-      ++w->errors;
-    }
-    co_return;
-  }
   // The accept loop must run (and release the backlog slot) even if the
   // server dies in between; the dead-server check follows it.
-  co_await web->AcceptWork();
-  if (web->failed()) {
+  const std::optional<Duration> connect_delay =
+      co_await Establish(conn, web, conn_span);
+  if (!connect_delay || web->failed()) {
     if (RunWindow* w = FindWindow(windows, conn_start)) {
       ++w->attempts;
       ++w->errors;
@@ -333,8 +344,7 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
         // httperf's reported response time amortises connection setup —
         // including SYN retransmission waits — over the connection's
         // first reply.
-        w->response.Add(result.total +
-                        (i == 0 ? cres.connect_delay : 0.0));
+        w->response.Add(result.total + (i == 0 ? *connect_delay : 0.0));
         // Omission annotation: dispatch→done is what httperf sees;
         // conn-arrival→done charges the call with everything the closed
         // loop serialised in front of it (connect backoff + the earlier
@@ -383,16 +393,12 @@ sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
                                obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   bool ok = false;
-  const net::ConnectResult cres =
-      co_await conn.Connect(/*hold_backlog=*/true, request_span.handle());
-  if (!cres.status.ok()) {
-    request_span.Instant("connect_error", cres.retries);
+  if (!co_await Establish(conn, web, request_span)) {
     if (window.InWindow(start)) {
       ++window.attempts;
       ++window.errors;
     }
   } else {
-    co_await web->AcceptWork();
     const RequestSpec spec = mix.Sample(rng);
     const CallResult result = co_await web->ServeCall(
         client->node_id(), spec, request_span.handle());

@@ -73,13 +73,10 @@ sim::Task<void> WebServer::AcceptWork() {
 sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
                                            const RequestSpec& spec,
                                            const obs::TraceHandle& parent) {
-  CallResult result;
-  sim::Scheduler& sched = node_->scheduler();
-
   // Upstream request bytes.
   co_await fabric_->Transfer(client_node_id, node_->id(), 200, parent,
                              "req_xfer");
-  const SimTime started = sched.now();
+  const SimTime started = node_->scheduler().now();
 
   // The serve span brackets exactly the interval `result.total` measures
   // (`started` to the co_return), so Table 7's total delay is
@@ -89,7 +86,20 @@ sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
                         node_->id());
   obs::ScopedResidency serve_res(energy_, node_->id(), serve.handle(),
                                  "serve");
+  CallResult result = co_await Respond(spec, serve);
+  co_await fabric_->Transfer(node_->id(), client_node_id, result.reply_bytes,
+                             serve.handle(), "reply_xfer");
+  result.total = node_->scheduler().now() - started;
+  if (result.ok) {
+    ++calls_ok_;
+    total_delay_.Add(result.total);
+  }
+  co_return result;
+}
 
+sim::Task<CallResult> WebServer::Respond(const RequestSpec& spec,
+                                         obs::CausalSpan& serve) {
+  CallResult result;
   // Overload check: lighttpd+FastCGI answers 500 when the backend queue is
   // hopeless rather than queueing forever.
   const std::size_t queue_limit =
@@ -99,46 +109,33 @@ sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
     ++errors_500_;
     serve.Instant("http_500");
     co_await node_->cpu().Execute(Derated(0.05));
-    co_await fabric_->Transfer(node_->id(), client_node_id, kErrorReplyBytes,
-                               serve.handle(), "reply_xfer");
-    result.ok = false;
-    result.total = sched.now() - started;
     result.reply_bytes = kErrorReplyBytes;
     co_return result;
   }
 
-  {
-    sim::SemaphoreGuard worker(php_workers_);
-    co_await worker.Acquired();
+  sim::SemaphoreGuard worker(php_workers_);
+  co_await worker.Acquired();
 
-    // PHP request parsing + script execution.
-    co_await node_->cpu().Execute(Derated(config_.request_base_minstr));
+  // PHP request parsing + script execution.
+  co_await node_->cpu().Execute(Derated(config_.request_base_minstr));
 
-    // Content fetch: cache tier on a hit, database tier on a miss.
-    if (spec.cache_hit && !caches_.empty()) {
-      result.cache_delay =
-          co_await FetchFromCache(spec.reply_bytes, serve.handle());
-      cache_delay_.Add(result.cache_delay);
-    } else if (!databases_.empty()) {
-      result.db_delay = co_await FetchFromDb(spec.reply_bytes, serve.handle());
-      db_delay_.Add(result.db_delay);
-    }
-
-    // Reply assembly scales with the content size.
-    const double kb = static_cast<double>(spec.reply_bytes) / 1000.0;
-    co_await node_->cpu().Execute(
-        Derated(config_.assembly_minstr_per_kb * kb));
-    // The worker is free once the content is handed to the event loop.
+  // Content fetch: cache tier on a hit, database tier on a miss.
+  if (spec.cache_hit && !caches_.empty()) {
+    result.cache_delay =
+        co_await FetchFromCache(spec.reply_bytes, serve.handle());
+    cache_delay_.Add(result.cache_delay);
+  } else if (!databases_.empty()) {
+    result.db_delay = co_await FetchFromDb(spec.reply_bytes, serve.handle());
+    db_delay_.Add(result.db_delay);
   }
 
-  co_await fabric_->Transfer(node_->id(), client_node_id, spec.reply_bytes,
-                             serve.handle(), "reply_xfer");
-
-  ++calls_ok_;
+  // Reply assembly scales with the content size.
+  const double kb = static_cast<double>(spec.reply_bytes) / 1000.0;
+  co_await node_->cpu().Execute(Derated(config_.assembly_minstr_per_kb * kb));
+  // The worker is free once the content is handed to the event loop:
+  // `worker` is released as this sub-task returns.
   result.ok = true;
-  result.total = sched.now() - started;
   result.reply_bytes = spec.reply_bytes;
-  total_delay_.Add(result.total);
   co_return result;
 }
 

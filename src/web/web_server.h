@@ -31,6 +31,7 @@
 #include "web/workload.h"
 
 namespace wimpy::obs {
+class CausalSpan;
 class EnergyAttributor;
 }  // namespace wimpy::obs
 
@@ -120,6 +121,14 @@ class WebServer {
   double Derated(double minstr) const {
     return minstr / config_.service_efficiency;
   }
+
+  // ServeCall's work between the request and the reply transfer: the
+  // overload check, a PHP worker, the content fetch and reply assembly.
+  // A sub-task, so the worker guard and fetch state are gone from
+  // ServeCall's frame while the reply is on the wire. Returns ok and the
+  // fetch delays and reply size; ServeCall sets `total`.
+  sim::Task<CallResult> Respond(const RequestSpec& spec,
+                                obs::CausalSpan& serve);
 
   // ServeCall's content fetch on a cache hit / miss: picks the server,
   // traces the "cache"/"db" span under `serve`, returns the fetch delay.

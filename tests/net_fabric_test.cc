@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/profiles.h"
@@ -87,6 +88,45 @@ TEST_F(FabricTest, LoopbackIsFast) {
   EXPECT_LT(done_at, Milliseconds(1));
 }
 
+// The awaiter sits in every frame that awaits a transfer.
+static_assert(sizeof(Fabric::TransferOp) <= 64);
+
+TEST_F(FabricTest, EmptyTransferTakesNoEngineEvent) {
+  double done_at = -1;
+  sim::Spawn(sched_, DoTransfer(0, 1, 0, &done_at));
+  EXPECT_EQ(sched_.Run(), 1u);  // the spawn itself
+  EXPECT_EQ(done_at, 0.0);
+  EXPECT_EQ(edison_[0]->nic().bytes_sent(), 0);
+  EXPECT_EQ(edison_[1]->nic().bytes_received(), 0);
+}
+
+TEST_F(FabricTest, LoopbackCostsOneEventAtLoopbackLatency) {
+  double done_at = -1;
+  sim::Spawn(sched_, DoTransfer(0, 0, GB(1), &done_at));
+  EXPECT_EQ(sched_.Run(), 2u);  // the spawn, then the loopback delay
+  EXPECT_EQ(done_at, fabric_.Latency(0, 0));
+  EXPECT_EQ(done_at, Microseconds(20));
+  EXPECT_EQ(edison_[0]->nic().bytes_sent(), 0);
+}
+
+TEST_F(FabricTest, RemoteTransferJoinsEverySegmentAfterTheLatency) {
+  // Edison -> Dell crosses the room link: one latency event, then the
+  // tx, link and rx segments serve concurrently; the slowest one (the
+  // Edison NIC) resumes the caller.
+  double done_at = -1;
+  sim::Spawn(sched_, DoTransfer(0, 10, MB(1), &done_at));
+  sched_.Run(fabric_.Latency(0, 10) / 2);
+  EXPECT_EQ(edison_[0]->nic().bytes_sent(), MB(1));  // counted at suspend
+  EXPECT_EQ(edison_[0]->nic().tx().active_jobs(), 0u);
+  sched_.Run(fabric_.Latency(0, 10) * 1.5);
+  EXPECT_EQ(edison_[0]->nic().tx().active_jobs(), 1u);
+  EXPECT_EQ(dell_[0]->nic().rx().active_jobs(), 1u);
+  sched_.Run();
+  EXPECT_GT(done_at, fabric_.Latency(0, 10));
+  EXPECT_EQ(edison_[0]->nic().tx().active_jobs(), 0u);
+  EXPECT_EQ(dell_[0]->nic().rx().active_jobs(), 0u);
+}
+
 TEST_F(FabricTest, ByteCountersTrackTraffic) {
   double done_at = -1;
   sim::Spawn(sched_, DoTransfer(0, 10, MB(5), &done_at));
@@ -127,6 +167,45 @@ TEST(FabricAggregateTest, GroupLinkCapsAggregateThroughput) {
   sched.Run();
   // 10 x 125 MB through a shared 125 MB/s link: ~10 s, not ~1 s.
   for (double t : done) EXPECT_NEAR(t, 10.0, 0.1);
+}
+
+// Topology building checks in every build type: in a Release build a
+// negative id used to resize the endpoint table to SIZE_MAX, a duplicate
+// id silently replaced an endpoint, and a zero-bandwidth link scheduled
+// completions at +inf.
+TEST(FabricDeathTest, BadNodesAbortInEveryBuild) {
+  sim::Scheduler sched;
+  Fabric fabric(&sched);
+  hw::ServerNode a(&sched, hw::EdisonProfile(), 3);
+  hw::ServerNode same_id(&sched, hw::EdisonProfile(), 3);
+  hw::ServerNode negative(&sched, hw::EdisonProfile(), -1);
+  fabric.AddNode(&a, "room");
+  EXPECT_DEATH(fabric.AddNode(nullptr, "room"), "node must not be null");
+  EXPECT_DEATH(fabric.AddNode(&negative, "room"),
+               "node ids must be non-negative");
+  EXPECT_DEATH(fabric.AddNode(&same_id, "other-room"), "duplicate node id");
+  EXPECT_TRUE(fabric.HasNode(3));
+  EXPECT_EQ(fabric.GroupOf(3), "room");
+}
+
+TEST(FabricDeathTest, BadLinksAndPathsAbortInEveryBuild) {
+  sim::Scheduler sched;
+  Fabric fabric(&sched);
+  EXPECT_DEATH(fabric.SetGroupLink("a", "b", 0, 0),
+               "group link bandwidth must be > 0");
+  EXPECT_DEATH(fabric.SetGroupLink("a", "b", -Gbps(1), 0),
+               "group link bandwidth must be > 0");
+  EXPECT_DEATH(fabric.SetGroupPath("a", "a", {"b"}),
+               "a group path must join two distinct groups");
+  // kMaxPathHops hops is the most a path may take.
+  std::vector<std::string> via;
+  for (int i = 0; i + 1 < Fabric::kMaxPathHops; ++i) {
+    via.push_back("via" + std::to_string(i));
+  }
+  fabric.SetGroupPath("a", "b", via);
+  via.push_back("one-too-many");
+  EXPECT_DEATH(fabric.SetGroupPath("a", "b", via),
+               "group path exceeds kMaxPathHops hops");
 }
 
 }  // namespace

@@ -243,6 +243,43 @@ TEST(CausalSpanTest, NullHandleTransferIsThePlainTransfer) {
   EXPECT_EQ(tracer.events()[1].time, plain.first);
 }
 
+TEST(CausalSpanTest, EmptyTracedTransferStillRecordsItsSpan) {
+  // An empty transfer completes without suspending or an engine event,
+  // but a sampled one still brackets a zero-length "x" span, as a
+  // message with no payload still carries its context header.
+  sim::Scheduler sched;
+  Tracer tracer;
+  TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &sched;
+  root.ctx.trace_id = tracer.NewTraceId();
+  net::Fabric fabric(&sched);
+  hw::ServerNode a(&sched, hw::EdisonProfile(), 0);
+  hw::ServerNode b(&sched, hw::EdisonProfile(), 1);
+  fabric.AddNode(&a, "room");
+  fabric.AddNode(&b, "room");
+  SimTime done = -1;
+  auto xfer = [&]() -> sim::Process {
+    co_await sim::Delay(sched, 0.5);
+    co_await fabric.Transfer(0, 1, 0, root, "empty");
+    done = sched.now();
+  };
+  sim::Spawn(sched, xfer());
+  EXPECT_EQ(sched.Run(), 2u);  // the spawn and the delay: nothing else
+  EXPECT_EQ(done, 0.5);
+  ASSERT_EQ(tracer.size(), 2u);
+  for (const TraceEvent& e : tracer.events()) {
+    EXPECT_EQ(std::string_view(e.name), "empty");
+    EXPECT_EQ(e.category, Category::kNet);
+    EXPECT_EQ(e.time, 0.5);
+    EXPECT_EQ(e.arg, 0);
+    EXPECT_EQ(e.parent_id, 0u);
+  }
+  EXPECT_EQ(tracer.events()[0].phase, 'B');
+  EXPECT_EQ(tracer.events()[1].phase, 'E');
+  EXPECT_EQ(tracer.events()[0].span_id, tracer.events()[1].span_id);
+}
+
 TEST(TracerTest, BalancedTracksAreErasedFromOpenSet) {
   Tracer tracer;
   for (int track = 0; track < 100; ++track) {

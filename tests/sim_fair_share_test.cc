@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "sim/process.h"
@@ -173,6 +174,25 @@ TEST(FairShareTest, ManyStaggeredJobsAllComplete) {
   EXPECT_EQ(completed, 50);
   EXPECT_EQ(server.active_jobs(), 0u);
   EXPECT_DOUBLE_EQ(server.busy_fraction(), 0.0);
+}
+
+// The rate setters run at build time and check in every build type: a
+// zero, negative or NaN rate would schedule completions at +inf.
+TEST(FairShareDeathTest, NonPositiveRatesAbortInEveryBuild) {
+  Scheduler sched;
+  EXPECT_DEATH(FairShareServer(&sched, 0.0), "capacity must be > 0");
+  EXPECT_DEATH(FairShareServer(&sched, -5.0, 1.0), "capacity must be > 0");
+  EXPECT_DEATH(FairShareServer(&sched, std::nan("")),
+               "capacity must be > 0");
+  FairShareServer server(&sched, 10.0, 2.0);
+  EXPECT_DEATH(server.SetCapacity(0.0), "capacity must be > 0");
+  EXPECT_DEATH(server.SetRates(0.0, 1.0), "capacity must be > 0");
+  EXPECT_DEATH(server.SetRates(10.0, 0.0), "per_job_cap must be > 0");
+  EXPECT_DEATH(server.SetRates(10.0, -1.0), "per_job_cap must be > 0");
+  // A valid change still applies.
+  server.SetRates(20.0, 4.0);
+  EXPECT_EQ(server.capacity(), 20.0);
+  EXPECT_EQ(server.per_job_cap(), 4.0);
 }
 
 }  // namespace

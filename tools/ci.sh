@@ -43,8 +43,8 @@ ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 # The ASan smoke's test binaries: the one list both the build targets
 # and the default ctest filter (exact names) come from.
 ASAN_SMOKE=(sim_scheduler_test sim_process_test sim_semaphore_test
-            sim_fair_share_test net_fabric_test net_tcp_test
-            net_topology_test web_service_test kv_store_test
+            sim_fair_share_test sim_frame_pool_test net_fabric_test
+            net_tcp_test net_topology_test web_service_test kv_store_test
             kv_failover_test load_openloop_test obs_energy_test
             obs_causal_test obs_telemetry_test shard_experiment_test
             shard_router_test)
@@ -76,7 +76,9 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   fi
   # The model-layer tests that cover the pooled steady-state request path
   # (scheduler, coroutine frames, semaphores, fair-share, fabric, TCP,
-  # web serve, KV store) — the code where pooling bugs would hide — plus
+  # web serve, KV store) — the code where pooling bugs would hide — and
+  # the frame pool's own test, which asserts the pool is compiled out
+  # here, plus
   # the energy attributor, whose ledger outlives the testbeds it observed,
   # the sampled span/residency records that callees borrow by reference
   # (causal tests, traced shard experiment), the arrival driver and
