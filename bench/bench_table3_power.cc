@@ -25,8 +25,8 @@ wimpy::sim::Process Saturate(hw::ServerNode* node, double seconds) {
     co_await n->Compute(w);
   };
   for (int t = 0; t < threads; ++t) {
-    refs.push_back(sim::Spawn(node->scheduler(), burn(node,
-                                                      minstr_per_thread)));
+    refs.push_back(sim::SpawnJoinable(node->scheduler(),
+                                      burn(node, minstr_per_thread)));
   }
   for (auto& ref : refs) co_await ref.Join();
 }

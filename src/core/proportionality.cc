@@ -23,7 +23,7 @@ sim::Process DriveLoad(hw::ServerNode& node, double load,
         auto burn = [](hw::ServerNode& n, double work) -> sim::Process {
           co_await n.Compute(work);
         };
-        refs.push_back(sim::Spawn(
+        refs.push_back(sim::SpawnJoinable(
             node.scheduler(),
             burn(node,
                  node.cpu().spec().dmips_per_thread * period * load)));

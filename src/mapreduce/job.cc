@@ -98,7 +98,7 @@ std::vector<MapReduceJob::Split> MapReduceJob::ComputeSplits() const {
 }
 
 sim::ProcessRef MapReduceJob::Start() {
-  return sim::Spawn(fabric_->scheduler(), Driver());
+  return sim::SpawnJoinable(fabric_->scheduler(), Driver());
 }
 
 sim::Process MapReduceJob::Driver() {
@@ -124,7 +124,7 @@ sim::Process MapReduceJob::Driver() {
   map_started_.assign(total_maps_, 0.0);
 
   for (int i = 0; i < total_maps_; ++i) {
-    map_refs_.push_back(sim::Spawn(sched, MapTask(splits_[i], i)));
+    map_refs_.push_back(sim::SpawnJoinable(sched, MapTask(splits_[i], i)));
   }
   if (spec_.speculative_execution) {
     sim::Spawn(sched, SpeculationMonitor());
@@ -138,7 +138,7 @@ sim::Process MapReduceJob::Driver() {
   }
   result_.first_reduce_launch = sched.now();
   for (int r = 0; r < spec_.reducers; ++r) {
-    reduce_refs_.push_back(sim::Spawn(sched, ReduceTask(r)));
+    reduce_refs_.push_back(sim::SpawnJoinable(sched, ReduceTask(r)));
   }
 
   // Index loop: the speculation monitor may append duplicate attempts
@@ -276,7 +276,7 @@ sim::Process MapReduceJob::SpeculationMonitor() {
           spec_.speculation_slowdown * median) {
         map_speculated_[i] = true;
         ++speculative_launched_;
-        map_refs_.push_back(sim::Spawn(sched, MapTask(splits_[i], i)));
+        map_refs_.push_back(sim::SpawnJoinable(sched, MapTask(splits_[i], i)));
       }
     }
   }

@@ -119,6 +119,9 @@ class Fabric {
    public:
     TransferOp(const TransferOp&) = delete;
     TransferOp& operator=(const TransferOp&) = delete;
+    // Movable only before it is awaited, so that an awaiter embedding
+    // one (web::WebServer::ReplyOp) can be returned from a task.
+    TransferOp(TransferOp&&) noexcept = default;
 
     bool await_ready() const noexcept {
       return bytes_ <= 0 && trace_ == nullptr;

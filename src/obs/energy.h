@@ -135,16 +135,30 @@ class ScopedResidency {
         Record{attributor, node_id, handle};
     attributor->SpanEnter(node_id, handle, name);
   }
-  ~ScopedResidency() {
-    if (rec_ == nullptr) return;
-    rec_->attributor->SpanLeave(rec_->node_id, rec_->handle);
-    sim::PoolFree(rec_, sizeof(Record));  // Record is trivially destructible
-  }
+  ~ScopedResidency() { Leave(); }
 
   ScopedResidency(const ScopedResidency&) = delete;
   ScopedResidency& operator=(const ScopedResidency&) = delete;
+  // Moving hands the residency over; assigning leaves the one held here
+  // first, so assigning `ScopedResidency()` leaves mid-scope.
+  ScopedResidency(ScopedResidency&& other) noexcept
+      : rec_(std::exchange(other.rec_, nullptr)) {}
+  ScopedResidency& operator=(ScopedResidency&& other) noexcept {
+    if (this != &other) {
+      Leave();
+      rec_ = std::exchange(other.rec_, nullptr);
+    }
+    return *this;
+  }
 
  private:
+  void Leave() noexcept {
+    if (rec_ == nullptr) return;
+    rec_->attributor->SpanLeave(rec_->node_id, rec_->handle);
+    sim::PoolFree(rec_, sizeof(Record));  // Record is trivially destructible
+    rec_ = nullptr;
+  }
+
   struct Record {
     EnergyAttributor* attributor;
     int node_id;

@@ -327,6 +327,9 @@ class CausalSpan {
 
   CausalSpan(const CausalSpan&) = delete;
   CausalSpan& operator=(const CausalSpan&) = delete;
+  // Moving hands the open span over; `handle()` references stay valid.
+  CausalSpan(CausalSpan&& other) noexcept
+      : rec_(std::exchange(other.rec_, nullptr)) {}
   // Ends the span held here, then takes over `other`'s: a span that
   // opens and closes mid-scope (net::Fabric::TransferOp) is assigned a
   // fresh span to open it and an unsampled `CausalSpan()` to close it.

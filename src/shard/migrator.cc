@@ -116,7 +116,7 @@ sim::Process Migrator::Run(std::vector<Router::ShardMove> moves,
     children.reserve(plans.size());
     for (const ShardPlan& plan : plans) {
       children.push_back(
-          sim::Spawn(sched, MoveShard(plan, root.handle(), stats)));
+          sim::SpawnJoinable(sched, MoveShard(plan, root.handle(), stats)));
     }
     for (sim::ProcessRef& child : children) co_await child.Join();
   }

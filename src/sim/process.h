@@ -8,27 +8,36 @@
 //     co_await server.cpu().Serve(1e6);       // consume resources
 //   }
 //
-//   sim::ProcessRef ref = sim::Spawn(sched, Worker(sched, server));
+//   sim::Spawn(sched, Worker(sched, server));           // fire and forget
+//   sim::ProcessRef ref = sim::SpawnJoinable(sched, Worker(sched, server));
 //   ...
 //   co_await ref.Join();                      // wait for completion
 //
-// Lifetime model: `Spawn` hands the coroutine frame to the scheduler. The
-// frame destroys itself when the coroutine finishes (at final suspend),
-// after marking a shared completion state and waking joiners. `ProcessRef`
-// only references that shared state, so it is safe to keep or drop at any
-// time. A `Process` that is never spawned destroys its frame in the
-// destructor.
+// Lifetime model: both spawn forms hand the coroutine frame to the
+// scheduler, and the frame destroys itself when the coroutine finishes
+// (at final suspend). The two forms differ only in join state:
+//   * `Spawn` is fire-and-forget. The process carries no join state: no
+//     `ProcessState`, no `shared_ptr` refcount, no joiners to wake. Load
+//     generators spawn one of these per connection or query.
+//   * `SpawnJoinable` allocates a pooled shared `ProcessState` and returns
+//     a `ProcessRef` to it. At final suspend the frame marks the state done
+//     and wakes its joiners before destroying itself; `ProcessRef` only
+//     references that state, so it is safe to keep or drop at any time.
+// A `Process` that is never spawned destroys its frame in the destructor.
+// Spawning a moved-from or already-spawned `Process` aborts with a message
+// in every build type.
 #ifndef WIMPY_SIM_PROCESS_H_
 #define WIMPY_SIM_PROCESS_H_
 
 #include <array>
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "sim/frame_pool.h"
 #include "sim/scheduler.h"
 
@@ -43,7 +52,6 @@ namespace internal_process {
 // spawn/join path allocation-free.
 struct ProcessState {
   Scheduler* sched = nullptr;
-  bool spawned = false;
   bool done = false;
   std::uint8_t inline_joiners = 0;
   std::array<std::coroutine_handle<>, 2> joiners{};
@@ -104,12 +112,11 @@ class ProcessRef {
 class Process {
  public:
   struct promise_type {
-    // State and frame both recycle through the frame pool: the shared
-    // state's control block via allocate_shared, the coroutine frame via
-    // the pooled operator new below.
-    std::shared_ptr<internal_process::ProcessState> state =
-        std::allocate_shared<internal_process::ProcessState>(
-            PoolAllocator<internal_process::ProcessState>{});
+    // Join state: null unless SpawnJoinable set it. State and frame both
+    // recycle through the frame pool: the shared state's control block via
+    // allocate_shared, the coroutine frame via the pooled operator new
+    // below.
+    std::shared_ptr<internal_process::ProcessState> state;
 
     static void* operator new(std::size_t bytes) { return PoolAlloc(bytes); }
     static void operator delete(void* p, std::size_t bytes) noexcept {
@@ -125,9 +132,12 @@ class Process {
     struct FinalAwaiter {
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        auto state = h.promise().state;  // keep alive past destroy()
-        state->done = true;
-        state->WakeJoiners();
+        if (h.promise().state != nullptr) {
+          // Moved out, so it outlives destroy() without a refcount bump.
+          auto state = std::move(h.promise().state);
+          state->done = true;
+          state->WakeJoiners();
+        }
         h.destroy();
       }
       void await_resume() const noexcept {}
@@ -155,10 +165,17 @@ class Process {
   ~Process() { DestroyIfUnspawned(); }
 
  private:
-  friend ProcessRef Spawn(Scheduler& sched, Process process);
+  friend void Spawn(Scheduler& sched, Process process);
+  friend ProcessRef SpawnJoinable(Scheduler& sched, Process process);
 
   explicit Process(std::coroutine_handle<promise_type> handle)
       : handle_(handle) {}
+
+  // Hands the frame over to the scheduler: from here it owns itself.
+  std::coroutine_handle<promise_type> Release(const char* where) {
+    Check(handle_ != nullptr, where, "process already spawned or moved");
+    return std::exchange(handle_, nullptr);
+  }
 
   void DestroyIfUnspawned() {
     if (handle_ != nullptr) {
@@ -170,21 +187,25 @@ class Process {
   std::coroutine_handle<promise_type> handle_ = nullptr;
 };
 
-// Starts a process at the scheduler's current time. The coroutine begins
-// executing when the scheduler reaches the spawn event, not inside Spawn().
-// The initial resumption rides the scheduler's fast lane (no allocation,
-// no heap operation) while keeping its place in the deterministic
-// (time, sequence) order.
-inline ProcessRef Spawn(Scheduler& sched, Process process) {
-  assert(process.handle_ != nullptr && "process already spawned or moved");
-  auto handle = process.handle_;
-  process.handle_ = nullptr;  // scheduler/frame owns itself from here
-  auto state = handle.promise().state;
-  assert(!state->spawned);
+// Starts a fire-and-forget process at the scheduler's current time. The
+// coroutine begins executing when the scheduler reaches the spawn event,
+// not inside Spawn(). The initial resumption rides the scheduler's fast
+// lane (no allocation, no heap operation) while keeping its place in the
+// deterministic (time, sequence) order. Nothing can join the process.
+inline void Spawn(Scheduler& sched, Process process) {
+  sched.ResumeLater(process.Release("sim::Spawn"));
+}
+
+// Starts a process like Spawn and returns a handle to join it by. The
+// join state is the one allocation Spawn does not make.
+inline ProcessRef SpawnJoinable(Scheduler& sched, Process process) {
+  auto handle = process.Release("sim::SpawnJoinable");
+  auto state = std::allocate_shared<internal_process::ProcessState>(
+      PoolAllocator<internal_process::ProcessState>{});
   state->sched = &sched;
-  state->spawned = true;
+  handle.promise().state = state;
   sched.ResumeLater(handle);
-  return ProcessRef(state);
+  return ProcessRef(std::move(state));
 }
 
 // Awaitable virtual-time sleep. A zero (or negative) delay still yields
@@ -205,11 +226,6 @@ inline auto Delay(Scheduler& sched, Duration delay) {
     void await_resume() const noexcept {}
   };
   return Awaiter{&sched, delay};
-}
-
-// Awaits all processes in the list.
-inline Process JoinAll(std::vector<ProcessRef> refs) {
-  for (auto& ref : refs) co_await ref.Join();
 }
 
 }  // namespace wimpy::sim

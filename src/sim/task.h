@@ -70,7 +70,9 @@ class [[nodiscard]] Task {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value = std::move(v); }
+    // Emplaced, so a move-only, non-assignable T (an awaiter handed to
+    // the caller's frame) can be returned.
+    void return_value(T v) { value.emplace(std::move(v)); }
   };
 
   Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}

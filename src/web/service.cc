@@ -1,13 +1,15 @@
 #include "web/service.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/metrics.h"
+#include "common/check.h"
 #include "hw/profiles.h"
 #include "load/driver.h"
 #include "obs/metrics.h"
@@ -259,32 +261,32 @@ struct RunWindow {
   }
 };
 
-// Windows a measurement run records into; a sample lands in the window
-// containing its start time (failure runs use two half-windows). At most
-// two windows ever exist, so this is a fixed two-slot set: every spawned
-// connection takes its own copy by value without touching the heap.
-struct Windows {
-  Windows(std::initializer_list<RunWindow*> ws) {
-    for (RunWindow* w : ws) slots[count++] = w;
+// What every closed-loop connection of one run shares. The measure call
+// holds it for the whole run, so each connection's frame keeps one
+// reference instead of a copy of each field. A sample lands in the window
+// containing its start time (failure runs use two half-windows).
+struct ClosedLoopRun {
+  ClosedLoopRun(Testbed& tb, std::vector<RunWindow*> windows,
+                const WorkloadMix& mix, int calls)
+      : tb(tb), windows(std::move(windows)), mix(mix), calls(calls) {
+    for (const RunWindow* w : this->windows) {
+      end = std::max(end, w->measure_end);
+    }
   }
-  std::array<RunWindow*, 2> slots{};
-  int count = 0;
+
+  RunWindow* FindWindow(SimTime t) const {
+    for (RunWindow* w : windows) {
+      if (w->InWindow(t)) return w;
+    }
+    return nullptr;
+  }
+
+  Testbed& tb;
+  std::vector<RunWindow*> windows;
+  const WorkloadMix& mix;
+  int calls;        // per connection
+  SimTime end = 0;  // the last window's end: no call starts after it
 };
-
-RunWindow* FindWindow(const Windows& windows, SimTime t) {
-  for (int i = 0; i < windows.count; ++i) {
-    if (windows.slots[i]->InWindow(t)) return windows.slots[i];
-  }
-  return nullptr;
-}
-
-SimTime WindowsEnd(const Windows& windows) {
-  SimTime end = 0;
-  for (int i = 0; i < windows.count; ++i) {
-    end = std::max(end, windows.slots[i]->measure_end);
-  }
-  return end;
-}
 
 // Handshake and accept for one client connection: the connect delay, or
 // nullopt (after a "connect_error" instant on `span`) when the handshake
@@ -304,17 +306,14 @@ sim::Task<std::optional<Duration>> Establish(net::TcpConnection& conn,
   co_return cres.connect_delay;
 }
 
-// One httperf connection: connect, then `calls` sequential HTTP calls.
-sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
-                                  const WorkloadMix& mix, WebServer* web,
-                                  net::TcpHost* client, int calls,
-                                  Rng rng) {
-  const SimTime end = WindowsEnd(windows);
-  const SimTime conn_start = tb.sched.now();
+// One httperf connection: connect, then `run.calls` sequential HTTP calls.
+sim::Process ClosedLoopConnection(const ClosedLoopRun& run, WebServer* web,
+                                  net::TcpHost* client, Rng rng) {
+  const SimTime conn_start = run.tb.sched.now();
   // Root span of the connection's trace tree; null for unsampled
   // connections. The handle rides every downstream call — the simulated
   // context header.
-  obs::CausalSpan conn_span(tb.sinks.SampleTrace(), "conn",
+  obs::CausalSpan conn_span(run.tb.sinks.SampleTrace(), "conn",
                             obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   // The accept loop must run (and release the backlog slot) even if the
@@ -322,22 +321,25 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
   const std::optional<Duration> connect_delay =
       co_await Establish(conn, web, conn_span);
   if (!connect_delay || web->failed()) {
-    if (RunWindow* w = FindWindow(windows, conn_start)) {
+    if (RunWindow* w = run.FindWindow(conn_start)) {
       ++w->attempts;
       ++w->errors;
     }
     conn.Close();
     co_return;
   }
-  for (int i = 0; i < calls; ++i) {
-    const SimTime call_start = tb.sched.now();
-    if (call_start >= end) break;
-    const RequestSpec spec = mix.Sample(rng);
+  for (int i = 0; i < run.calls; ++i) {
+    const SimTime call_start = run.tb.sched.now();
+    if (call_start >= run.end) break;
+    const RequestSpec spec = run.mix.Sample(rng);
     obs::CausalSpan call_span(conn_span.handle(), "call",
                               obs::Category::kRequest, i);
-    const CallResult result =
-        co_await web->ServeCall(client->node_id(), spec, call_span.handle());
-    if (RunWindow* w = FindWindow(windows, call_start)) {
+    // Two statements, so the Serve task's frame is gone before the
+    // reply goes on the wire; the reply awaiter lives in this frame.
+    WebServer::ReplyOp reply =
+        co_await web->Serve(client->node_id(), spec, call_span.handle());
+    const CallResult result = co_await reply;
+    if (RunWindow* w = run.FindWindow(call_start)) {
       ++w->attempts;
       if (result.ok && !web->failed()) {
         ++w->ok;
@@ -349,7 +351,7 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
         // conn-arrival→done charges the call with everything the closed
         // loop serialised in front of it (connect backoff + the earlier
         // calls on this connection). Passive — no draws, no goldens.
-        const SimTime done = tb.sched.now();
+        const SimTime done = run.tb.sched.now();
         w->dispatch_response.Add(done - call_start);
         w->dispatch_percentiles.Add(done - call_start);
         w->conn_intended_response.Add(done - conn_start);
@@ -364,32 +366,39 @@ sim::Process ClosedLoopConnection(Testbed& tb, Windows windows,
 }
 
 // Poisson arrival process for closed-loop connections.
-sim::Process ClosedLoopArrivals(Testbed& tb, Windows windows,
-                                const WorkloadMix& mix, double rate,
-                                int calls, Rng rng) {
-  const SimTime end = WindowsEnd(windows);
-  while (tb.sched.now() < end) {
+sim::Process ClosedLoopArrivals(const ClosedLoopRun& run, double rate,
+                                Rng rng) {
+  Testbed& tb = run.tb;
+  while (tb.sched.now() < run.end) {
     co_await sim::Delay(tb.sched, rng.Exponential(rate));
-    if (tb.sched.now() >= end) break;
-    sim::Spawn(tb.sched,
-               ClosedLoopConnection(tb, windows, mix, tb.NextWeb(),
-                                    tb.NextClient(), calls, rng.Fork()));
+    if (tb.sched.now() >= run.end) break;
+    sim::Spawn(tb.sched, ClosedLoopConnection(run, tb.NextWeb(),
+                                              tb.NextClient(), rng.Fork()));
   }
 }
+
+// What every open-loop request of one run shares, held by the measure
+// call for the whole run (see ClosedLoopRun).
+struct OpenLoopRun {
+  Testbed& tb;
+  RunWindow& window;
+  const WorkloadMix& mix;
+  LinearHistogram* histogram;
+  load::OpenLoopRecorder& recorder;
+  load::OpenLoopGate& gate;
+};
 
 // One open-loop (python urllib2) request: fresh connection per request.
 // `intended` is the arrival the load engine scheduled; with an unbounded
 // gate it equals the dispatch time, with a bounded gate a queued request
 // dispatches late and its latency is still charged from `intended`.
-sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
-                             const WorkloadMix& mix, WebServer* web,
-                             net::TcpHost* client,
-                             LinearHistogram* histogram,
-                             load::OpenLoopRecorder& recorder,
-                             load::OpenLoopGate& gate, SimTime intended,
+sim::Process OpenLoopRequest(const OpenLoopRun& run, WebServer* web,
+                             net::TcpHost* client, SimTime intended,
                              Rng rng) {
-  const SimTime start = tb.sched.now();
-  obs::CausalSpan request_span(tb.sinks.SampleTrace(), "request",
+  sim::Scheduler& sched = run.tb.sched;
+  RunWindow& window = run.window;
+  const SimTime start = sched.now();
+  obs::CausalSpan request_span(run.tb.sinks.SampleTrace(), "request",
                                obs::Category::kRequest);
   net::TcpConnection conn(client, &web->tcp_host());
   bool ok = false;
@@ -399,13 +408,14 @@ sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
       ++window.errors;
     }
   } else {
-    const RequestSpec spec = mix.Sample(rng);
-    const CallResult result = co_await web->ServeCall(
+    const RequestSpec spec = run.mix.Sample(rng);
+    WebServer::ReplyOp reply = co_await web->Serve(
         client->node_id(), spec, request_span.handle());
+    const CallResult result = co_await reply;
     conn.Close();
     ok = result.ok;
-    const Duration client_seen = tb.sched.now() - start;
-    const Duration honest_seen = tb.sched.now() - intended;
+    const Duration client_seen = sched.now() - start;
+    const Duration honest_seen = sched.now() - intended;
     if (window.InWindow(start)) {
       ++window.attempts;
       if (result.ok) {
@@ -414,19 +424,28 @@ sim::Process OpenLoopRequest(Testbed& tb, RunWindow& window,
         window.client_delay.Add(client_seen);
         // Figures 10/11 bucket the coordinated-omission-free delay; the
         // two are identical until the gate queues.
-        if (histogram != nullptr) histogram->Add(honest_seen);
+        if (run.histogram != nullptr) run.histogram->Add(honest_seen);
       } else {
         ++window.errors;
       }
     }
   }
-  recorder.OnComplete(intended, start, tb.sched.now(), ok);
-  if (auto next = gate.OnComplete()) {
-    sim::Spawn(tb.sched,
-               OpenLoopRequest(tb, window, mix, tb.NextWeb(),
-                               tb.NextClient(), histogram, recorder, gate,
-                               next->intended, std::move(next->payload)));
+  run.recorder.OnComplete(intended, start, sched.now(), ok);
+  if (auto next = run.gate.OnComplete()) {
+    sim::Spawn(sched, OpenLoopRequest(run, run.tb.NextWeb(),
+                                      run.tb.NextClient(), next->intended,
+                                      std::move(next->payload)));
   }
+}
+
+// A closed-loop level's load, checked in every build type: a rate <= 0
+// makes the arrival gaps infinite or negative, and a connection that
+// makes no call measures nothing.
+void CheckClosedLoad(double concurrency, int calls_per_connection) {
+  const char* where = "web::WebExperiment";
+  Check(concurrency > 0, where, "concurrency must be > 0");
+  Check(calls_per_connection >= 1, where,
+        "calls_per_connection must be >= 1");
 }
 
 // Merges the per-server delay decompositions into the report.
@@ -441,6 +460,14 @@ void CollectServerDelays(Testbed& tb, Report* report) {
 
 }  // namespace
 
+WebExperiment::WebExperiment(WebTestbedConfig config)
+    : config_(std::move(config)) {
+  const char* where = "web::WebExperiment";
+  Check(config_.web_servers >= 1, where, "web_servers must be >= 1");
+  Check(config_.client_machines >= 1, where, "client_machines must be >= 1");
+  Check(config_.cache_servers >= 0, where, "cache_servers must be >= 0");
+}
+
 int WebExperiment::TunedCallsPerConnection(double concurrency) {
   const double target = 7200.0;  // full-scale cluster capacity
   const int calls = static_cast<int>(std::lround(target / concurrency));
@@ -452,6 +479,7 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
                                              int calls_per_connection,
                                              Duration warmup,
                                              Duration measure) {
+  CheckClosedLoad(concurrency, calls_per_connection);
   Testbed tb(config_, config_.client_machines);
   RunWindow window;
   window.warmup_end = warmup;
@@ -482,9 +510,8 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
   });
 
   tb.sinks.StartMetrics();
-  sim::Spawn(tb.sched,
-             ClosedLoopArrivals(tb, {&window}, mix, concurrency,
-                                calls_per_connection, tb.rng.Fork()));
+  const ClosedLoopRun run(tb, {&window}, mix, calls_per_connection);
+  sim::Spawn(tb.sched, ClosedLoopArrivals(run, concurrency, tb.rng.Fork()));
   tb.sched.Run();
   tb.sinks.FinishMetrics();
 
@@ -534,6 +561,7 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
 WebExperiment::FailureReport WebExperiment::MeasureWithFailure(
     const WorkloadMix& mix, double concurrency, int calls_per_connection,
     int failed_servers, Duration warmup, Duration half_window) {
+  CheckClosedLoad(concurrency, calls_per_connection);
   Testbed tb(config_, config_.client_machines);
   RunWindow before;
   before.warmup_end = warmup;
@@ -552,9 +580,8 @@ WebExperiment::FailureReport WebExperiment::MeasureWithFailure(
   tb.sched.ScheduleAt(after.measure_end, [&tb] { tb.sinks.CloseWindow(); });
 
   tb.sinks.StartMetrics();
-  sim::Spawn(tb.sched,
-             ClosedLoopArrivals(tb, {&before, &after}, mix, concurrency,
-                                calls_per_connection, tb.rng.Fork()));
+  const ClosedLoopRun run(tb, {&before, &after}, mix, calls_per_connection);
+  sim::Spawn(tb.sched, ClosedLoopArrivals(run, concurrency, tb.rng.Fork()));
   tb.sched.Run();
   tb.sinks.FinishMetrics();
 
@@ -604,6 +631,8 @@ OpenLoopReport WebExperiment::MeasureOpenLoop(
     const WorkloadMix& mix, const load::OpenLoopConfig& load_config,
     Duration measure, double histogram_max_s,
     std::size_t histogram_buckets) {
+  Check(load_config.arrival.rate > 0, "web::WebExperiment",
+        "target rps must be > 0");
   // The paper uses 30 logging client machines for this test.
   Testbed tb(config_, 30);
   RunWindow window;
@@ -642,15 +671,15 @@ OpenLoopReport WebExperiment::MeasureOpenLoop(
   tb.sinks.ArmSloRules(recorder, gate, load_config.slo);
   tb.sinks.StartTelemetry();
   tb.sinks.StartMetrics();
+  const OpenLoopRun run{tb, window, mix, &report.delay_histogram, recorder,
+                        gate};
   sim::Spawn(tb.sched,
              load::DriveOpenLoop(
                  tb.sched, load_config.arrival, window.measure_end, gate,
                  recorder, tb.rng.Fork(), [&](SimTime intended, Rng rng) {
                    sim::Spawn(tb.sched,
-                              OpenLoopRequest(tb, window, mix, tb.NextWeb(),
-                                              tb.NextClient(),
-                                              &report.delay_histogram,
-                                              recorder, gate, intended,
+                              OpenLoopRequest(run, tb.NextWeb(),
+                                              tb.NextClient(), intended,
                                               std::move(rng)));
                  }));
   tb.sched.Run();

@@ -142,8 +142,12 @@ struct OpenLoopReport {
 
 class WebExperiment {
  public:
-  explicit WebExperiment(WebTestbedConfig config)
-      : config_(std::move(config)) {}
+  // Checks the tier sizes in every build type (a zero-sized web tier or
+  // client pool divides by zero in the balancer): web_servers >= 1,
+  // client_machines >= 1, cache_servers >= 0. The measure calls check
+  // their load the same way: concurrency / target rps > 0 and
+  // calls_per_connection >= 1.
+  explicit WebExperiment(WebTestbedConfig config);
 
   // Runs one httperf concurrency level on a fresh testbed.
   LevelReport MeasureClosedLoop(const WorkloadMix& mix, double concurrency,

@@ -70,35 +70,22 @@ sim::Task<void> WebServer::AcceptWork() {
   tcp_host_.LeaveBacklog();
 }
 
-sim::Task<CallResult> WebServer::ServeCall(int client_node_id,
-                                           const RequestSpec& spec,
-                                           const obs::TraceHandle& parent) {
+sim::Task<WebServer::ReplyOp> WebServer::Serve(
+    int client_node_id, const RequestSpec& spec,
+    const obs::TraceHandle& parent) {
   // Upstream request bytes.
   co_await fabric_->Transfer(client_node_id, node_->id(), 200, parent,
                              "req_xfer");
   const SimTime started = node_->scheduler().now();
 
   // The serve span brackets exactly the interval `result.total` measures
-  // (`started` to the co_return), so Table 7's total delay is
+  // (`started` to the ReplyOp's resume), so Table 7's total delay is
   // re-derivable from the trace alone; likewise the cache/db child spans
   // (FetchFromCache/FetchFromDb) bracket exactly the recorded fetch delays.
   obs::CausalSpan serve(parent, "serve", obs::Category::kRequest,
                         node_->id());
   obs::ScopedResidency serve_res(energy_, node_->id(), serve.handle(),
                                  "serve");
-  CallResult result = co_await Respond(spec, serve);
-  co_await fabric_->Transfer(node_->id(), client_node_id, result.reply_bytes,
-                             serve.handle(), "reply_xfer");
-  result.total = node_->scheduler().now() - started;
-  if (result.ok) {
-    ++calls_ok_;
-    total_delay_.Add(result.total);
-  }
-  co_return result;
-}
-
-sim::Task<CallResult> WebServer::Respond(const RequestSpec& spec,
-                                         obs::CausalSpan& serve) {
   CallResult result;
   // Overload check: lighttpd+FastCGI answers 500 when the backend queue is
   // hopeless rather than queueing forever.
@@ -110,33 +97,60 @@ sim::Task<CallResult> WebServer::Respond(const RequestSpec& spec,
     serve.Instant("http_500");
     co_await node_->cpu().Execute(Derated(0.05));
     result.reply_bytes = kErrorReplyBytes;
-    co_return result;
+  } else {
+    sim::SemaphoreGuard worker(php_workers_);
+    co_await worker.Acquired();
+
+    // PHP request parsing + script execution.
+    co_await node_->cpu().Execute(Derated(config_.request_base_minstr));
+
+    // Content fetch: cache tier on a hit, database tier on a miss.
+    if (spec.cache_hit && !caches_.empty()) {
+      result.cache_delay =
+          co_await FetchFromCache(spec.reply_bytes, serve.handle());
+      cache_delay_.Add(result.cache_delay);
+    } else if (!databases_.empty()) {
+      result.db_delay =
+          co_await FetchFromDb(spec.reply_bytes, serve.handle());
+      db_delay_.Add(result.db_delay);
+    }
+
+    // Reply assembly scales with the content size.
+    const double kb = static_cast<double>(spec.reply_bytes) / 1000.0;
+    co_await node_->cpu().Execute(
+        Derated(config_.assembly_minstr_per_kb * kb));
+    result.ok = true;
+    result.reply_bytes = spec.reply_bytes;
+    // The worker is free once the content is handed to the event loop,
+    // as this block ends: before the reply goes on the wire.
   }
+  co_return ReplyOp(this, client_node_id, started, result, std::move(serve),
+                    std::move(serve_res));
+}
 
-  sim::SemaphoreGuard worker(php_workers_);
-  co_await worker.Acquired();
+WebServer::ReplyOp::ReplyOp(WebServer* server, int client_node_id,
+                            SimTime started, const CallResult& result,
+                            obs::CausalSpan serve,
+                            obs::ScopedResidency serve_res)
+    : server_(server),
+      serve_(std::move(serve)),
+      serve_res_(std::move(serve_res)),
+      started_(started),
+      result_(result),
+      transfer_(server->fabric_->Transfer(server->node_->id(), client_node_id,
+                                          result.reply_bytes,
+                                          serve_.handle(), "reply_xfer")) {}
 
-  // PHP request parsing + script execution.
-  co_await node_->cpu().Execute(Derated(config_.request_base_minstr));
-
-  // Content fetch: cache tier on a hit, database tier on a miss.
-  if (spec.cache_hit && !caches_.empty()) {
-    result.cache_delay =
-        co_await FetchFromCache(spec.reply_bytes, serve.handle());
-    cache_delay_.Add(result.cache_delay);
-  } else if (!databases_.empty()) {
-    result.db_delay = co_await FetchFromDb(spec.reply_bytes, serve.handle());
-    db_delay_.Add(result.db_delay);
+CallResult WebServer::ReplyOp::await_resume() {
+  transfer_.await_resume();  // ends the reply_xfer span
+  result_.total = server_->node_->scheduler().now() - started_;
+  if (result_.ok) {
+    ++server_->calls_ok_;
+    server_->total_delay_.Add(result_.total);
   }
-
-  // Reply assembly scales with the content size.
-  const double kb = static_cast<double>(spec.reply_bytes) / 1000.0;
-  co_await node_->cpu().Execute(Derated(config_.assembly_minstr_per_kb * kb));
-  // The worker is free once the content is handed to the event loop:
-  // `worker` is released as this sub-task returns.
-  result.ok = true;
-  result.reply_bytes = spec.reply_bytes;
-  co_return result;
+  serve_res_ = obs::ScopedResidency();
+  serve_ = obs::CausalSpan();
+  return result_;
 }
 
 // The fetch spans live in these sub-task frames, only as long as the

@@ -16,24 +16,23 @@
 #ifndef WIMPY_WEB_WEB_SERVER_H_
 #define WIMPY_WEB_WEB_SERVER_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/stats.h"
 #include "hw/server_node.h"
+#include "net/fabric.h"
 #include "net/tcp.h"
 #include "obs/context.h"
+#include "obs/energy.h"
+#include "obs/tracer.h"
 #include "shard/ring.h"
 #include "sim/semaphore.h"
 #include "sim/task.h"
 #include "web/backend.h"
 #include "web/workload.h"
-
-namespace wimpy::obs {
-class CausalSpan;
-class EnergyAttributor;
-}  // namespace wimpy::obs
 
 namespace wimpy::web {
 
@@ -94,16 +93,55 @@ class WebServer {
   // successful handshake.
   sim::Task<void> AcceptWork();
 
-  // Serves one HTTP call for a client at `client_node_id`. With a
-  // non-null `parent` handle the call is traced causally: "req_xfer" /
-  // "reply_xfer" net spans, a "serve" span (arg = this node's id)
-  // covering exactly the Table 7 `total` delay, nested "cache"/"db"
-  // fetch spans covering exactly the recorded fetch delays, and an
-  // "http_500" instant on the overload path. When an energy attributor
-  // is installed (set_energy), the serve/cache/db spans are also
-  // resident on their node for joule attribution.
-  sim::Task<CallResult> ServeCall(int client_node_id, const RequestSpec& spec,
-                                  const obs::TraceHandle& parent = {});
+  class ReplyOp;
+
+  // Serves one HTTP call for a client at `client_node_id` in two steps,
+  // awaited one after the other:
+  //
+  //   WebServer::ReplyOp reply = co_await web.Serve(client, spec, parent);
+  //   const CallResult result = co_await reply;
+  //
+  // `Serve` receives the request, opens the "serve" span and its energy
+  // residency, and runs the overload check, PHP worker, content fetch and
+  // reply assembly. It returns the reply as an awaiter that lives in the
+  // caller's frame (below), so no frame of the server's is alive while the
+  // reply is on the wire. With a non-null `parent` handle the call is
+  // traced causally: "req_xfer" / "reply_xfer" net spans, a "serve" span
+  // (arg = this node's id) covering exactly the Table 7 `total` delay,
+  // nested "cache"/"db" fetch spans covering exactly the recorded fetch
+  // delays, and an "http_500" instant on the overload path. When an
+  // energy attributor is installed (set_energy), the serve/cache/db spans
+  // are also resident on their node for joule attribution.
+  sim::Task<ReplyOp> Serve(int client_node_id, const RequestSpec& spec,
+                           const obs::TraceHandle& parent = {});
+
+  // The reply step of a call: a net::Fabric::TransferOp carrying the
+  // reply, plus the serve span, residency, start time and result it
+  // closes. Awaiting it runs the "reply_xfer" transfer; on resume it sets
+  // `total`, counts the call, leaves the serve residency and ends the
+  // serve span, in that order, and yields the CallResult. Await it once;
+  // it may be moved only before that.
+  class [[nodiscard]] ReplyOp {
+   public:
+    bool await_ready() const noexcept { return transfer_.await_ready(); }
+    bool await_suspend(std::coroutine_handle<> caller) {
+      return transfer_.await_suspend(caller);
+    }
+    CallResult await_resume();
+
+   private:
+    friend class WebServer;
+    ReplyOp(WebServer* server, int client_node_id, SimTime started,
+            const CallResult& result, obs::CausalSpan serve,
+            obs::ScopedResidency serve_res);
+
+    WebServer* server_;
+    obs::CausalSpan serve_;
+    obs::ScopedResidency serve_res_;
+    SimTime started_;
+    CallResult result_;
+    net::Fabric::TransferOp transfer_;  // traced under serve_, if sampled
+  };
 
   // Attaches span-energy attribution (may be null; must already observe
   // the relevant nodes — see hw::ServerNode::ObserveEnergy).
@@ -122,15 +160,7 @@ class WebServer {
     return minstr / config_.service_efficiency;
   }
 
-  // ServeCall's work between the request and the reply transfer: the
-  // overload check, a PHP worker, the content fetch and reply assembly.
-  // A sub-task, so the worker guard and fetch state are gone from
-  // ServeCall's frame while the reply is on the wire. Returns ok and the
-  // fetch delays and reply size; ServeCall sets `total`.
-  sim::Task<CallResult> Respond(const RequestSpec& spec,
-                                obs::CausalSpan& serve);
-
-  // ServeCall's content fetch on a cache hit / miss: picks the server,
+  // Serve's content fetch on a cache hit / miss: picks the server,
   // traces the "cache"/"db" span under `serve`, returns the fetch delay.
   sim::Task<Duration> FetchFromCache(Bytes reply_bytes,
                                      const obs::TraceHandle& serve);

@@ -25,8 +25,8 @@ sim::Process BusyLoop(ServerNode& node, double seconds) {
   auto one = [](ServerNode& n, double w) -> sim::Process {
     co_await n.Compute(w);
   };
-  auto a = sim::Spawn(node.scheduler(), one(node, minstr / 2));
-  auto b = sim::Spawn(node.scheduler(), one(node, minstr / 2));
+  auto a = sim::SpawnJoinable(node.scheduler(), one(node, minstr / 2));
+  auto b = sim::SpawnJoinable(node.scheduler(), one(node, minstr / 2));
   co_await a.Join();
   co_await b.Join();
 }

@@ -1,6 +1,6 @@
 // Causal-tracing contract tests (docs/observability.md): trace/span id
-// allocation, CausalSpan propagation and the null no-op path, name
-// interning, open-track bookkeeping, span-tree reconstruction, the
+// allocation, CausalSpan propagation and the null no-op path, the web
+// call's span order, name interning, open-track bookkeeping, span-tree reconstruction, the
 // critical-path walk's tie-breaks, Perfetto flow-event rendering, and
 // the --trace-summary CSV.
 #include <gtest/gtest.h>
@@ -18,8 +18,12 @@
 #include "obs/energy.h"
 #include "obs/export.h"
 #include "obs/tracer.h"
+#include "shard/ring.h"
 #include "sim/process.h"
 #include "sim/scheduler.h"
+#include "web/backend.h"
+#include "web/service.h"
+#include "web/web_server.h"
 
 namespace wimpy::obs {
 namespace {
@@ -278,6 +282,97 @@ TEST(CausalSpanTest, EmptyTracedTransferStillRecordsItsSpan) {
   EXPECT_EQ(tracer.events()[0].phase, 'B');
   EXPECT_EQ(tracer.events()[1].phase, 'E');
   EXPECT_EQ(tracer.events()[0].span_id, tracer.events()[1].span_id);
+}
+
+// One sampled web call on a four-node rig (web, cache, db, client), with
+// the web node's energy attributed. `window` brackets an energy window
+// [begin, end] when end > begin.
+struct WebCallRun {
+  std::vector<TraceEvent> events;
+  web::CallResult result;
+  EnergyLedger ledger;
+};
+
+WebCallRun RunWebCall(SimTime window_begin = 0, SimTime window_end = 0) {
+  sim::Scheduler sched;
+  net::Fabric fabric(&sched);
+  hw::ServerNode web_node(&sched, hw::EdisonProfile(), 0);
+  hw::ServerNode cache_node(&sched, hw::EdisonProfile(), 1);
+  hw::ServerNode db_node(&sched, hw::DellR620Profile(), 2);
+  hw::ServerNode client_node(&sched, hw::DellR620Profile(), 3);
+  fabric.AddNode(&web_node, "edison-room");
+  fabric.AddNode(&cache_node, "edison-room");
+  fabric.AddNode(&db_node, "dell-room");
+  fabric.AddNode(&client_node, "client-room");
+  fabric.SetGroupLink("client-room", "edison-room", Gbps(1),
+                      Milliseconds(0.05));
+  web::CacheServer cache(&cache_node, &fabric, web::BackendCosts{});
+  web::DatabaseServer db(&db_node, &fabric, web::BackendCosts{}, 7);
+  const shard::Ring ring(shard::RingConfig{}, {0});
+  web::WebServer server(&web_node, &fabric, {&cache}, ring, {&db},
+                        web::EdisonWebConfig(), 11);
+  EnergyAttributor energy;
+  web_node.ObserveEnergy(&energy);
+  server.set_energy(&energy);
+  if (window_end > window_begin) {
+    sched.ScheduleAt(window_begin, [&] { energy.BeginWindow(); });
+    sched.ScheduleAt(window_end, [&] { energy.EndWindow(); });
+  }
+  Tracer tracer;
+  TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &sched;
+  root.ctx.trace_id = tracer.NewTraceId();
+
+  WebCallRun run;
+  auto call = [&]() -> sim::Process {
+    web::WebServer::ReplyOp reply =
+        co_await server.Serve(3, web::RequestSpec{false, KB(8), true}, root);
+    run.result = co_await reply;
+  };
+  sim::Spawn(sched, call());
+  sched.Run();
+  run.ledger = energy.TakeLedger();
+  run.events = tracer.events();
+  return run;
+}
+
+TEST(CausalSpanTest, WebCallSpansNestAndCloseInOrder) {
+  const WebCallRun run = RunWebCall();
+  ASSERT_TRUE(run.result.ok);
+  std::vector<std::string> order;
+  for (const TraceEvent& e : run.events) {
+    order.push_back(std::string(1, e.phase) + " " + e.name);
+  }
+  // The request arrives, serve opens, the cache fetch nests in it, and
+  // the reply transfer nests in serve and ends before serve does.
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"B req_xfer", "E req_xfer", "B serve",
+                                      "B cache", "E cache", "B reply_xfer",
+                                      "E reply_xfer", "E serve"}));
+  const TraceEvent& serve_begin = run.events[2];
+  const TraceEvent& reply_begin = run.events[5];
+  const TraceEvent& reply_end = run.events[6];
+  const TraceEvent& serve_end = run.events[7];
+  EXPECT_EQ(serve_begin.parent_id, 0u);
+  EXPECT_EQ(reply_begin.parent_id, serve_begin.span_id);
+  EXPECT_EQ(reply_begin.category, Category::kNet);
+  EXPECT_EQ(reply_begin.arg, KB(8));
+  EXPECT_EQ(serve_end.span_id, serve_begin.span_id);
+  // The reply ends, the call is counted and serve ends at one instant.
+  EXPECT_EQ(serve_end.time, reply_end.time);
+  EXPECT_EQ(serve_end.time - serve_begin.time, run.result.total);
+
+  // The serve residency covers exactly the serve span: over a window
+  // that is that span, all of the web node's energy is serve's.
+  const WebCallRun windowed = RunWebCall(serve_begin.time, serve_end.time);
+  ASSERT_EQ(windowed.events.size(), run.events.size());
+  ASSERT_EQ(windowed.ledger.rows.size(), 1u);
+  const SpanEnergyRow& serve = windowed.ledger.rows[0];
+  EXPECT_EQ(std::string_view(serve.name), "serve");
+  EXPECT_EQ(serve.span_id, serve_begin.span_id);
+  EXPECT_GT(serve.joules, 0.0);
+  EXPECT_DOUBLE_EQ(serve.joules, windowed.ledger.window_joules);
 }
 
 TEST(TracerTest, BalancedTracksAreErasedFromOpenSet) {

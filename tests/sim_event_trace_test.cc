@@ -464,13 +464,13 @@ TEST(EventTraceTest, GoldenMixedWorkloadTrace) {
   std::vector<ProcessRef> refs;
   for (int c = 0; c < 6; ++c) {
     refs.push_back(
-        Spawn(sched, WebClient(sched, cpu, nic, threads, trace, c)));
+        SpawnJoinable(sched, WebClient(sched, cpu, nic, threads, trace, c)));
   }
   for (int w = 0; w < 3; ++w) {
     refs.push_back(
-        Spawn(sched, MrWorker(sched, tasks, cpu, disk, trace, w)));
+        SpawnJoinable(sched, MrWorker(sched, tasks, cpu, disk, trace, w)));
   }
-  refs.push_back(Spawn(sched, MrDriver(sched, tasks, 40, 3)));
+  refs.push_back(SpawnJoinable(sched, MrDriver(sched, tasks, 40, 3)));
 
   CancelChurn churn{&sched, &trace, 20};
   sched.ScheduleAt(0.05, [&churn] { churn.Tick(); });

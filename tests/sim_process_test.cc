@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -42,7 +43,7 @@ TEST(ProcessTest, JoinWaitsForCompletion) {
   Scheduler sched;
   double woke_at = -1;
   double joined_at = -1;
-  auto ref = Spawn(sched, Sleeper(sched, 4.0, &woke_at));
+  auto ref = SpawnJoinable(sched, Sleeper(sched, 4.0, &woke_at));
   auto joiner = [](Scheduler& s, ProcessRef target,
                    double* t) -> Process {
     co_await target.Join();
@@ -57,7 +58,7 @@ TEST(ProcessTest, JoinWaitsForCompletion) {
 TEST(ProcessTest, JoinAfterCompletionResumesImmediately) {
   Scheduler sched;
   double woke_at = -1;
-  auto ref = Spawn(sched, Sleeper(sched, 1.0, &woke_at));
+  auto ref = SpawnJoinable(sched, Sleeper(sched, 1.0, &woke_at));
   sched.Run();
   ASSERT_TRUE(ref.done());
   double joined_at = -1;
@@ -74,7 +75,7 @@ TEST(ProcessTest, JoinAfterCompletionResumesImmediately) {
 TEST(ProcessTest, MultipleJoinersAllWake) {
   Scheduler sched;
   double woke_at = -1;
-  auto ref = Spawn(sched, Sleeper(sched, 2.0, &woke_at));
+  auto ref = SpawnJoinable(sched, Sleeper(sched, 2.0, &woke_at));
   int joined = 0;
   auto joiner = [](ProcessRef target, int* n) -> Process {
     co_await target.Join();
@@ -83,6 +84,84 @@ TEST(ProcessTest, MultipleJoinersAllWake) {
   for (int i = 0; i < 5; ++i) Spawn(sched, joiner(ref, &joined));
   sched.Run();
   EXPECT_EQ(joined, 5);
+}
+
+TEST(ProcessTest, TwoJoinersWakeInJoinOrder) {
+  Scheduler sched;
+  double woke_at = -1;
+  auto ref = SpawnJoinable(sched, Sleeper(sched, 3.0, &woke_at));
+  std::vector<int> order;
+  auto joiner = [](ProcessRef target, int id,
+                   std::vector<int>* out) -> Process {
+    co_await target.Join();
+    out->push_back(id);
+  };
+  Spawn(sched, joiner(ref, 1, &order));
+  Spawn(sched, joiner(ref, 2, &order));
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sched.now(), 3.0);
+}
+
+// Counts live frames of the coroutine below: its by-value parameter is
+// copied into the frame and destroyed only when the frame is.
+struct FrameAlive {
+  explicit FrameAlive(int* live) : live(live) { ++*live; }
+  FrameAlive(const FrameAlive& other) : live(other.live) { ++*live; }
+  ~FrameAlive() { --*live; }
+  int* live;
+};
+
+Process Tracked(Scheduler& sched, FrameAlive /*alive*/, double* done_at) {
+  co_await Delay(sched, 1.5);
+  *done_at = sched.now();
+}
+
+TEST(ProcessTest, FireAndForgetRunsToCompletionAndFreesItsFrame) {
+  Scheduler sched;
+  int live = 0;
+  double done_at = -1;
+  Spawn(sched, Tracked(sched, FrameAlive(&live), &done_at));
+  sched.Run(1.0);
+  EXPECT_EQ(live, 1);  // suspended in the Delay
+  sched.Run();
+  EXPECT_EQ(done_at, 1.5);
+  EXPECT_EQ(live, 0);  // the frame destroyed itself at final suspend
+}
+
+TEST(ProcessTest, JoinableFrameIsFreedBeforeItsRef) {
+  Scheduler sched;
+  int live = 0;
+  double done_at = -1;
+  ProcessRef ref =
+      SpawnJoinable(sched, Tracked(sched, FrameAlive(&live), &done_at));
+  EXPECT_FALSE(ref.done());
+  sched.Run();
+  EXPECT_TRUE(ref.done());
+  EXPECT_EQ(live, 0);  // the ref keeps the join state, not the frame
+}
+
+TEST(ProcessDeathTest, SpawningAnEmptyProcessAborts) {
+  // Checked in every build type: a null handle queued on the scheduler
+  // would crash later, without a message.
+  EXPECT_DEATH(
+      {
+        Scheduler sched;
+        double woke_at = -1;
+        Process p = Sleeper(sched, 1.0, &woke_at);
+        Spawn(sched, std::move(p));
+        Spawn(sched, std::move(p));
+      },
+      "sim::Spawn: process already spawned or moved");
+  EXPECT_DEATH(
+      {
+        Scheduler sched;
+        double woke_at = -1;
+        Process p = Sleeper(sched, 1.0, &woke_at);
+        Process taken = std::move(p);
+        SpawnJoinable(sched, std::move(p));
+      },
+      "sim::SpawnJoinable: process already spawned or moved");
 }
 
 TEST(ProcessTest, UnspawnedProcessDestroysCleanly) {

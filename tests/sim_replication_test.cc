@@ -64,7 +64,7 @@ MiniResult RunMiniSim(const MiniConfig& config, Rng& root) {
     hash = (hash ^ bits) * 1099511628211ull;
     std::memcpy(&bits, &demand, sizeof(bits));
     hash = (hash ^ bits) * 1099511628211ull;
-    refs.push_back(Spawn(sched, ServeOne(sched, server, at, demand)));
+    refs.push_back(SpawnJoinable(sched, ServeOne(sched, server, at, demand)));
   }
   sched.Run();
   MiniResult r;

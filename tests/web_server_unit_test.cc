@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "hw/profiles.h"
+#include "obs/tracer.h"
 #include "shard/ring.h"
 #include "sim/process.h"
 #include "web/backend.h"
@@ -65,7 +68,8 @@ class WebServerUnitTest : public ::testing::Test {
 };
 
 sim::Process CallOnce(WebServer& web, RequestSpec spec, CallResult* out) {
-  *out = co_await web.ServeCall(3, spec);
+  WebServer::ReplyOp reply = co_await web.Serve(3, spec);
+  *out = co_await reply;
 }
 
 TEST_F(WebServerUnitTest, CacheHitAvoidsDatabase) {
@@ -142,6 +146,42 @@ TEST_F(WebServerUnitTest, StatsResetClearsWindows) {
   EXPECT_EQ(web->calls_ok(), 0);
   EXPECT_EQ(web->total_delay_stats().count(), 0u);
   EXPECT_EQ(web->cache_delay_stats().count(), 0u);
+}
+
+sim::Process TracedCallOnce(WebServer& web, RequestSpec spec,
+                            obs::TraceHandle parent, CallResult* out) {
+  WebServer::ReplyOp reply = co_await web.Serve(3, spec, parent);
+  *out = co_await reply;
+}
+
+TEST_F(WebServerUnitTest, TotalIsTheServeSpansDuration) {
+  auto web = MakeServer(EdisonWebConfig());
+  obs::Tracer tracer;
+  obs::TraceHandle root;
+  root.tracer = &tracer;
+  root.sched = &sched_;
+  root.ctx.trace_id = tracer.NewTraceId();
+  CallResult hit, miss;
+  sim::Spawn(sched_, TracedCallOnce(*web, CacheHit(KB(1.5)), root, &hit));
+  sim::Spawn(sched_, TracedCallOnce(*web, CacheMiss(KB(44)), root, &miss));
+  sched_.Run();
+  ASSERT_TRUE(hit.ok);
+  ASSERT_TRUE(miss.ok);
+  std::vector<Duration> serve_spans;
+  std::vector<SimTime> begins;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (std::string_view(e.name) != "serve") continue;
+    if (e.phase == 'B') {
+      begins.push_back(e.time);
+    } else {
+      ASSERT_EQ(e.phase, 'E');
+      serve_spans.push_back(e.time - begins.at(serve_spans.size()));
+    }
+  }
+  // The hit's smaller reply finishes first; both totals are exact.
+  EXPECT_EQ(serve_spans, (std::vector<Duration>{hit.total, miss.total}));
+  EXPECT_EQ(web->calls_ok(), 2);
+  EXPECT_EQ(web->total_delay_stats().count(), 2u);
 }
 
 sim::Process AcceptOnce(WebServer& web, sim::Scheduler& sched,

@@ -108,5 +108,32 @@ TEST(WebExperimentTest, EdisonFasterResponseAtLowLoadThanUnderStress) {
   EXPECT_GT(stressed.mean_response, light.mean_response);
 }
 
+// The config checks run in every build type: a zero-sized web tier or
+// client pool would divide by zero in the balancer (SIGFPE in Release).
+TEST(WebExperimentDeathTest, ZeroSizedTiersAbortAtConstruction) {
+  WebTestbedConfig no_webs = EdisonWebTestbed(0, 2);
+  EXPECT_DEATH(WebExperiment{no_webs},
+               "web::WebExperiment: web_servers must be >= 1");
+  WebTestbedConfig no_clients = EdisonWebTestbed(4, 2);
+  no_clients.client_machines = 0;
+  EXPECT_DEATH(WebExperiment{no_clients},
+               "web::WebExperiment: client_machines must be >= 1");
+  WebTestbedConfig negative_caches = EdisonWebTestbed(4, -1);
+  EXPECT_DEATH(WebExperiment{negative_caches},
+               "web::WebExperiment: cache_servers must be >= 0");
+}
+
+TEST(WebExperimentDeathTest, EmptyLoadAbortsAtMeasureTime) {
+  WebExperiment exp(EdisonWebTestbed(1, 0));
+  EXPECT_DEATH(exp.MeasureClosedLoop(LightMix(), 0, 4),
+               "web::WebExperiment: concurrency must be > 0");
+  EXPECT_DEATH(exp.MeasureClosedLoop(LightMix(), 32, 0),
+               "web::WebExperiment: calls_per_connection must be >= 1");
+  EXPECT_DEATH(exp.MeasureWithFailure(LightMix(), -1, 4, 0),
+               "web::WebExperiment: concurrency must be > 0");
+  EXPECT_DEATH(exp.MeasureOpenLoop(LightMix(), 0),
+               "web::WebExperiment: target rps must be > 0");
+}
+
 }  // namespace
 }  // namespace wimpy::web

@@ -47,7 +47,7 @@ ASAN_SMOKE=(sim_scheduler_test sim_process_test sim_semaphore_test
             net_tcp_test net_topology_test web_service_test kv_store_test
             kv_failover_test load_openloop_test obs_energy_test
             obs_causal_test obs_telemetry_test shard_experiment_test
-            shard_router_test)
+            shard_router_test web_server_unit_test)
 ASAN_TESTS="${ASAN_TESTS:-^($(IFS='|'; echo "${ASAN_SMOKE[*]}"))\$}"
 DEBUG_BUILD_DIR="${DEBUG_BUILD_DIR:-build-debug}"
 
@@ -84,8 +84,10 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   # (causal tests, traced shard experiment), the arrival driver and
   # run-observation helper, which hold the gate, recorder and nodes by
   # reference across suspensions (open-loop, telemetry, topology tests),
-  # and the router's serving table, which the kv and shard runs read
-  # through chain views held across suspensions (router tests).
+  # the router's serving table, which the kv and shard runs read
+  # through chain views held across suspensions (router tests), and the
+  # web reply awaiter, whose fabric join points into the awaiting
+  # connection's frame (web server unit tests).
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target "${ASAN_SMOKE[@]}"
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"
