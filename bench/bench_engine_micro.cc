@@ -78,12 +78,11 @@ void BM_SchedulerEventThroughputTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEventThroughputTraced)->Arg(100000);
 
-// Wheel-vs-heap tier comparison on the shape the wheel was built for:
-// many *distinct* timestamps (no same-time chain batching), all inside /
-// all beyond the wheel horizon. The two benches run the identical
-// schedule+drain loop; only the delay scale differs, so the items/sec
-// gap is the pending-set data structure and nothing else.
-void RunDistinctTimes(benchmark::State& state, double delay_scale) {
+// Many *distinct* timestamps (no same-time chain batching): every event
+// starts its own chain, so the items/sec figure is the pending heap's
+// push/pop cost at 50k distinct pending times — far past the few hundred
+// chains the serving workloads ever hold.
+void BM_SchedulerDistinctTimes(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler sched;
     const int n = static_cast<int>(state.range(0));
@@ -91,45 +90,21 @@ void RunDistinctTimes(benchmark::State& state, double delay_scale) {
     for (int i = 0; i < n; ++i) {
       // 7919 is prime vs the modulus: i*7919 % 50000 visits distinct
       // residues, so timestamps collide only after 50k events.
-      const double delay = delay_scale * (1 + (i * 7919) % 50000);
+      const double delay = 1e-6 * (1 + (i * 7919) % 50000);
       sched.ScheduleAfter(delay, [&fired] { ++fired; });
     }
     sched.Run();
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  sim::Scheduler sched;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    sched.ScheduleAfter(delay_scale * (1 + (i * 7919) % 50000), [] {});
-  }
-  sched.Run();
-  state.counters["wheel_inserts"] =
-      static_cast<double>(sched.wheel_inserts());
-  state.counters["wheel_promotions"] =
-      static_cast<double>(sched.wheel_promotions());
-  state.counters["overflow_spills"] =
-      static_cast<double>(sched.wheel_overflow_spills());
 }
-
-// 1 µs tick scale: every delay lands in the wheel (max 50 ms < 65.5 ms
-// horizon).
-void BM_SchedulerDistinctTimesWheel(benchmark::State& state) {
-  RunDistinctTimes(state, 1e-6);
-}
-BENCHMARK(BM_SchedulerDistinctTimesWheel)->Arg(100000);
-
-// 10 ms scale: every delay overshoots the horizon and spills to the
-// overflow heap — the seed engine's data structure on the same script.
-void BM_SchedulerDistinctTimesHeap(benchmark::State& state) {
-  RunDistinctTimes(state, 1e-2);
-}
-BENCHMARK(BM_SchedulerDistinctTimesHeap)->Arg(100000);
+BENCHMARK(BM_SchedulerDistinctTimes)->Arg(100000);
 
 // fig4_7-shaped short-delay serving loop: open-loop arrivals every
 // ~100 µs; each request burns a µs-scale CPU slice, then a network hop,
 // with a 50 ms deadline timer armed at admission and cancelled at
-// completion. Exercises the wheel's bread and butter — dense short
-// delays plus timer churn — end to end through the public API.
+// completion. Dense short delays plus timer churn, end to end through
+// the public API.
 void BM_SchedulerShortDelayServing(benchmark::State& state) {
   struct Request {
     sim::Scheduler* sched;
@@ -169,23 +144,6 @@ void BM_SchedulerShortDelayServing(benchmark::State& state) {
   // 4 events per request: arrival, service done, hop done, plus the
   // cancelled deadline's schedule+cancel pair counted as one.
   state.SetItemsProcessed(state.iterations() * n * 4);
-  sim::Scheduler sched;
-  std::vector<Request> requests(static_cast<std::size_t>(n));
-  int completed = 0;
-  for (int i = 0; i < n; ++i) {
-    requests[static_cast<std::size_t>(i)] = {
-        &sched, 0, &completed, static_cast<std::uint32_t>(i * 2654435761u)};
-    sched.ScheduleAt(1e-4 * i, [&requests, i] {
-      requests[static_cast<std::size_t>(i)].Admit();
-    });
-  }
-  sched.Run();
-  state.counters["wheel_inserts"] =
-      static_cast<double>(sched.wheel_inserts());
-  state.counters["wheel_promotions"] =
-      static_cast<double>(sched.wheel_promotions());
-  state.counters["overflow_spills"] =
-      static_cast<double>(sched.wheel_overflow_spills());
 }
 BENCHMARK(BM_SchedulerShortDelayServing)->Arg(20000);
 
@@ -401,16 +359,6 @@ BENCHMARK(BM_TeraSort)->Arg(10000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Wheel geometry and arena sizing ride along in the JSON context so a
-  // recorded BENCH_engine.json pins the configuration it measured.
-  constexpr auto geom = wimpy::sim::Scheduler::wheel_geometry();
-  benchmark::AddCustomContext("wheel_levels", std::to_string(geom.levels));
-  benchmark::AddCustomContext("wheel_buckets_per_level",
-                              std::to_string(geom.buckets_per_level));
-  benchmark::AddCustomContext("wheel_tick_seconds",
-                              std::to_string(geom.tick_seconds));
-  benchmark::AddCustomContext("wheel_horizon_ticks",
-                              std::to_string(geom.horizon_ticks));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

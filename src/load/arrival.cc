@@ -1,16 +1,20 @@
 #include "load/arrival.h"
 
-#include <cassert>
+#include "common/check.h"
 
 namespace wimpy::load {
 
 ArrivalProcess::ArrivalProcess(const ArrivalConfig& config)
     : config_(config) {
-  assert(config_.rate > 0.0);
+  // A non-positive rate draws negative gaps, which DriveOpenLoop clamps
+  // to zero and then admits requests forever at one instant.
+  const char* where = "load::ArrivalProcess";
+  Check(config_.rate > 0.0, where, "rate must be > 0");
   if (config_.model == ArrivalModel::kMmpp) {
-    assert(config_.burstiness >= 1.0);
-    assert(config_.burst_fraction > 0.0 && config_.burst_fraction < 1.0);
-    assert(config_.cycle > 0.0);
+    Check(config_.burstiness >= 1.0, where, "burstiness must be >= 1");
+    Check(config_.burst_fraction > 0.0 && config_.burst_fraction < 1.0, where,
+          "burst_fraction must be in (0, 1)");
+    Check(config_.cycle > 0.0, where, "cycle must be > 0");
     // Long-run average rate is (1-f)*calm + f*burst with burst = b*calm;
     // solve for calm so the average equals the configured rate.
     const double f = config_.burst_fraction;

@@ -1,6 +1,7 @@
 #include "shard/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -315,6 +316,16 @@ ShardReport ShardExperiment::MeasureWithFailover(double target_qps,
 
 ShardReport ShardExperiment::Run(double target_qps, int failed_nodes,
                                  Duration measure) {
+  // Checked before the testbed is built. A load that is not positive
+  // draws gaps that DriveOpenLoop clamps to zero, admitting requests
+  // forever at one instant; an infinite load or window never ends. A
+  // zero window stays legal (setup-only probes use it).
+  const char* where = "shard::ShardExperiment";
+  Check(target_qps > 0 && std::isfinite(target_qps), where,
+        "target qps must be > 0 and finite");
+  Check(measure >= 0 && std::isfinite(measure), where,
+        "measure must be >= 0 and finite");
+  Check(failed_nodes >= 0, where, "failed_nodes must be >= 0");
   ShardTestbed tb(config_);
   ShardWindow window;
   window.start = Seconds(2);

@@ -1,6 +1,5 @@
 #include "sim/scheduler.h"
 
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -47,9 +46,7 @@ EventId Scheduler::LinkSlot(std::uint32_t slot, std::uint64_t seq,
   // to does not matter: every chain is internally seq-sorted, and the
   // heap merges chain heads by (time, seq), so the global order stays
   // exact either way. A self-append is impossible: `seq` was freshly
-  // assigned and has never been written to the cache. Appending also
-  // never cares which tier the chain's head entered through — the tail
-  // link lives in slot metadata either way.
+  // assigned and has never been written to the cache.
   if (c.time == t && c.tail_key != kNullKey) {
     SlotMeta& tail = meta_[c.tail_key & kSlotMask];
     if (tail.seq == c.tail_key >> kSlotBits && tail.next_key == kNullKey) {
@@ -59,170 +56,22 @@ EventId Scheduler::LinkSlot(std::uint32_t slot, std::uint64_t seq,
     }
   }
   // Miss: start a new chain for this timestamp.
-  StartChain(t, key);
+  HeapPush(t, key);
   c.time = t;
   c.tail_key = key;
   return key;
-}
-
-void Scheduler::StartChain(SimTime t, std::uint64_t key) {
-  static_assert(kWheelBits == 8, "level arithmetic assumes 8-bit wheels");
-  const std::uint64_t tick = TickOf(t);
-  if (tick > cursor_tick_) {
-    if (tick != kMaxTick) {
-      const std::uint64_t delta = tick - cursor_tick_;
-      const unsigned level =
-          static_cast<unsigned>(std::bit_width(delta) - 1) >> 3;
-      if (level < kWheelLevels) {
-        WheelInsert(level, tick, t, key);
-        return;
-      }
-    }
-    // Beyond the wheel horizon (or non-finite): the heap is the overflow
-    // tier. Same-tick-as-now chains below also land here, but those are
-    // due traffic, not spills.
-    ++wheel_overflow_;
-  }
-  HeapPush(t, key);
 }
 
 void Scheduler::HeapPush(SimTime t, std::uint64_t key) {
   // First growth jumps straight to a useful capacity so warmed-up runs
   // never reallocate on the schedule path (sim_scheduler_stress_test pins
   // this with an operator-new override).
-  if (heap_.size() == heap_.capacity() && heap_.capacity() < 64) {
-    heap_.reserve(64);
+  if (heap_.size() == heap_.capacity() && heap_.capacity() < kHeapReserve) {
+    heap_.reserve(kHeapReserve);
   }
   heap_.push_back(HeapEntry{t, key});
   HeapSiftUp(heap_.size() - 1);
   ++heap_gen_;
-}
-
-void Scheduler::WheelInsert(unsigned level, std::uint64_t tick, SimTime t,
-                            std::uint64_t key) {
-  if (bucket_head_.empty()) {
-    bucket_head_.assign(kWheelLevels * kWheelBuckets, kNilNode);
-    // One bucket's worth of nodes up front: enough that warmed-up
-    // workloads recycle through the freelist instead of growing the pool.
-    nodes_.reserve(kWheelBuckets);
-  }
-  const std::uint32_t bucket = static_cast<std::uint32_t>(
-      (tick >> (level * kWheelBits)) & (kWheelBuckets - 1));
-  const std::uint32_t idx = level * kWheelBuckets + bucket;
-  std::uint32_t node;
-  if (free_node_ != kNilNode) {
-    node = free_node_;
-    free_node_ = nodes_[node].next;
-  } else {
-    node = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  nodes_[node] = WheelNode{t, key, bucket_head_[idx]};
-  bucket_head_[idx] = node;
-  occupancy_[level][bucket >> 6] |= 1ull << (bucket & 63);
-  ++wheel_chains_;
-  ++level_chains_[level];
-  ++wheel_inserts_;
-  // Cache the bucket's window start, not the chain's exact tick: the
-  // PrepareNext fast path and WheelMinLowerBound reason in window starts,
-  // and a bound above the window start would let the clock enter this
-  // unpromoted bucket's window (after which it reads as next rotation and
-  // its chain fires in the past).
-  const unsigned shift = level * kWheelBits;
-  const std::uint64_t window_start = (tick >> shift) << shift;
-  if (window_start < wheel_next_lb_tick_) wheel_next_lb_tick_ = window_start;
-}
-
-std::uint64_t Scheduler::WheelMinLowerBound(unsigned* level,
-                                            std::uint32_t* bucket) const {
-  // Per level: unwrap bucket indices against the cursor. The promotion
-  // rule keeps every occupied bucket's tick window strictly ahead of the
-  // cursor, so a bucket index above the cursor's belongs to the current
-  // rotation of its level and one at or below it to the next — the
-  // resulting window start is an exact lower bound (exact tick at
-  // level 0, where a bucket is one tick wide).
-  auto first_occupied = [this](unsigned l, std::uint32_t from) -> int {
-    if (from >= kWheelBuckets) return -1;
-    std::uint32_t w = from >> 6;
-    std::uint64_t word = occupancy_[l][w] & (~0ull << (from & 63));
-    for (;;) {
-      if (word != 0) {
-        return static_cast<int>((w << 6) + std::countr_zero(word));
-      }
-      if (++w >= kWheelBuckets / 64) return -1;
-      word = occupancy_[l][w];
-    }
-  };
-  std::uint64_t best = kMaxTick;
-  for (unsigned l = 0; l < kWheelLevels; ++l) {
-    if (level_chains_[l] == 0) continue;  // skip scanning empty levels
-    const unsigned shift = l * kWheelBits;
-    const std::uint64_t base = cursor_tick_ >> (shift + kWheelBits);
-    const std::uint32_t c = static_cast<std::uint32_t>(
-        (cursor_tick_ >> shift) & (kWheelBuckets - 1));
-    int b = first_occupied(l, c + 1);
-    std::uint64_t prefix;
-    if (b >= 0) {
-      prefix = (base << kWheelBits) | static_cast<std::uint32_t>(b);
-    } else {
-      b = first_occupied(l, 0);
-      if (b < 0) continue;  // level empty
-      prefix = ((base + 1) << kWheelBits) | static_cast<std::uint32_t>(b);
-    }
-    const std::uint64_t lb = prefix << shift;
-    if (lb < best) {
-      best = lb;
-      *level = l;
-      *bucket = static_cast<std::uint32_t>(b);
-    }
-  }
-  return best;
-}
-
-void Scheduler::PromoteBucket(unsigned level, std::uint32_t bucket) {
-  const std::uint32_t idx = level * kWheelBuckets + bucket;
-  std::uint32_t node = bucket_head_[idx];
-  bucket_head_[idx] = kNilNode;
-  occupancy_[level][bucket >> 6] &= ~(1ull << (bucket & 63));
-  while (node != kNilNode) {
-    const std::uint32_t next = nodes_[node].next;
-    const SimTime t = nodes_[node].time;
-    std::uint64_t key = nodes_[node].key;
-    nodes_[node].next = free_node_;
-    free_node_ = node;
-    node = next;
-    --wheel_chains_;
-    --level_chains_[level];
-    // Resolve the chain head before it ever touches the heap: cancelled
-    // links are freed inline and a fully dead or stale chain (the
-    // Cancel-heavy and RescheduleAfter-tail patterns leave those behind
-    // in wheel buckets) costs no heap push/pop/sift at all. Execution
-    // order is untouched — only events that were never going to run are
-    // skipped, exactly as ResolveTop would have dropped them later.
-    for (;;) {
-      const std::uint32_t slot = static_cast<std::uint32_t>(key & kSlotMask);
-      SlotMeta& m = meta_[slot];
-      if (m.seq != key >> kSlotBits) {
-        key = kNullKey;  // stale link: chain ends, slot lives elsewhere
-        break;
-      }
-      if (FnAt(slot)) break;  // live head
-      const std::uint64_t nk = m.next_key;
-      FreeSlot(slot);
-      if (nk == kNullKey) {
-        key = kNullKey;
-        break;
-      }
-      key = nk;
-    }
-    if (key != kNullKey) HeapPush(t, key);
-  }
-  ++wheel_promotions_;
-  // The cached lower bound is left as-is: the promoted bucket attained
-  // the minimum, so the cache stays conservative (never above the true
-  // bound) and PrepareNext recomputes exactly only when it has to —
-  // re-scanning here would double the bitmap scans on bulk promotion.
-  if (wheel_chains_ == 0) wheel_next_lb_tick_ = kMaxTick;
 }
 
 EventId Scheduler::ScheduleAt(SimTime t, EventFn fn) {
@@ -249,8 +98,8 @@ bool Scheduler::Cancel(EventId id) {
     return false;  // never issued, already ran, or already cancelled
   }
   // O(1): destroy the closure now; the dead link is unhooked for free when
-  // its timestamp chain is drained (wheel-resident chains included — a
-  // fully dead chain still gets promoted and dropped by ResolveTop).
+  // its timestamp chain is drained (a fully dead chain is dropped by
+  // ResolveTop once it reaches the heap top).
   FnAt(slot).Reset();
   --live_scheduled_;
   return true;
@@ -278,9 +127,7 @@ EventId Scheduler::RescheduleAfter(EventId id, Duration delay) {
   // sequence number. The old chain now ends at this link — any stale
   // reference {old seq, slot} fails its sequence check in the dispatcher
   // and is treated as the chain end without freeing the (live) slot. The
-  // old chain entry keeps sitting in its tier (wheel bucket or heap)
-  // until its timestamp is reached; the new chain enters whichever tier
-  // the new time calls for.
+  // old chain's heap entry stays until it reaches the top.
   const std::uint64_t fresh = next_seq_++;
   m.seq = fresh;
   return LinkSlot(slot, fresh, t);
@@ -378,27 +225,6 @@ void Scheduler::ResolveTop() {
   }
 }
 
-void Scheduler::PrepareNext() {
-  ResolveTop();
-  while (wheel_chains_ != 0) {
-    const std::uint64_t heap_tick =
-        heap_.empty() ? kMaxTick : TickOf(heap_[0].time);
-    // Fast path: the cached bound is conservative (never above the true
-    // bound), so clearing it proves no wheel chain can precede the top.
-    if (wheel_next_lb_tick_ > heap_tick) return;
-    unsigned level;
-    std::uint32_t bucket;
-    const std::uint64_t lb = WheelMinLowerBound(&level, &bucket);
-    wheel_next_lb_tick_ = lb;
-    if (lb > heap_tick) return;
-    // A wheel bucket could hold a chain ordered before the heap top (tick
-    // ties included — the heap comparator settles those exactly once both
-    // sides are in the heap): promote it wholesale and re-resolve.
-    PromoteBucket(level, bucket);
-    ResolveTop();
-  }
-}
-
 bool Scheduler::TakeRingNext() const {
   if (ring_count_ == 0) return false;
   if (heap_.empty()) return true;
@@ -406,8 +232,6 @@ bool Scheduler::TakeRingNext() const {
   // Ring entries were posted at the current instant (the clock cannot
   // advance past a pending wake-up), so any strictly-future heap event
   // loses; at the current instant the smaller sequence number wins.
-  // Wheel-resident chains are strictly future by construction and never
-  // compete with the ring.
   if (top.time > now_) return true;
   assert(top.time == now_);
   return (top.key >> kSlotBits) > ring_[ring_head_].seq;
@@ -447,10 +271,7 @@ void Scheduler::ExecuteNext() {
     e.handle.resume();
     return;
   }
-  // The ring lost (or is empty), so the next event is timed: settle the
-  // wheel-vs-heap frontier before trusting the top. When the ring lost
-  // against a same-instant heap top this is a single compare.
-  PrepareNext();
+  // The ring lost (or is empty), so the next event is the live heap top.
   const HeapEntry top = heap_[0];
   const std::uint32_t head =
       static_cast<std::uint32_t>(top.key & kSlotMask);
@@ -476,7 +297,7 @@ void Scheduler::ExecuteNext() {
   }
   --live_scheduled_;
   assert(top.time >= now_);
-  AdvanceClock(top.time);
+  now_ = top.time;
   ++executed_events_;
   if (exec_hook_) exec_hook_(exec_hook_ctx_, now_, top.key >> kSlotBits);
   fn();
@@ -503,7 +324,7 @@ std::size_t Scheduler::DrainTopChain(std::size_t budget) {
   //    generic loop, which re-resolves from scratch.
   const SimTime T = heap_[0].time;
   assert(T >= now_);
-  AdvanceClock(T);
+  now_ = T;
   ++heap_gen_;  // nested drains must force the outer one to re-resolve
   std::uint64_t competitor = std::numeric_limits<std::uint64_t>::max();
   const std::size_t nchild = heap_.size() < 5 ? heap_.size() : 5;
@@ -594,16 +415,15 @@ std::size_t Scheduler::Run(SimTime until, std::size_t max_events) {
   std::size_t executed = 0;
   while (executed < max_events) {
     if (ring_count_ == 0) {
-      PrepareNext();
+      ResolveTop();
       if (heap_.empty()) {
-        // Queue drained (wheel included — PrepareNext empties it before
-        // leaving the heap empty) before the time limit: land the clock
-        // on `until`, matching the next-event-beyond-`until` exit below.
-        if (until > now_ && std::isfinite(until)) AdvanceClock(until);
+        // Queue drained before the time limit: land the clock on `until`,
+        // matching the next-event-beyond-`until` exit below.
+        if (until > now_ && std::isfinite(until)) now_ = until;
         break;
       }
       if (heap_[0].time > until) {
-        if (until > now_) AdvanceClock(until);
+        if (until > now_) now_ = until;
         break;
       }
       executed += DrainTopChain(max_events - executed);

@@ -15,31 +15,25 @@
 //    48-byte closure payload sits in a parallel chunked store and is
 //    only touched twice per event (store on schedule, move-out on fire).
 //    Chunking means growth never relocates live closures.
-//  * The pending set is two-tiered. A hierarchical timing wheel
-//    (2 levels x 256 buckets, 1 µs tick) absorbs the dense short-delay
-//    traffic that dominates web runs — insertion is O(1), no comparisons.
-//    A 4-ary min-heap of *timestamp chains* is the overflow/frontier
-//    tier: due and near-due chains, far-future chains beyond the wheel
-//    horizon (256^2 ticks, ~65.5 ms of lookahead), and non-finite
-//    timestamps. Wheel buckets are promoted wholesale into the heap
-//    before the clock can reach them, so the heap comparator — (time,
-//    key), key packing {seq:40, slot:24} — restores the exact global
-//    order and the wheel never has to be ordered internally.
-//  * Events at an already-pending timestamp append to that timestamp's
-//    chain in O(1) (found via a small lossy cache; a miss just starts
-//    another chain for the same instant, which the heap merges back in
-//    sequence order), so wheel/heap size tracks the number of distinct
-//    pending *times*, not events.
+//  * The pending set is one 4-ary min-heap of *timestamp chains*,
+//    ordered by (time, head sequence number). Events at an
+//    already-pending timestamp append to that timestamp's chain in O(1)
+//    (found via a small lossy cache; a miss just starts another chain
+//    for the same instant, which the heap merges back in sequence
+//    order), so the heap size tracks the number of distinct pending
+//    *times*, not events: a few hundred chains at most on the serving
+//    workloads (docs/engine.md has the census).
 //  * `Run` drains each same-timestamp chain as one *big step*: the whole
 //    chain executes without re-touching the heap between events (one
 //    key write-through per event, no sift), falling back to the generic
 //    single-event path only when another same-time chain, a fast-lane
 //    wake-up, or a mutation from inside a callback interleaves.
 //  * `Cancel` is O(1): the event's closure is destroyed and its slot
-//    marked dead; the chain link is skipped for free when its timestamp
-//    is reached. Accounting (`pending_events`) stays exact — there is no
-//    hash-set tombstone scheme and a stale cancel returns false.
-//  * `ResumeLater` bypasses both tiers entirely: raw coroutine handles go
+//    marked dead; the chain link is skipped for free when its chain
+//    reaches the heap top. Accounting (`pending_events`) stays exact —
+//    there is no hash-set tombstone scheme and a stale cancel returns
+//    false.
+//  * `ResumeLater` bypasses the heap entirely: raw coroutine handles go
 //    through a FIFO ring (the fast lane) and are interleaved with timed
 //    events by sequence number, preserving the deterministic order while
 //    making the dominant wake-up path allocation-free and O(1).
@@ -105,10 +99,8 @@ class Scheduler {
   // overwhelmingly common case for the arm/cancel/re-arm pattern of
   // FairShareServer::Reschedule), its slot is reused in place, saving the
   // slot free/acquire pair and leaving no dead link behind in the old
-  // chain. The new chain enters whichever tier (wheel or heap) the new
-  // timestamp calls for, independent of where the old one lived. Returns
-  // the new EventId (the old one goes stale), or 0 if `id` already ran or
-  // was cancelled — the caller should then schedule afresh.
+  // chain. Returns the new EventId (the old one goes stale), or 0 if `id`
+  // already ran or was cancelled — the caller should then schedule afresh.
   EventId RescheduleAfter(EventId id, Duration delay);
 
   // Schedules a coroutine resumption at the current time via the fast
@@ -154,27 +146,6 @@ class Scheduler {
   std::uint64_t fn_heap_allocations() const { return fn_heap_allocs_; }
   // Wake-ups that took the fast lane instead of the heap.
   std::uint64_t fast_lane_resumes() const { return fast_lane_resumes_; }
-  // Timestamp chains that entered through the timing wheel (vs the heap).
-  std::uint64_t wheel_inserts() const { return wheel_inserts_; }
-  // Bucket promotions: one per wheel bucket moved wholesale to the heap.
-  std::uint64_t wheel_promotions() const { return wheel_promotions_; }
-  // Chains that spilled straight to the heap because their timestamp lay
-  // beyond the wheel horizon (or was not finite).
-  std::uint64_t wheel_overflow_spills() const { return wheel_overflow_; }
-  // Chains currently resident in wheel buckets (not yet promoted).
-  std::size_t wheel_resident_chains() const { return wheel_chains_; }
-
-  // Static wheel geometry, for benchmark context and diagnostics.
-  struct WheelGeometry {
-    unsigned levels;
-    unsigned buckets_per_level;
-    double tick_seconds;
-    std::uint64_t horizon_ticks;  // exclusive: beyond this -> heap
-  };
-  static constexpr WheelGeometry wheel_geometry() {
-    return {kWheelLevels, kWheelBuckets, kTickSeconds,
-            1ull << (kWheelBits * kWheelLevels)};
-  }
 
  private:
   // One heap entry per pending timestamp chain. `key` packs
@@ -194,15 +165,6 @@ class Scheduler {
   struct SlotMeta {
     std::uint64_t seq = 0;
     std::uint64_t next_key = kNullKey;
-  };
-  // One wheel-resident timestamp chain: the same (time, key) payload a
-  // heap entry carries, plus an intrusive link to the next chain in the
-  // same bucket (buckets are unordered singly linked lists; `next` doubles
-  // as the node freelist link).
-  struct WheelNode {
-    SimTime time;
-    std::uint64_t key;
-    std::uint32_t next;
   };
   struct RingEntry {
     std::coroutine_handle<> handle;
@@ -236,41 +198,20 @@ class Scheduler {
   static constexpr unsigned kFnChunkBits = 12;
   static constexpr std::size_t kFnChunkSize = 1u << kFnChunkBits;
 
-  // Timing-wheel geometry: 2 levels of 256 buckets at a 1 µs tick.
-  // Level L spans ticks [2^(8L), 2^(8(L+1))) ahead of the clock, so the
-  // horizon is 2^16 ticks ≈ 65.5 ms of lookahead. The wheel exists for
-  // the dense short-delay traffic the serving benches generate (µs–ms
-  // service and network hops); longer timers — TIME_WAIT churn,
-  // keepalives, sweep deadlines — are sparse, usually cancelled, and go
-  // straight to the overflow heap where a push/lazy-pop is cheaper than
-  // riding a bucket through promotion. Ticks that do not fit (inf/NaN)
-  // overflow to the heap as well.
-  static constexpr unsigned kWheelBits = 8;
-  static constexpr std::uint32_t kWheelBuckets = 1u << kWheelBits;
-  static constexpr unsigned kWheelLevels = 2;
-  static constexpr double kTickSeconds = 1e-6;
-  static constexpr double kInvTick = 1e6;
-  // Ticks must survive the double->uint64 conversion exactly; 2^53 is
-  // the last integer doubles can still count to, far past the horizon.
-  static constexpr double kTickLimit = 9007199254740992.0;  // 2^53
-  static constexpr std::uint64_t kMaxTick =
-      std::numeric_limits<std::uint64_t>::max();
-  static constexpr std::uint32_t kNilNode = 0xffffffffu;
+  // First heap reservation: 512 entries (8 KiB). The heap also holds
+  // cancelled and rescheduled chains until they reach the top; counting
+  // those, kv_read_64n peaks at ~80 entries and shard_churn_write at ~400,
+  // so neither ever regrows it, while web_closed_100k (~610) regrows once.
+  static constexpr std::size_t kHeapReserve = 512;
 
   static bool EntryLess(const HeapEntry& a, const HeapEntry& b) {
     return a.time < b.time || (a.time == b.time && a.key < b.key);
   }
   static std::size_t CacheIndex(SimTime t);
-  // Floor tick of a timestamp; kMaxTick for NaN/inf/past-2^53 values.
-  static std::uint64_t TickOf(SimTime t) {
-    const double scaled = t * kInvTick;
-    if (!(scaled < kTickLimit)) return kMaxTick;  // NaN-safe form
-    return scaled <= 0.0 ? 0 : static_cast<std::uint64_t>(scaled);
-  }
 
   std::uint32_t AcquireSlot();
   // Links an occupied slot (seq already assigned) into the chain/cache/
-  // tier structures at time `t` and returns its chain key.
+  // heap structures at time `t` and returns its chain key.
   EventId LinkSlot(std::uint32_t slot, std::uint64_t seq, SimTime t);
   EventFn& FnAt(std::uint32_t slot) {
     return reinterpret_cast<EventFn*>(
@@ -286,24 +227,8 @@ class Scheduler {
     free_slots_.push_back(slot);
   }
 
-  // Starts a new chain headed by (t, key) in whichever tier its distance
-  // from the clock calls for.
-  void StartChain(SimTime t, std::uint64_t key);
+  // Starts a new chain headed by (t, key).
   void HeapPush(SimTime t, std::uint64_t key);
-  void WheelInsert(unsigned level, std::uint64_t tick, SimTime t,
-                   std::uint64_t key);
-  // Exact lower bound (in ticks) on the earliest wheel-resident chain;
-  // also reports which (level, bucket) attains it. Precondition:
-  // wheel_chains_ > 0.
-  std::uint64_t WheelMinLowerBound(unsigned* level, std::uint32_t* bucket)
-      const;
-  // Moves one bucket's chains wholesale into the heap and refreshes the
-  // cached wheel lower bound.
-  void PromoteBucket(unsigned level, std::uint32_t bucket);
-  void AdvanceClock(SimTime t) {
-    now_ = t;
-    cursor_tick_ = TickOf(t);
-  }
 
   void HeapSiftUp(std::size_t pos);
   void HeapSiftDown(std::size_t pos);
@@ -312,14 +237,8 @@ class Scheduler {
   // Drops cancelled events off the top chain (freeing their slots) until
   // the heap is empty or its top names a live chain head.
   void ResolveTop();
-  // Promotes every wheel bucket that could precede the heap top and
-  // resolves cancelled heads. Postcondition: the heap top names a live
-  // chain head that is globally minimal among timed events, or the heap
-  // AND wheel are both empty.
-  void PrepareNext();
-
   // True when the next event in (time, seq) order is the ring front.
-  // Precondition: PrepareNext() ran.
+  // Precondition: ResolveTop() ran.
   bool TakeRingNext() const;
   void RingPush(std::coroutine_handle<> handle, std::uint64_t seq);
   RingEntry RingPop();
@@ -333,7 +252,7 @@ class Scheduler {
   // interleaving ring wake-ups by sequence number. Returns to the generic
   // loop (with the heap left valid) as soon as another chain, a budget
   // limit, or a callback-made structural change interleaves.
-  // Precondition: PrepareNext() ran, heap top live, budget >= 1.
+  // Precondition: ResolveTop() ran, heap top live, budget >= 1.
   std::size_t DrainTopChain(std::size_t budget);
 
   SimTime now_ = 0.0;
@@ -347,27 +266,9 @@ class Scheduler {
   std::vector<std::uint32_t> free_slots_;
   std::vector<CacheEntry> chain_cache_;
 
-  // Timing wheel: per-(level, bucket) chain-list heads, a 256-bit
-  // occupancy bitmap per level, and a pooled node array with an intrusive
-  // freelist. `cursor_tick_` mirrors TickOf(now_); the promotion rule in
-  // PrepareNext guarantees the cursor never enters an occupied bucket's
-  // tick window, so every occupied bucket's unwrapped lower bound is
-  // exact and strictly ahead of the clock. `wheel_next_lb_tick_` caches a
-  // conservative (never above the true) lower bound — in bucket-window
-  // starts, like WheelMinLowerBound — so the per-event cost of the wheel
-  // on the drain path is one compare.
-  std::vector<std::uint32_t> bucket_head_;  // kWheelLevels * kWheelBuckets
-  std::uint64_t occupancy_[kWheelLevels][kWheelBuckets / 64] = {};
-  std::uint32_t level_chains_[kWheelLevels] = {};  // resident chains/level
-  std::vector<WheelNode> nodes_;
-  std::uint32_t free_node_ = kNilNode;
-  std::uint64_t cursor_tick_ = 0;
-  std::uint64_t wheel_next_lb_tick_ = kMaxTick;
-  std::size_t wheel_chains_ = 0;
-
-  // Bumped on every heap structural change (push, pop, promotion, root
-  // advance) so DrainTopChain can detect callback-made mutations and fall
-  // back to the generic path.
+  // Bumped on every heap structural change (push, pop, root advance) so
+  // DrainTopChain can detect callback-made mutations and fall back to the
+  // generic path.
   std::uint64_t heap_gen_ = 0;
 
   // Fast-lane FIFO ring (power-of-two capacity).
@@ -377,9 +278,6 @@ class Scheduler {
 
   std::uint64_t fn_heap_allocs_ = 0;
   std::uint64_t fast_lane_resumes_ = 0;
-  std::uint64_t wheel_inserts_ = 0;
-  std::uint64_t wheel_promotions_ = 0;
-  std::uint64_t wheel_overflow_ = 0;
 
   ExecuteHook exec_hook_ = nullptr;
   void* exec_hook_ctx_ = nullptr;

@@ -166,5 +166,15 @@ TEST(KvFailoverDeathTest, NoClientMachinesAbortsInEveryBuild) {
                "client_machines must be >= 1");
 }
 
+TEST(KvFailoverDeathTest, NegativeLoadAbortsInEveryBuild) {
+  // The kv harness is the one-rack shard harness: its load checks run
+  // before any testbed is built.
+  KvExperimentConfig config;
+  config.node_profile = hw::EdisonProfile();
+  EXPECT_DEATH(KvExperiment(config).Measure(-100.0), "target qps must be > 0");
+  EXPECT_DEATH(KvExperiment(config).MeasureWithFailover(100.0, -1),
+               "failed_nodes must be >= 0");
+}
+
 }  // namespace
 }  // namespace wimpy::kv

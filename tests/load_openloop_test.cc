@@ -319,5 +319,31 @@ TEST(OpenLoopDriverTest, DrawsLikeTheHandRolledLoopAndConserves) {
                 gate.shed());
 }
 
+TEST(ArrivalProcessDeathTest, InvalidConfigAbortsInEveryBuild) {
+  auto with = [](ArrivalModel model, auto edit) {
+    ArrivalConfig config;
+    config.model = model;
+    edit(config);
+    return config;
+  };
+  // A negative rate draws negative gaps, which DriveOpenLoop clamps to
+  // zero and then admits forever at t = 0.
+  EXPECT_DEATH(ArrivalProcess(with(ArrivalModel::kPoisson,
+                                   [](auto& c) { c.rate = -100.0; })),
+               "rate must be > 0");
+  EXPECT_DEATH(ArrivalProcess(with(ArrivalModel::kPoisson,
+                                   [](auto& c) { c.rate = 0.0; })),
+               "rate must be > 0");
+  EXPECT_DEATH(ArrivalProcess(with(ArrivalModel::kMmpp,
+                                   [](auto& c) { c.burstiness = 0.5; })),
+               "burstiness must be >= 1");
+  EXPECT_DEATH(ArrivalProcess(with(ArrivalModel::kMmpp,
+                                   [](auto& c) { c.burst_fraction = 1.0; })),
+               "burst_fraction must be in");
+  EXPECT_DEATH(ArrivalProcess(with(ArrivalModel::kMmpp,
+                                   [](auto& c) { c.cycle = 0.0; })),
+               "cycle must be > 0");
+}
+
 }  // namespace
 }  // namespace wimpy::load

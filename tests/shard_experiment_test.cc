@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "obs/energy.h"
@@ -202,6 +203,24 @@ TEST(ShardExperimentDeathTest, InvalidConfigAbortsInEveryBuild) {
                  c.churn = Churn::kJoin;
                })),
                "a join needs spare_nodes >= 1");
+}
+
+TEST(ShardExperimentDeathTest, InvalidLoadAbortsInEveryBuild) {
+  // Caught before the testbed is built, so each case costs nothing.
+  // A negative load would admit requests forever at t = 0.
+  EXPECT_DEATH(ShardExperiment(BaseConfig()).Measure(-100.0, Seconds(1)),
+               "target qps must be > 0");
+  EXPECT_DEATH(ShardExperiment(BaseConfig()).Measure(0.0, Seconds(1)),
+               "target qps must be > 0");
+  EXPECT_DEATH(ShardExperiment(BaseConfig())
+                   .Measure(std::numeric_limits<double>::infinity(),
+                            Seconds(1)),
+               "target qps must be > 0");
+  EXPECT_DEATH(ShardExperiment(BaseConfig()).Measure(100.0, Seconds(-1)),
+               "measure must be >= 0");
+  EXPECT_DEATH(ShardExperiment(BaseConfig())
+                   .MeasureWithFailover(100.0, -1, Seconds(1)),
+               "failed_nodes must be >= 0");
 }
 
 TEST(ShardExperimentDeathTest, EmptyMigrationBatchAbortsInEveryBuild) {

@@ -317,30 +317,28 @@ TEST(EventTraceTest, MatchesReferenceEngineOnMixedOps) {
   EXPECT_EQ(real.Now(), ref.Now());
 }
 
-// Differential tier-crossing reschedules: the real engine's in-place
-// RescheduleAfter (across wheel->heap, heap->wheel, and same-bucket
-// moves) must produce the byte-identical event stream of the reference
-// engine's Cancel + ScheduleAfter. Delays straddle the ~65 ms wheel
-// horizon so every tier transition appears in one script.
+// Differential reschedules across delay scales: the real engine's
+// in-place RescheduleAfter (short -> long, long -> short, and sub-µs
+// nudges) must produce the byte-identical event stream of the reference
+// engine's Cancel + ScheduleAfter. Delays run from 0.5 ms to several
+// seconds so every kind of move appears in one script.
 template <typename Engine, typename Resched>
-void RunTierCrossMix(Engine& eng, Resched resched) {
+void RunRescheduleMix(Engine& eng, Resched resched) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 24; ++i) {
-    // Even events start short-delay (wheel tier), odd start far-future
-    // (overflow heap).
+    // Even events start short-delay, odd start far-future.
     const SimTime t = (i % 2 == 0) ? 0.0005 * (1 + i % 8)
                                    : 0.5 + 0.125 * (i % 6);
     ids.push_back(eng.Schedule(t, i, nullptr));
   }
   for (int i = 0; i < 24; i += 3) {
-    // Even (wheel-resident) events move past the horizon; odd
-    // (heap-resident) events move inside it.
+    // Even (short) events move seconds out; odd (far) events move to
+    // within a few milliseconds.
     const double delay =
         (i % 2 == 0) ? 1.0 + 0.25 * i : 0.001 * (1 + i % 4);
     ids[i] = resched(eng, ids[i], i, delay);
   }
-  // Same-tick re-aim: nudge an event by less than one wheel tick so the
-  // old and new chain share a bucket.
+  // Sub-microsecond re-aim: nudge an event by far less than 1 µs.
   ids[2] = resched(eng, ids[2], 2, 0.0015 + 4e-10);
   // A window run between reschedule volleys, then a second volley from a
   // nonzero clock, then drain.
@@ -353,15 +351,15 @@ void RunTierCrossMix(Engine& eng, Resched resched) {
   eng.RunAll();
 }
 
-TEST(EventTraceTest, RescheduleAcrossTiersMatchesReference) {
+TEST(EventTraceTest, RescheduleAcrossDelayScalesMatchesReference) {
   RealEngine real;
   RefEngine ref;
-  RunTierCrossMix(real, [](RealEngine& e, std::uint64_t id, int /*label*/,
+  RunRescheduleMix(real, [](RealEngine& e, std::uint64_t id, int /*label*/,
                            double delay) {
     // In place: the closure (and its label) travels with the event.
     return e.sched.RescheduleAfter(id, delay);
   });
-  RunTierCrossMix(ref, [](RefEngine& e, std::uint64_t id, int label,
+  RunRescheduleMix(ref, [](RefEngine& e, std::uint64_t id, int label,
                           double delay) -> std::uint64_t {
     // Reference semantics: cancel + schedule a fresh event, one sequence
     // number either way.

@@ -5,9 +5,9 @@
 // `executed_events`, Cancel return values) stays exact through
 // cancel-after-fire, double-cancel, cancel of the earliest pending event
 // (the heap top), and cancels issued from inside running events — once
-// with coarse heap-tier delays and once with delays spanning both
-// timing-wheel levels and the overflow heap, where an execute hook also
-// checks that the clock never steps backwards.
+// with coarse, tie-heavy delays and once with delays from 1 µs to
+// ~130 ms, where an execute hook also checks that the clock never steps
+// backwards.
 //
 // The allocation tests override global operator new to prove the two hot
 // paths are allocation-free once the scheduler's buffers are warm:
@@ -201,23 +201,20 @@ void RunStress(std::uint64_t seed, int rounds, double step,
 }
 
 TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
-  // Coarse timestamps force same-time chains; every delay lies beyond the
-  // wheel horizon, so this exercises the heap tier.
+  // Coarse timestamps force same-time chains.
   RunStress(12345, 300, 0.5,
             [](double now, const std::vector<Rec>&, Lcg& rng) {
               return now + (rng.Next() % 64) * 0.25;
             });
 }
 
-TEST(SchedulerStressTest, WheelLevelSpanningDelaysKeepClockMonotonic) {
-  // Delays in whole ticks span wheel level 0 (< 256 ticks), level 1
-  // (< 2^16 ticks) and the overflow heap beyond it. A quarter of the
-  // events land a few ticks after the earliest pending event — usually
-  // already promoted to the heap — so a fresh level-1 chain shares its
-  // bucket window with an earlier heap chain: the bucket must be promoted
-  // before the clock enters that window, or its chain fires late, with
-  // the clock stepping backwards.
-  constexpr double kTick = sim::Scheduler::wheel_geometry().tick_seconds;
+TEST(SchedulerStressTest, MixedScaleDelaysKeepClockMonotonic) {
+  // Delays in whole microseconds: under 256 µs, under 65.5 ms, and up to
+  // ~131 ms. A quarter of the events land a few microseconds after the
+  // earliest pending event, so fresh chains keep slotting in just behind
+  // the heap top: each must still fire at its own time, with the clock
+  // never stepping backwards.
+  constexpr double kTick = 1e-6;
   RunStress(
       777, 600, 2e-3,
       [kTick](double now, const std::vector<Rec>& recs, Lcg& rng) {

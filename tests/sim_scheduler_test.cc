@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace wimpy::sim {
@@ -237,74 +238,50 @@ TEST(SchedulerTest, RescheduleAfterLeavesChainMatesIntact) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-crossing reschedules. The pending set is two-tier (timing wheel
-// for short delays, overflow heap beyond the ~65 ms horizon); a
-// reschedule must behave identically whichever tier the event leaves or
-// lands in. The wheel counters pin that the intended tier was actually
-// exercised, so these don't silently degrade into heap-only coverage if
-// the geometry changes.
+// Reschedules across delay scales. Every move between delays from 1 µs to
+// 10 s, in both directions, plus a nudge far below 1 µs, must land the
+// event exactly at its new time, leave its chain-mate at the old time
+// intact, run behind a bystander already pending at the new time (FIFO by
+// schedule order), and leave nothing pending once drained.
 
-TEST(SchedulerTest, RescheduleAfterCrossesWheelToHeap) {
-  Scheduler s;
-  double fired_at = -1;
-  EventId id = s.ScheduleAt(0.001, [&] { fired_at = s.now(); });
-  EXPECT_EQ(s.wheel_inserts(), 1u);  // short delay starts on the wheel
-  EXPECT_EQ(s.wheel_overflow_spills(), 0u);
-  EventId moved = s.RescheduleAfter(id, 10.0);
-  ASSERT_NE(moved, 0u);
-  // The new position is past the wheel horizon: it must spill to the
-  // heap (the stale wheel chain is dropped lazily at promotion).
-  EXPECT_EQ(s.wheel_overflow_spills(), 1u);
-  s.Run();
-  EXPECT_EQ(fired_at, 10.0);
-  EXPECT_EQ(s.pending_events(), 0u);
-  EXPECT_EQ(s.wheel_resident_chains(), 0u);
+TEST(SchedulerTest, RescheduleAfterAcrossDelayScalesKeepsTimeAndOrder) {
+  const double kDelays[] = {1e-6, 2.5e-4, 0.001, 0.065, 0.07, 1.0, 10.0};
+  std::vector<std::pair<double, double>> moves;
+  for (double from : kDelays) {
+    for (double to : kDelays) moves.emplace_back(from, to);
+  }
+  moves.emplace_back(0.001, 0.001 + 4e-10);
+  for (const auto& [from, to] : moves) {
+    Scheduler s;
+    std::vector<int> order;
+    double fired_at = -1;
+    s.ScheduleAt(from, [&] { order.push_back(0); });  // chain-mate
+    const EventId id = s.ScheduleAt(from, [&] {
+      fired_at = s.now();
+      order.push_back(2);
+    });
+    s.ScheduleAt(to, [&] { order.push_back(1); });  // bystander
+    ASSERT_NE(s.RescheduleAfter(id, to), 0u) << from << " -> " << to;
+    s.Run();
+    // The mover took the newest sequence number, so it runs last at `to`.
+    const std::vector<int> expected =
+        from <= to ? std::vector<int>{0, 1, 2} : std::vector<int>{1, 2, 0};
+    EXPECT_EQ(order, expected) << from << " -> " << to;
+    EXPECT_EQ(fired_at, to) << from << " -> " << to;
+    EXPECT_EQ(s.pending_events(), 0u) << from << " -> " << to;
+  }
 }
 
-TEST(SchedulerTest, RescheduleAfterCrossesHeapToWheel) {
-  Scheduler s;
-  double fired_at = -1;
-  EventId id = s.ScheduleAt(10.0, [&] { fired_at = s.now(); });
-  EXPECT_EQ(s.wheel_inserts(), 0u);  // far future starts on the heap
-  EXPECT_EQ(s.wheel_overflow_spills(), 1u);
-  EventId moved = s.RescheduleAfter(id, 0.001);
-  ASSERT_NE(moved, 0u);
-  EXPECT_EQ(s.wheel_inserts(), 1u);  // now inside the horizon
-  s.Run();
-  EXPECT_EQ(fired_at, 0.001);
-  EXPECT_EQ(s.pending_events(), 0u);
-}
-
-TEST(SchedulerTest, RescheduleAfterWithinSameWheelBucket) {
-  // Old and new position quantize to the same 1 µs wheel tick (and so
-  // the same bucket); the rescheduled event must still run strictly
-  // after its old chain-mate because its SimTime is later.
-  Scheduler s;
-  std::vector<int> order;
-  EventId a = s.ScheduleAt(0.001, [&] { order.push_back(0); });
-  (void)a;
-  EventId b = s.ScheduleAt(0.001, [&] { order.push_back(1); });
-  const double nudge = 4e-10;  // well inside one tick
-  ASSERT_NE(s.RescheduleAfter(b, 0.001 + nudge), 0u);
-  EXPECT_EQ(s.wheel_inserts(), 2u);  // old chain + same-bucket new chain
-  s.Run();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[1], 1);
-  EXPECT_GE(s.wheel_promotions(), 1u);
-  EXPECT_EQ(s.wheel_resident_chains(), 0u);
-}
-
-TEST(SchedulerTest, RescheduleAfterTierRoundTripKeepsClosureAndOrder) {
-  // wheel -> heap -> wheel round trip on one event, racing a fixed
+TEST(SchedulerTest, RescheduleAfterRoundTripKeepsClosureAndOrder) {
+  // Short -> long -> short round trip on one event, racing a fixed
   // bystander at the final time; FIFO (schedule order) must decide.
   Scheduler s;
   std::vector<int> order;
   EventId mover = s.ScheduleAt(0.002, [&] { order.push_back(0); });
   s.ScheduleAt(0.005, [&] { order.push_back(1); });
-  mover = s.RescheduleAfter(mover, 1.0);    // wheel -> heap
+  mover = s.RescheduleAfter(mover, 1.0);
   ASSERT_NE(mover, 0u);
-  mover = s.RescheduleAfter(mover, 0.005);  // heap -> wheel, ties bystander
+  mover = s.RescheduleAfter(mover, 0.005);  // ties the bystander
   ASSERT_NE(mover, 0u);
   s.Run();
   ASSERT_EQ(order.size(), 2u);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Re-runs the engine microbenchmarks (the scheduler/fair-share families,
-# the wheel-vs-heap tier comparison, the short-delay serving loop, plus
-# the BM_ParallelSweep replication runner) and compares mean
+# the distinct-timestamps pending-heap loop, the short-delay serving loop,
+# plus the BM_ParallelSweep replication runner) and compares best-of
 # throughput against the checked-in BENCH_engine.json. Exits nonzero if
 # any benchmark regressed by more than THRESHOLD_PCT percent — the CI-able
 # guard for the engine's performance envelope (docs/engine.md).

@@ -14,7 +14,7 @@
 #      itself under ASan so every coroutine frame goes through the real
 #      allocator and gets poisoned/unpoisoned individually.
 #   3. Debug build + full ctest — every tier-1 and bench build defines
-#      NDEBUG, so the library's asserts (the scheduler's clock and wheel
+#      NDEBUG, so the library's asserts (the scheduler's clock and slot
 #      invariants among them) only run here.
 #   4. tools/check_trace.sh — obs export validation: trace-event JSON
 #      schema + causal ids + flow arrows, metrics CSV shape, flamegraph
@@ -42,7 +42,8 @@ TSAN_TESTS="${TSAN_TESTS:-replication|profiles_concurrency}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 # The ASan smoke's test binaries: the one list both the build targets
 # and the default ctest filter (exact names) come from.
-ASAN_SMOKE=(sim_scheduler_test sim_process_test sim_semaphore_test
+ASAN_SMOKE=(sim_scheduler_test sim_scheduler_stress_test
+            sim_process_test sim_semaphore_test
             sim_fair_share_test sim_frame_pool_test net_fabric_test
             net_tcp_test net_topology_test web_service_test kv_store_test
             kv_failover_test load_openloop_test obs_energy_test
@@ -87,7 +88,10 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   # the router's serving table, which the kv and shard runs read
   # through chain views held across suspensions (router tests), and the
   # web reply awaiter, whose fabric join points into the awaiting
-  # connection's frame (web server unit tests).
+  # connection's frame (web server unit tests). The scheduler stress test
+  # rides along because the pending heap holds every cancelled or
+  # rescheduled chain until it reaches the top, and its slots are freed
+  # and reused from there.
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target "${ASAN_SMOKE[@]}"
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"

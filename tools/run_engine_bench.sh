@@ -17,6 +17,8 @@
 #
 # Usage:
 #   tools/run_engine_bench.sh                  # default: build/ -> BENCH_engine.json
+#                                              # (refused above load nproc/2
+#                                              #  or from a non-Release tree)
 #   BUILD_DIR=out OUT=/tmp/b.json REPS=5 tools/run_engine_bench.sh
 #   FILTER='SchedulerEventThroughput' tools/run_engine_bench.sh
 #   SUITE=macro REPS=3 tools/run_engine_bench.sh
@@ -93,12 +95,35 @@ if [[ ! -x "${BIN}" ]]; then
   exit 1
 fi
 
+# The host's state rides along in the JSON context. Writing the
+# committed baseline follows perfbench's --baseline rule: refused when
+# the 1-minute load average exceeds nproc/2 (a busy host records
+# interference, not the code) or when the tree is not a Release build.
+# Comparison runs to other files (tools/check_bench_regression.sh) are
+# never refused.
+LOAD1="$(cut -d' ' -f1 /proc/loadavg)"
+NPROC="$(nproc)"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
+  "${BUILD_DIR}/CMakeCache.txt" 2>/dev/null || true)"
+if [[ "$(realpath -m "${OUT}")" == "$(realpath -m BENCH_engine.json)" ]]; then
+  if awk -v l="${LOAD1}" -v n="${NPROC}" 'BEGIN { exit !(l > n / 2) }'; then
+    echo "error: refusing a baseline: load average ${LOAD1} > nproc/2 (nproc ${NPROC})" >&2
+    exit 3
+  fi
+  if [[ "${BUILD_TYPE}" != "Release" ]]; then
+    echo "error: refusing a baseline from a '${BUILD_TYPE:-default}' build;" \
+      "configure ${BUILD_DIR} with -DCMAKE_BUILD_TYPE=Release" >&2
+    exit 3
+  fi
+fi
+
 # Raw repetitions (not just aggregates) go into the JSON so consumers
 # can use the best-of-REPS repetition: interference on a shared host
 # only ever slows a repetition down, so the per-benchmark max is the
 # most stable estimate of what the code can actually do
 # (tools/check_bench_regression.sh compares on it).
 "${BIN}" \
+  --benchmark_context="load1=${LOAD1},nproc=${NPROC},wimpy_build_type=${BUILD_TYPE:-default}" \
   --benchmark_filter="${FILTER}" \
   --benchmark_repetitions="${REPS}" \
   --benchmark_report_aggregates_only=false \
