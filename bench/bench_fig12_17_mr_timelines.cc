@@ -8,6 +8,7 @@
 // map/reduce attempt — the timelines of Figures 12-17 as a Perfetto
 // flame chart. --metrics exports the per-slave/YARN/HDFS time series
 // (docs/observability.md).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,13 +34,17 @@ void PrintTimeline(const std::string& title,
       100 * result.job.data_local_fraction);
   std::printf("%8s %8s %8s %8s %8s %8s\n", "t(s)", "CPU%", "Mem%",
               "Power(W)", "Map%", "Reduce%");
+  const obs::MetricsSeries& t = result.timeline;
+  const std::vector<double> cpu = t.Column("slaves.cpu_pct");
+  const std::vector<double> mem = t.Column("slaves.mem_pct");
+  const std::vector<double> power = t.Column("slaves.power_w");
+  const std::vector<double> map = t.Column("job.map_pct");
+  const std::vector<double> reduce = t.Column("job.reduce_pct");
   // Thin the series to ~25 printed rows.
-  const std::size_t stride =
-      std::max<std::size_t>(1, result.timeline.size() / 25);
-  for (std::size_t i = 0; i < result.timeline.size(); i += stride) {
-    const auto& s = result.timeline[i];
-    std::printf("%8.0f %8.1f %8.1f %8.1f %8.1f %8.1f\n", s.time, s.cpu_pct,
-                s.memory_pct, s.power_watts, s.gauge_a, s.gauge_b);
+  const std::size_t stride = std::max<std::size_t>(1, t.times.size() / 25);
+  for (std::size_t i = 0; i < t.times.size(); i += stride) {
+    std::printf("%8.0f %8.1f %8.1f %8.1f %8.1f %8.1f\n", t.times[i], cpu[i],
+                mem[i], power[i], map[i], reduce[i]);
   }
   std::printf("\n");
 }

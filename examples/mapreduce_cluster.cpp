@@ -5,9 +5,11 @@
 //   job:      wordcount|wordcount2|logcount|logcount2|pi|terasort
 //   platform: edison|dell
 //   slaves:   number of slave nodes (default 8 edison / 2 dell)
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/experiments.h"
 
@@ -49,13 +51,16 @@ int main(int argc, char** argv) {
 
   std::printf("%8s %8s %8s %10s %8s %8s\n", "t(s)", "CPU%", "Mem%",
               "Power(W)", "Map%", "Reduce%");
-  const std::size_t stride =
-      std::max<std::size_t>(1, result.timeline.size() / 30);
-  for (std::size_t i = 0; i < result.timeline.size(); i += stride) {
-    const auto& s = result.timeline[i];
-    std::printf("%8.0f %8.1f %8.1f %10.1f %8.1f %8.1f\n", s.time,
-                s.cpu_pct, s.memory_pct, s.power_watts, s.gauge_a,
-                s.gauge_b);
+  const obs::MetricsSeries& t = result.timeline;
+  const std::vector<double> cpu = t.Column("slaves.cpu_pct");
+  const std::vector<double> mem = t.Column("slaves.mem_pct");
+  const std::vector<double> power = t.Column("slaves.power_w");
+  const std::vector<double> map = t.Column("job.map_pct");
+  const std::vector<double> reduce = t.Column("job.reduce_pct");
+  const std::size_t stride = std::max<std::size_t>(1, t.times.size() / 30);
+  for (std::size_t i = 0; i < t.times.size(); i += stride) {
+    std::printf("%8.0f %8.1f %8.1f %10.1f %8.1f %8.1f\n", t.times[i],
+                cpu[i], mem[i], power[i], map[i], reduce[i]);
   }
   return 0;
 }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/metrics.h"
+
 namespace wimpy::cluster {
 
 Cluster::Cluster(sim::Scheduler* sched, net::Fabric* fabric)
@@ -89,20 +91,25 @@ double Cluster::MeanMemoryUsed(const std::string& role) const {
   return sum / static_cast<double>(nodes.size());
 }
 
-double Cluster::MeanNicBusy(const std::string& role) const {
-  const auto& nodes = NodesInRole(role);
-  if (nodes.empty()) return 0.0;
-  double sum = 0;
-  for (auto* node : nodes) sum += node->nic().busy_fraction();
-  return sum / static_cast<double>(nodes.size());
-}
-
-double Cluster::MeanStorageBusy(const std::string& role) const {
-  const auto& nodes = NodesInRole(role);
-  if (nodes.empty()) return 0.0;
-  double sum = 0;
-  for (auto* node : nodes) sum += node->storage().busy_fraction();
-  return sum / static_cast<double>(nodes.size());
+void Cluster::PublishMetrics(obs::MetricsRegistry* registry,
+                             const std::vector<std::string>& roles,
+                             const std::string& prefix) {
+  // The mean over `roles` of each role's mean, in percent.
+  auto mean_pct = [this, &roles](double (Cluster::*mean)(const std::string&)
+                                     const) {
+    return [this, roles, mean] {
+      double sum = 0;
+      for (const auto& role : roles) sum += (this->*mean)(role);
+      const double n =
+          roles.empty() ? 1.0 : static_cast<double>(roles.size());
+      return 100.0 * sum / n;
+    };
+  };
+  registry->AddGauge(prefix + ".cpu_pct", mean_pct(&Cluster::MeanCpuBusy));
+  registry->AddGauge(prefix + ".mem_pct",
+                     mean_pct(&Cluster::MeanMemoryUsed));
+  registry->AddGauge(prefix + ".power_w",
+                     [this, roles] { return TotalWatts(roles); });
 }
 
 }  // namespace wimpy::cluster

@@ -14,6 +14,10 @@
 #include "net/fabric.h"
 #include "sim/scheduler.h"
 
+namespace wimpy::obs {
+class MetricsRegistry;
+}  // namespace wimpy::obs
+
 namespace wimpy::cluster {
 
 class Cluster {
@@ -47,10 +51,15 @@ class Cluster {
   double MeanCpuBusy(const std::string& role) const;
   // Mean memory used fraction across a role.
   double MeanMemoryUsed(const std::string& role) const;
-  // Mean NIC busy fraction (busier direction) across a role.
-  double MeanNicBusy(const std::string& role) const;
-  // Mean storage-channel busy fraction across a role.
-  double MeanStorageBusy(const std::string& role) const;
+
+  // Registers the paper's psutil-logger view of `roles` (Figs. 12-17):
+  // `<prefix>.cpu_pct` and `<prefix>.mem_pct`, the per-role means in
+  // percent averaged over the roles, and `<prefix>.power_w`, the roles'
+  // aggregate watts. Probes borrow the cluster: don't sample the registry
+  // after the cluster is destroyed.
+  void PublishMetrics(obs::MetricsRegistry* registry,
+                      const std::vector<std::string>& roles,
+                      const std::string& prefix);
 
   sim::Scheduler& scheduler() { return *sched_; }
   net::Fabric& fabric() { return *fabric_; }

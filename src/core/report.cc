@@ -21,43 +21,22 @@ int ReproductionReport::diverged() const {
   return static_cast<int>(entries.size()) - holds();
 }
 
-namespace {
-
-std::string Render(const ReproductionReport& report, bool markdown) {
+std::string ReproductionReport::ToText() const {
   std::string out;
   char buf[256];
-  if (markdown) {
-    out += "| Experiment | Metric | Paper | Measured | Error | Verdict |\n";
-    out += "|---|---|---|---|---|---|\n";
-  }
-  for (const auto& e : report.entries) {
-    if (markdown) {
-      std::snprintf(buf, sizeof(buf),
-                    "| %s | %s | %.4g | %.4g | %+.1f%% | %s |\n",
-                    e.experiment.c_str(), e.metric.c_str(), e.paper_value,
-                    e.measured_value, 100 * e.RelativeError(),
-                    e.Holds() ? "holds" : "DIVERGED");
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "%-28s %-22s paper %10.4g  measured %10.4g  "
-                    "(%+6.1f%%)  %s\n",
-                    e.experiment.c_str(), e.metric.c_str(), e.paper_value,
-                    e.measured_value, 100 * e.RelativeError(),
-                    e.Holds() ? "holds" : "DIVERGED");
-    }
+  for (const auto& e : entries) {
+    std::snprintf(buf, sizeof(buf),
+                  "%-28s %-22s paper %10.4g  measured %10.4g  "
+                  "(%+6.1f%%)  %s\n",
+                  e.experiment.c_str(), e.metric.c_str(), e.paper_value,
+                  e.measured_value, 100 * e.RelativeError(),
+                  e.Holds() ? "holds" : "DIVERGED");
     out += buf;
   }
-  std::snprintf(buf, sizeof(buf), "\n%d/%zu shapes hold.\n",
-                report.holds(), report.entries.size());
+  std::snprintf(buf, sizeof(buf), "\n%d/%zu shapes hold.\n", holds(),
+                entries.size());
   out += buf;
   return out;
-}
-
-}  // namespace
-
-std::string ReproductionReport::ToText() const { return Render(*this, false); }
-std::string ReproductionReport::ToMarkdown() const {
-  return Render(*this, true);
 }
 
 ReproductionReport RunReproductionChecks() {

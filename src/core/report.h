@@ -1,7 +1,7 @@
 // One-shot reproduction report: runs the headline experiments at reduced
 // scale, compares against the paper's published numbers, and renders a
-// verdict table (text or Markdown). This is the "is the reproduction
-// still intact?" tool — run it after modifying any model constant.
+// verdict table. This is the "is the reproduction still intact?" tool —
+// run it after modifying any model constant.
 #ifndef WIMPY_CORE_REPORT_H_
 #define WIMPY_CORE_REPORT_H_
 
@@ -39,7 +39,6 @@ struct ReproductionReport {
   bool AllHold() const { return diverged() == 0; }
 
   std::string ToText() const;
-  std::string ToMarkdown() const;
 };
 
 // Runs the quick verification set:

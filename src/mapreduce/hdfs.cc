@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/check.h"
 #include "obs/metrics.h"
 
 namespace wimpy::mapreduce {
@@ -13,10 +14,13 @@ Hdfs::Hdfs(net::Fabric* fabric, std::vector<hw::ServerNode*> datanodes,
       datanodes_(std::move(datanodes)),
       config_(config),
       rng_(seed) {
-  assert(!datanodes_.empty());
-  assert(config_.replication >= 1);
-  assert(config_.replication <=
-         static_cast<int>(datanodes_.size()));
+  const char* where = "mapreduce::Hdfs";
+  Check(!datanodes_.empty(), where, "datanodes must not be empty");
+  Check(config_.replication >= 1, where, "replication must be >= 1");
+  // More replicas than nodes would place two replicas of a block on one
+  // node.
+  Check(config_.replication <= static_cast<int>(datanodes_.size()), where,
+        "replication must be <= datanodes");
   placement_cursor_ = rng_.NextBelow(datanodes_.size());
 }
 
@@ -49,8 +53,7 @@ HdfsFile Hdfs::MakeFile(const std::string& name, Bytes size) {
 
 const HdfsFile& Hdfs::LoadFile(const std::string& name, Bytes size) {
   auto [it, inserted] = files_.emplace(name, MakeFile(name, size));
-  assert(inserted && "file already exists");
-  (void)inserted;
+  Check(inserted, "mapreduce::Hdfs", "file already exists");
   return it->second;
 }
 

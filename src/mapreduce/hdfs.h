@@ -46,6 +46,8 @@ class Hdfs {
  public:
   // `datanodes` host blocks; placement is round-robin with a random start
   // plus distinct-node replicas, like the default HDFS placer in one rack.
+  // Checked in every build type: datanodes non-empty and
+  // 1 <= replication <= datanodes.
   Hdfs(net::Fabric* fabric, std::vector<hw::ServerNode*> datanodes,
        const HdfsConfig& config, std::uint64_t seed);
 
@@ -54,6 +56,7 @@ class Hdfs {
 
   // Registers a file's metadata and places replicas without simulating the
   // ingest I/O (pre-loaded inputs, like the paper's wordcount corpus).
+  // Aborts if a file called `name` already exists.
   const HdfsFile& LoadFile(const std::string& name, Bytes size);
 
   // As LoadFile, but splits the total across `file_count` equal files
@@ -63,7 +66,7 @@ class Hdfs {
 
   // Simulated write of a new file from `writer_node`: each block is
   // written to its first replica (storage) and pipelined to the others
-  // (fabric + storage). Used by teragen and job output.
+  // (fabric + storage). Used by job output.
   sim::Task<void> WriteFile(const std::string& name, Bytes size,
                             int writer_node);
 

@@ -105,13 +105,14 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
   job.set_trace(job_span != nullptr ? job_span->handle()
                                     : obs::TraceHandle{});
 
-  cluster::MetricsSampler sampler(&cluster_, {"mr-slave"}, Seconds(1));
-  sampler.SetProgressProbe([&job] {
-    return std::make_pair(job.MapProgressPct(), job.ReduceProgressPct());
-  });
+  obs::MetricsRegistry timeline;
+  cluster_.PublishMetrics(&timeline, {"mr-slave"}, "slaves");
+  timeline.AddGauge("job.map_pct", [&job] { return job.MapProgressPct(); });
+  timeline.AddGauge("job.reduce_pct",
+                    [&job] { return job.ReduceProgressPct(); });
 
   const Joules joules_before = cluster_.CumulativeJoules({"mr-slave"});
-  sampler.Start();
+  timeline.Start(&sched_, Seconds(1));
   if (config_.metrics != nullptr) {
     config_.metrics->Start(&sched_, Seconds(1));
   }
@@ -120,12 +121,12 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
   // Stop telemetry the moment the job driver finishes so the event queue
   // can drain.
   auto watcher = [this](sim::ProcessRef target,
-                        cluster::MetricsSampler* s) -> sim::Process {
+                        obs::MetricsRegistry* t) -> sim::Process {
     co_await target.Join();
-    s->Stop();
+    t->Stop();
     if (config_.metrics != nullptr) config_.metrics->Stop();
   };
-  sim::Spawn(sched_, watcher(ref, &sampler));
+  sim::Spawn(sched_, watcher(ref, &timeline));
   sched_.Run();
   job_span.reset();  // closes the "job" span at the drained end time
   if (config_.metrics != nullptr) config_.metrics->SampleNow();
@@ -136,7 +137,7 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
       cluster_.CumulativeJoules({"mr-slave"}) - joules_before;
   result.mean_slave_power =
       result.job.elapsed > 0 ? result.slave_joules / result.job.elapsed : 0;
-  result.timeline = sampler.samples();
+  result.timeline = timeline.TakeSeries();
   if (spec.input_bytes > 0 && result.slave_joules > 0) {
     result.work_done_per_joule =
         static_cast<double>(spec.input_bytes) / 1e6 / result.slave_joules;

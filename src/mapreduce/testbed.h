@@ -13,13 +13,12 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/metrics.h"
 #include "mapreduce/hdfs.h"
 #include "mapreduce/job.h"
 #include "mapreduce/yarn.h"
+#include "obs/metrics.h"
 
 namespace wimpy::obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace wimpy::obs
 
@@ -59,7 +58,9 @@ struct MrRunResult {
   JobResult job;
   Joules slave_joules = 0;  // master excluded
   Watts mean_slave_power = 0;
-  std::vector<cluster::MetricsSample> timeline;  // 1 Hz, slaves only
+  // 1 Hz, slaves only: `slaves.cpu_pct|mem_pct|power_w` (see
+  // Cluster::PublishMetrics), then `job.map_pct` and `job.reduce_pct`.
+  obs::MetricsSeries timeline;
   double work_done_per_joule = 0;  // input MB per joule (0 for pi)
 };
 

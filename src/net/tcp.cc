@@ -136,19 +136,6 @@ sim::Task<ConnectResult> TcpConnection::Connect(
   }
 }
 
-sim::Task<void> TcpConnection::Exchange(Bytes request_bytes,
-                                        Bytes response_bytes) {
-  co_await client_->fabric().Transfer(client_->node_id(),
-                                      server_->node_id(), request_bytes);
-  co_await client_->fabric().Transfer(server_->node_id(),
-                                      client_->node_id(), response_bytes);
-}
-
-sim::Task<void> TcpConnection::Send(Bytes bytes) {
-  co_await client_->fabric().Transfer(client_->node_id(),
-                                      server_->node_id(), bytes);
-}
-
 void TcpConnection::Close() {
   if (established_) {
     server_->CloseConnectionSlot();

@@ -136,13 +136,6 @@ class TcpConnection {
   sim::Task<ConnectResult> Connect(bool hold_backlog = false,
                                    const obs::TraceHandle& trace = {});
 
-  // Request/response exchange on an established connection: sends
-  // `request_bytes` upstream, then `response_bytes` downstream.
-  sim::Task<void> Exchange(Bytes request_bytes, Bytes response_bytes);
-
-  // One-way payload.
-  sim::Task<void> Send(Bytes bytes);
-
   void Close();
   bool established() const { return established_; }
 

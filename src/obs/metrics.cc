@@ -1,9 +1,12 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
+
+#include "common/check.h"
 
 namespace wimpy::obs {
 
@@ -16,6 +19,16 @@ namespace {
   std::abort();
 }
 }  // namespace
+
+std::vector<double> MetricsSeries::Column(std::string_view name) const {
+  const auto it = std::find(names.begin(), names.end(), name);
+  Check(it != names.end(), "obs::MetricsSeries", "no column by that name");
+  const auto col = static_cast<std::size_t>(it - names.begin());
+  std::vector<double> values;
+  values.reserve(rows.size());
+  for (const auto& row : rows) values.push_back(row[col]);
+  return values;
+}
 
 MetricsRegistry::~MetricsRegistry() { Stop(); }
 

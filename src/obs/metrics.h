@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -39,6 +40,10 @@ struct MetricsSeries {
   std::vector<std::string> names;
   std::vector<SimTime> times;
   std::vector<std::vector<double>> rows;
+
+  // The values of the column called `name`, one per row; aborts when no
+  // column has that name.
+  std::vector<double> Column(std::string_view name) const;
 };
 
 class MetricsRegistry {

@@ -45,10 +45,4 @@ void Semaphore::Release(std::int64_t n) {
   Drain();
 }
 
-void Semaphore::AddPermits(std::int64_t n) {
-  assert(n >= 0);
-  available_ += n;
-  Drain();
-}
-
 }  // namespace wimpy::sim

@@ -44,9 +44,6 @@ class Semaphore {
   // Returns `n` permits; wakes queued waiters whose requests now fit.
   void Release(std::int64_t n = 1);
 
-  // Grows the permit pool (dynamic resizing); wakes waiters that now fit.
-  void AddPermits(std::int64_t n);
-
   std::int64_t available() const { return available_; }
   std::size_t queue_length() const { return waiters_.size(); }
   std::size_t peak_queue_length() const { return peak_queue_; }

@@ -65,14 +65,6 @@ class WaitQueue {
     return Awaiter{this, {}};
   }
 
-  // Non-blocking retrieval.
-  std::optional<T> TryGet() {
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
   std::size_t waiter_count() const { return waiters_.size(); }

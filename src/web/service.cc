@@ -4,11 +4,11 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/metrics.h"
 #include "common/check.h"
 #include "hw/profiles.h"
 #include "load/driver.h"
@@ -485,16 +485,22 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
   window.warmup_end = warmup;
   window.measure_end = warmup + measure;
 
-  cluster::MetricsSampler web_sampler(&tb.clstr, {"web-server"}, 1.0);
-  cluster::MetricsSampler cache_sampler(&tb.clstr, {"cache-server"}, 1.0);
+  // One 1 Hz utilisation registry per tier, sampled over the window only.
+  // Two registries, not one holding both tiers' probes, keep the run's two
+  // sampling ticks: each tick is an engine event, and the event count is
+  // part of the web benchmark's fingerprint.
+  obs::MetricsRegistry web_util;
+  obs::MetricsRegistry cache_util;
+  tb.clstr.PublishMetrics(&web_util, {"web-server"}, "web");
+  tb.clstr.PublishMetrics(&cache_util, {"cache-server"}, "cache");
 
   Joules epoch_joules = 0;
   tb.sched.ScheduleAt(window.warmup_end, [&] {
     for (auto& web : tb.webs) web->ResetStats();
     epoch_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"});
-    web_sampler.Start();
-    cache_sampler.Start();
+    web_util.Start(&tb.sched, 1.0);
+    cache_util.Start(&tb.sched, 1.0);
     // Window marks at the very instant the stats reset, so the trace
     // analyzer can reproduce the report's windowing exactly.
     tb.sinks.OpenWindow();
@@ -504,8 +510,8 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
     window_joules =
         tb.clstr.CumulativeJoules({"web-server", "cache-server"}) -
         epoch_joules;
-    web_sampler.Stop();
-    cache_sampler.Stop();
+    web_util.Stop();
+    cache_util.Stop();
     tb.sinks.CloseWindow();
   });
 
@@ -528,21 +534,18 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
   report.middle_tier_power = window_joules / measure;
   report.executed_events = tb.sched.executed_events();
 
-  auto mean_of = [](const std::vector<cluster::MetricsSample>& samples,
-                    auto member) {
-    if (samples.empty()) return 0.0;
+  auto mean_of = [](const obs::MetricsRegistry& registry,
+                    std::string_view column) {
+    const std::vector<double> values = registry.series().Column(column);
+    if (values.empty()) return 0.0;
     double sum = 0;
-    for (const auto& s : samples) sum += s.*member;
-    return sum / static_cast<double>(samples.size());
+    for (const double v : values) sum += v;
+    return sum / static_cast<double>(values.size());
   };
-  report.web_cpu_pct =
-      mean_of(web_sampler.samples(), &cluster::MetricsSample::cpu_pct);
-  report.web_memory_pct =
-      mean_of(web_sampler.samples(), &cluster::MetricsSample::memory_pct);
-  report.cache_cpu_pct =
-      mean_of(cache_sampler.samples(), &cluster::MetricsSample::cpu_pct);
-  report.cache_memory_pct =
-      mean_of(cache_sampler.samples(), &cluster::MetricsSample::memory_pct);
+  report.web_cpu_pct = mean_of(web_util, "web.cpu_pct");
+  report.web_memory_pct = mean_of(web_util, "web.mem_pct");
+  report.cache_cpu_pct = mean_of(cache_util, "cache.cpu_pct");
+  report.cache_memory_pct = mean_of(cache_util, "cache.mem_pct");
 
   report.dispatch_response = window.dispatch_response;
   report.conn_intended_response = window.conn_intended_response;

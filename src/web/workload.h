@@ -2,10 +2,12 @@
 //
 // The paper's dataset is a MySQL import of Wikipedia dumps plus crawled
 // images: 15 tables, 11 with simple fields and 4 with image blobs
-// (~30 KB average). A request picks a table by weight (controlling the
-// image-query percentage), and a row at random; replies average 1.5 KB for
-// plain rows. The cache tier answers a configured fraction of requests
-// (93 / 77 / 60 % in the paper's runs).
+// (~30 KB average). Only the reply size, the image fraction and the cache
+// hit ratio reach the measured quantities, so a request draws just those:
+// an image flag at the mix's image fraction, a normal reply size (plain
+// rows ~1.5 KB, image rows ~44 KB), and a cache hit at the mix's ratio.
+// The ratios (93 / 77 / 60 %) are the paper's measured operating points,
+// taken as inputs.
 #ifndef WIMPY_WEB_WORKLOAD_H_
 #define WIMPY_WEB_WORKLOAD_H_
 
@@ -24,7 +26,7 @@ struct RequestSpec {
 struct WorkloadMix {
   // Probability a request touches an image table (0, 0.06, 0.10, 0.20).
   double image_fraction = 0.0;
-  // Steady-state cache hit ratio established by the warm-up phase.
+  // Steady-state cache hit ratio (an input: the paper's 93 / 77 / 60 %).
   double cache_hit_ratio = 0.93;
   // Reply-size distribution parameters. Plain rows are small and tight;
   // image replies are dominated by the blob.

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
-#include "cluster/metrics.h"
 #include "hw/profiles.h"
+#include "obs/metrics.h"
 #include "sim/process.h"
 
 namespace wimpy::cluster {
@@ -58,8 +58,9 @@ TEST_F(PowerAccountingTest, RoleEnergyIsAdditive) {
 TEST_F(PowerAccountingTest, SamplerDoesNotPerturbEnergy) {
   auto nodes = cluster_.AddNodes(hw::EdisonProfile(), 2, "w", "room");
   sim::Spawn(sched_, Burn(nodes[0], 8.0));
-  MetricsSampler sampler(&cluster_, {"w"}, 0.25);
-  sampler.Start();
+  obs::MetricsRegistry sampler;
+  cluster_.PublishMetrics(&sampler, {"w"}, "w");
+  sampler.Start(&sched_, 0.25);
   sched_.Run(/*until=*/16.0);
   sampler.Stop();
   sched_.Run();
@@ -70,7 +71,7 @@ TEST_F(PowerAccountingTest, SamplerDoesNotPerturbEnergy) {
       2 * p.idle * 16.0 +
       (p.busy - p.idle) * p.cpu_weight * core_frac * 8.0;
   EXPECT_NEAR(cluster_.CumulativeJoules(), expected, expected * 1e-9);
-  EXPECT_GE(sampler.samples().size(), 60u);
+  EXPECT_GE(sampler.series().times.size(), 60u);
 }
 
 TEST_F(PowerAccountingTest, WattsMatchDerivativeOfJoules) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/metrics.h"
+#include <string>
+#include <vector>
+
 #include "hw/profiles.h"
+#include "obs/metrics.h"
 #include "sim/process.h"
 
 namespace wimpy::cluster {
@@ -64,38 +67,62 @@ TEST_F(ClusterTest, MeanUtilisationAcrossRole) {
   sched_.Run();
 }
 
-TEST_F(ClusterTest, MetricsSamplerRecordsTimeline) {
+TEST_F(ClusterTest, PublishedMetricsRecordTimeline) {
   auto nodes = cluster_.AddNodes(hw::EdisonProfile(), 1, "w", "edison-room");
-  MetricsSampler sampler(&cluster_, {"w"}, 1.0);
+  obs::MetricsRegistry registry;
+  cluster_.PublishMetrics(&registry, {"w"}, "w");
   double progress = 0;
-  sampler.SetProgressProbe([&] { return std::make_pair(progress, 0.0); });
-  sampler.Start();
+  registry.AddGauge("progress", [&] { return progress; });
+  registry.Start(&sched_, 1.0);
   sim::Spawn(sched_, BurnCpu(nodes[0], 5.0));  // busy [0, 5] on one core
   sched_.ScheduleAt(3.0, [&] { progress = 50.0; });
-  // A running sampler keeps the event queue non-empty forever; bound the
+  // A running registry keeps the event queue non-empty forever; bound the
   // run and then stop it.
   sched_.Run(/*until=*/10.5);
-  sampler.Stop();
+  registry.Stop();
   sched_.Run();
-  const auto& samples = sampler.samples();
-  ASSERT_GE(samples.size(), 10u);
-  EXPECT_EQ(samples[0].time, 0.0);
-  EXPECT_NEAR(samples[2].cpu_pct, 50.0, 1e-6);   // one of two cores busy
-  EXPECT_NEAR(samples[7].cpu_pct, 0.0, 1e-6);    // after completion
-  EXPECT_GT(samples[2].power_watts, 1.40);
-  EXPECT_NEAR(samples[8].power_watts, 1.40, 1e-9);
-  EXPECT_EQ(samples[2].gauge_a, 0.0);
-  EXPECT_EQ(samples[4].gauge_a, 50.0);
+  const obs::MetricsSeries& s = registry.series();
+  EXPECT_EQ(s.names, (std::vector<std::string>{"w.cpu_pct", "w.mem_pct",
+                                                "w.power_w", "progress"}));
+  ASSERT_GE(s.times.size(), 10u);
+  EXPECT_EQ(s.times[0], 0.0);
+  const std::vector<double> cpu = s.Column("w.cpu_pct");
+  const std::vector<double> power = s.Column("w.power_w");
+  const std::vector<double> gauge = s.Column("progress");
+  EXPECT_NEAR(cpu[2], 50.0, 1e-6);  // one of two cores busy
+  EXPECT_NEAR(cpu[7], 0.0, 1e-6);   // after completion
+  EXPECT_GT(power[2], 1.40);
+  EXPECT_NEAR(power[8], 1.40, 1e-9);
+  EXPECT_EQ(gauge[2], 0.0);
+  EXPECT_EQ(gauge[4], 50.0);
 }
 
-TEST_F(ClusterTest, SamplerStopCancelsFutureSamples) {
+TEST_F(ClusterTest, PublishedMetricsAverageRolesAndSumTheirPower) {
+  auto a = cluster_.AddNodes(hw::EdisonProfile(), 1, "a", "edison-room");
+  cluster_.AddNodes(hw::EdisonProfile(), 3, "b", "edison-room");
+  obs::MetricsRegistry registry;
+  cluster_.PublishMetrics(&registry, {"a", "b"}, "ab");
+  sim::Spawn(sched_, BurnCpu(a[0], 5.0));
+  sched_.Run(/*until=*/1.0);
+  const Watts busy_watts = cluster_.TotalWatts({"a", "b"});
+  registry.Start(&sched_, 1.0);
+  registry.Stop();
+  sched_.Run();
+  // Role a: one of two cores busy (50%); role b idle (0%). The gauge is
+  // the mean of the two role means, not the mean over four nodes.
+  EXPECT_NEAR(registry.series().Column("ab.cpu_pct")[0], 25.0, 1e-9);
+  EXPECT_EQ(registry.series().Column("ab.power_w")[0], busy_watts);
+}
+
+TEST_F(ClusterTest, PublishedMetricsStopWithTheRegistry) {
   cluster_.AddNodes(hw::EdisonProfile(), 1, "w", "edison-room");
-  MetricsSampler sampler(&cluster_, {"w"}, 1.0);
-  sampler.Start();
-  sched_.ScheduleAt(3.5, [&] { sampler.Stop(); });
+  obs::MetricsRegistry registry;
+  cluster_.PublishMetrics(&registry, {"w"}, "w");
+  registry.Start(&sched_, 1.0);
+  sched_.ScheduleAt(3.5, [&] { registry.Stop(); });
   sched_.ScheduleAt(10.0, [] {});
   sched_.Run();
-  EXPECT_EQ(sampler.samples().size(), 4u);  // t = 0, 1, 2, 3
+  EXPECT_EQ(registry.series().times.size(), 4u);  // t = 0, 1, 2, 3
 }
 
 }  // namespace

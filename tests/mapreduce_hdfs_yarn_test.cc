@@ -31,6 +31,27 @@ class HdfsTest : public ::testing::Test {
   std::vector<hw::ServerNode*> slaves_;
 };
 
+// The config checks hold in every build type: an empty datanode list
+// would draw Rng::NextBelow(0), and more replicas than datanodes would put
+// two replicas of one block on one node.
+using HdfsDeathTest = HdfsTest;
+
+TEST_F(HdfsDeathTest, BadConfigAbortsAtConstruction) {
+  EXPECT_DEATH(Hdfs(&fabric_, {}, HdfsConfig{MiB(16), 1}, 42),
+               "mapreduce::Hdfs: datanodes must not be empty");
+  EXPECT_DEATH(MakeHdfs(MiB(16), 0),
+               "mapreduce::Hdfs: replication must be >= 1");
+  EXPECT_DEATH(MakeHdfs(MiB(16), 5),
+               "mapreduce::Hdfs: replication must be <= datanodes");
+}
+
+TEST_F(HdfsDeathTest, LoadingAnExistingFileAborts) {
+  Hdfs hdfs = MakeHdfs(MiB(16), 2);
+  hdfs.LoadFile("input", MiB(40));
+  EXPECT_DEATH(hdfs.LoadFile("input", MiB(8)),
+               "mapreduce::Hdfs: file already exists");
+}
+
 TEST_F(HdfsTest, FileSplitsIntoBlocks) {
   Hdfs hdfs = MakeHdfs(MiB(16), 2);
   const HdfsFile& file = hdfs.LoadFile("f", MiB(50));

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "mapreduce/testbed.h"
 
 namespace wimpy::mapreduce {
@@ -66,7 +72,7 @@ TEST(MrJobTest, WordCountRunsToCompletion) {
   EXPECT_EQ(result.job.reduce_tasks, 8);
   EXPECT_GT(result.slave_joules, 0);
   EXPECT_GT(result.work_done_per_joule, 0);
-  EXPECT_FALSE(result.timeline.empty());
+  EXPECT_FALSE(result.timeline.times.empty());
 }
 
 TEST(MrJobTest, TimelineShowsUtilisationAndProgress) {
@@ -74,18 +80,54 @@ TEST(MrJobTest, TimelineShowsUtilisationAndProgress) {
   JobSpec spec = SmallWordCount(testbed.config());
   LoadInputFor(spec, &testbed);
   const MrRunResult result = testbed.RunJob(spec);
+  const std::vector<double> map = result.timeline.Column("job.map_pct");
+  const std::vector<double> cpu = result.timeline.Column("slaves.cpu_pct");
+  const std::vector<double> mem = result.timeline.Column("slaves.mem_pct");
+  ASSERT_FALSE(map.empty());
   // Map progress is monotone and ends at 100; CPU shows real activity.
-  double prev = -1;
-  double peak_cpu = 0;
-  for (const auto& s : result.timeline) {
-    EXPECT_GE(s.gauge_a, prev);
-    prev = s.gauge_a;
-    peak_cpu = std::max(peak_cpu, s.cpu_pct);
-  }
-  EXPECT_NEAR(result.timeline.back().gauge_a, 100.0, 1e-9);
-  EXPECT_GT(peak_cpu, 50.0);
+  EXPECT_TRUE(std::is_sorted(map.begin(), map.end()));
+  EXPECT_NEAR(map.back(), 100.0, 1e-9);
+  EXPECT_GT(*std::max_element(cpu.begin(), cpu.end()), 50.0);
   // Memory telemetry includes the daemon baseline (~37% on Edison).
-  EXPECT_GT(result.timeline.front().memory_pct, 30.0);
+  EXPECT_GT(mem.front(), 30.0);
+}
+
+// One line per timeline sample: the time and every column, at %.17g.
+std::vector<std::string> TimelineRows(const MrRunResult& result) {
+  const obs::MetricsSeries& t = result.timeline;
+  const std::vector<double> cpu = t.Column("slaves.cpu_pct");
+  const std::vector<double> mem = t.Column("slaves.mem_pct");
+  const std::vector<double> power = t.Column("slaves.power_w");
+  const std::vector<double> map = t.Column("job.map_pct");
+  const std::vector<double> reduce = t.Column("job.reduce_pct");
+  std::vector<std::string> rows;
+  for (std::size_t i = 0; i < t.times.size(); ++i) {
+    char line[256];
+    std::snprintf(line, sizeof(line), "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+                  t.times[i], cpu[i], mem[i], power[i], map[i], reduce[i]);
+    rows.emplace_back(line);
+  }
+  return rows;
+}
+
+// Every column of every sample of one word-count timeline (time, CPU%,
+// memory%, power, map%, reduce%): the sample count, the first and last
+// rows in full, and a 64-bit FNV-1a digest over all rows.
+TEST(MrJobTest, TimelineIsPinnedBitForBit) {
+  MrTestbed testbed(EdisonMrCluster(4));
+  JobSpec spec = SmallWordCount(testbed.config());
+  LoadInputFor(spec, &testbed);
+  const std::vector<std::string> rows = TimelineRows(testbed.RunJob(spec));
+  std::uint64_t digest = 14695981039346656037ull;
+  for (const std::string& row : rows) {
+    for (const char c : row + "\n") {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  }
+  ASSERT_EQ(rows.size(), 286u);
+  EXPECT_EQ(rows.front(), "0,0,36,5.5999999999999996,0,0");
+  EXPECT_EQ(rows.back(), "285,0,66,5.6840000000000002,100,83.500000000000014");
+  EXPECT_EQ(digest, 948824458137097591ull);
 }
 
 TEST(MrJobTest, CombinerCutsShuffleBytes) {

@@ -63,7 +63,8 @@ TEST(MrDeterminismTest, SameSeedSameResult) {
   EXPECT_EQ(a.job.elapsed, b.job.elapsed);
   EXPECT_EQ(a.slave_joules, b.slave_joules);
   EXPECT_EQ(a.job.data_local_fraction, b.job.data_local_fraction);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  EXPECT_EQ(a.timeline.times, b.timeline.times);
+  EXPECT_EQ(a.timeline.rows, b.timeline.rows);
 }
 
 TEST(MrDeterminismTest, DifferentSeedDifferentPlacement) {

@@ -121,30 +121,6 @@ TEST_F(TcpTest, ConnectionSlotExhaustionResets) {
   EXPECT_EQ(r2.status.code(), StatusCode::kResourceExhausted);
 }
 
-sim::Process ExchangeOnce(TcpHost& client, TcpHost& server, Bytes up,
-                          Bytes down, sim::Scheduler& sched,
-                          double* done_at) {
-  TcpConnection conn(&client, &server);
-  ConnectResult r = co_await conn.Connect();
-  EXPECT_TRUE(r.status.ok());
-  if (r.status.ok()) {
-    co_await conn.Exchange(up, down);
-    conn.Close();
-    *done_at = sched.now();
-  }
-}
-
-TEST_F(TcpTest, ExchangeMovesBytesBothWays) {
-  MakeHosts(TcpConfig{}, TcpConfig{});
-  double done_at = -1;
-  sim::Spawn(sched_, ExchangeOnce(*client_, *server_, KB(1), MB(125),
-                                  sched_, &done_at));
-  sched_.Run();
-  // Response dominates: 125 MB at 1 Gbps ~ 1 s.
-  EXPECT_NEAR(done_at, 1.0, 0.01);
-  EXPECT_EQ(client_node_->nic().bytes_received(), MB(125));
-}
-
 // TIME_WAIT expiry: every close arms the same fixed delay, so TcpHost
 // keeps a FIFO of due times and one engine event for its front.
 

@@ -101,6 +101,15 @@ TEST(MetricsRegistryTest, DetachStopsTheSamplingClock) {
   EXPECT_EQ(sched.pending_events(), 0u);  // pending tick was cancelled
 }
 
+TEST(MetricsSeriesTest, ColumnReadsOneMetricAcrossRows) {
+  MetricsSeries s;
+  s.names = {"a", "b"};
+  s.times = {0, 1};
+  s.rows = {{0.5, 2}, {0.25, 4}};
+  EXPECT_EQ(s.Column("b"), (std::vector<double>{2, 4}));
+  EXPECT_DEATH(s.Column("c"), "obs::MetricsSeries: no column by that name");
+}
+
 TEST(MetricsExportTest, CsvLongFormatGolden) {
   MetricsSeries s;
   s.names = {"a", "b"};

@@ -242,15 +242,5 @@ TEST(ProcessTest, WaitQueueMultipleConsumersFifo) {
   EXPECT_EQ(got_b, (std::vector<int>{200}));
 }
 
-TEST(ProcessTest, TryGetDoesNotBlock) {
-  Scheduler sched;
-  WaitQueue<int> queue(&sched);
-  EXPECT_FALSE(queue.TryGet().has_value());
-  queue.Push(1);
-  auto v = queue.TryGet();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 1);
-}
-
 }  // namespace
 }  // namespace wimpy::sim

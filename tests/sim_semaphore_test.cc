@@ -62,19 +62,6 @@ TEST(SemaphoreTest, FifoOrderUnderContention) {
   EXPECT_EQ(sem.in_use(), 0);
 }
 
-TEST(SemaphoreTest, AddPermitsWakesWaiters) {
-  Scheduler sched;
-  Semaphore sem(&sched, 0);
-  std::vector<std::pair<int, double>> acquired;
-  Spawn(sched, HoldFor(sched, sem, 1.0, 0, &acquired));
-  Spawn(sched, HoldFor(sched, sem, 1.0, 1, &acquired));
-  sched.ScheduleAt(3.0, [&] { sem.AddPermits(2); });
-  sched.Run();
-  ASSERT_EQ(acquired.size(), 2u);
-  EXPECT_EQ(acquired[0].second, 3.0);
-  EXPECT_EQ(acquired[1].second, 3.0);
-}
-
 Process GuardedEarlyExit(Scheduler& sched, Semaphore& sem, bool bail,
                          int* completed) {
   SemaphoreGuard guard(sem);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include "web/workload.h"
 
 namespace wimpy::web {
@@ -106,6 +111,66 @@ TEST(WebExperimentTest, EdisonFasterResponseAtLowLoadThanUnderStress) {
   const LevelReport stressed =
       exp.MeasureClosedLoop(LightMix(), 512, 8, Seconds(2), Seconds(8));
   EXPECT_GT(stressed.mean_response, light.mean_response);
+}
+
+// Every scalar field of one small closed-loop report at full precision.
+// The 1 Hz utilisation samplers, the window's energy meter and the engine
+// event count all land in these digits, so moving a sample instant, the
+// order of two events or the arithmetic of a mean fails this test.
+TEST(WebServiceTest, ClosedLoopReportIsPinnedBitForBit) {
+  WebTestbedConfig config = EdisonWebTestbed(4, 2);
+  config.seed = 77;
+  WebExperiment exp(config);
+  const LevelReport r =
+      exp.MeasureClosedLoop(LightMix(), 96, 8, Seconds(2), Seconds(6));
+  const std::pair<const char*, double> fields[] = {
+      {"target_concurrency", r.target_concurrency},
+      {"calls_per_connection", r.calls_per_connection},
+      {"achieved_rps", r.achieved_rps},
+      {"error_rate", r.error_rate},
+      {"mean_response", r.mean_response},
+      {"middle_tier_power", r.middle_tier_power},
+      {"web_cpu_pct", r.web_cpu_pct},
+      {"cache_cpu_pct", r.cache_cpu_pct},
+      {"web_memory_pct", r.web_memory_pct},
+      {"cache_memory_pct", r.cache_memory_pct},
+      {"db_delay.mean", r.db_delay.mean()},
+      {"cache_delay.mean", r.cache_delay.mean()},
+      {"total_delay.mean", r.total_delay.mean()},
+      {"total_delay.count", static_cast<double>(r.total_delay.count())},
+      {"executed_events", static_cast<double>(r.executed_events)},
+      {"dispatch_response.mean", r.dispatch_response.mean()},
+      {"conn_intended_response.mean", r.conn_intended_response.mean()},
+      {"p99_dispatch", r.p99_dispatch},
+      {"p99_conn_intended", r.p99_conn_intended},
+  };
+  const char* const expected[] = {
+      "96",
+      "8",
+      "809.66666666666663",
+      "0",
+      "0.010537545775497963",
+      "8.8621703562079563",
+      "66.666666666666671",
+      "16.666666666666668",
+      "0",
+      "50",
+      "0.0021157003771698122",
+      "0.0032153224061411568",
+      "0.010332256376949012",
+      "4867",
+      "174612",
+      "0.01116896012873716",
+      "0.052616915053846768",
+      "0.015439629018269363",
+      "0.10377039659909057",
+  };
+  ASSERT_EQ(std::size(fields), std::size(expected));
+  for (std::size_t i = 0; i < std::size(fields); ++i) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.17g", fields[i].second);
+    EXPECT_EQ(std::string(text), expected[i]) << fields[i].first;
+  }
 }
 
 // The config checks run in every build type: a zero-sized web tier or

@@ -48,7 +48,8 @@ ASAN_SMOKE=(sim_scheduler_test sim_scheduler_stress_test
             net_tcp_test net_topology_test web_service_test kv_store_test
             kv_failover_test load_openloop_test obs_energy_test
             obs_causal_test obs_telemetry_test shard_experiment_test
-            shard_router_test web_server_unit_test)
+            shard_router_test web_server_unit_test obs_metrics_test
+            cluster_test mapreduce_job_test)
 ASAN_TESTS="${ASAN_TESTS:-^($(IFS='|'; echo "${ASAN_SMOKE[*]}"))\$}"
 DEBUG_BUILD_DIR="${DEBUG_BUILD_DIR:-build-debug}"
 
@@ -86,9 +87,12 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   # run-observation helper, which hold the gate, recorder and nodes by
   # reference across suspensions (open-loop, telemetry, topology tests),
   # the router's serving table, which the kv and shard runs read
-  # through chain views held across suspensions (router tests), and the
+  # through chain views held across suspensions (router tests), the
   # web reply awaiter, whose fabric join points into the awaiting
-  # connection's frame (web server unit tests). The scheduler stress test
+  # connection's frame (web server unit tests), and the metrics
+  # registry, whose probes borrow the cluster and the MapReduce testbed
+  # for the whole run (metrics, cluster and MapReduce job tests). The
+  # scheduler stress test
   # rides along because the pending heap holds every cancelled or
   # rescheduled chain until it reaches the top, and its slots are freed
   # and reused from there.
