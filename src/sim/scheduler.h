@@ -7,31 +7,24 @@
 // ResumeLater call consumes exactly one sequence number, so the global
 // execution order is the strict (time, sequence) order of those calls.
 //
-// Internals are built for the hot path (see docs/engine.md):
+// Internals (see docs/engine.md):
 //
-//  * Callbacks are `EventFn` — small-buffer-optimised closures. Storage
-//    is SoA: the hot per-event metadata (sequence number + chain link,
-//    16 bytes) lives in `meta_`, packed four to a cache line, while the
-//    48-byte closure payload sits in a parallel chunked store and is
-//    only touched twice per event (store on schedule, move-out on fire).
-//    Chunking means growth never relocates live closures.
-//  * The pending set is one 4-ary min-heap of *timestamp chains*,
-//    ordered by (time, head sequence number). Events at an
-//    already-pending timestamp append to that timestamp's chain in O(1)
-//    (found via a small lossy cache; a miss just starts another chain
-//    for the same instant, which the heap merges back in sequence
-//    order), so the heap size tracks the number of distinct pending
-//    *times*, not events: a few hundred chains at most on the serving
-//    workloads (docs/engine.md has the census).
-//  * `Run` drains each same-timestamp chain as one *big step*: the whole
-//    chain executes without re-touching the heap between events (one
-//    key write-through per event, no sift), falling back to the generic
-//    single-event path only when another same-time chain, a fast-lane
-//    wake-up, or a mutation from inside a callback interleaves.
-//  * `Cancel` is O(1): the event's closure is destroyed and its slot
-//    marked dead; the chain link is skipped for free when its chain
-//    reaches the heap top. Accounting (`pending_events`) stays exact —
-//    there is no hash-set tombstone scheme and a stale cancel returns
+//  * Callbacks are `EventFn` — small-buffer-optimised closures. Each
+//    timed event owns a pooled *slot*: its closure in one flat vector and
+//    its current sequence number (0 = slot free) in a parallel one. Slot
+//    indices recycle through a freelist.
+//  * The pending set is one 4-ary min-heap of 16-byte `{time, key}`
+//    entries, one per scheduled event, where `key` packs {seq:40, slot:24}:
+//    a single integer compare breaks time ties FIFO and names the slot.
+//    The measured workloads drain ~1.1 timed events per distinct
+//    timestamp and keep a few hundred to a few thousand events pending,
+//    so a plain event heap is all the structure their traffic needs.
+//  * `Cancel` is O(1): the closure is destroyed and the heap entry stays
+//    until it reaches the top, where `ResolveTop` frees the slot.
+//    `RescheduleAfter` gives the slot a fresh sequence number and pushes
+//    a new entry, keeping the closure; the old entry no longer matches
+//    the slot's sequence number and is dropped when it surfaces.
+//    Accounting (`pending_events`) stays exact and a stale cancel returns
 //    false.
 //  * `ResumeLater` bypasses the heap entirely: raw coroutine handles go
 //    through a FIFO ring (the fast lane) and are interleaved with timed
@@ -55,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -73,7 +65,6 @@ using EventId = std::uint64_t;
 class Scheduler {
  public:
   Scheduler() = default;
-  ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -95,11 +86,8 @@ class Scheduler {
   // semantic equivalent of Cancel(id) + ScheduleAfter(delay, same fn) —
   // the event consumes a fresh sequence number, so ordering against other
   // events is identical — without destroying and reconstructing the
-  // closure. When the event is the tail of its timestamp chain (the
-  // overwhelmingly common case for the arm/cancel/re-arm pattern of
-  // FairShareServer::Reschedule), its slot is reused in place, saving the
-  // slot free/acquire pair and leaving no dead link behind in the old
-  // chain. Returns the new EventId (the old one goes stale), or 0 if `id`
+  // closure (the arm/cancel/re-arm pattern of FairShareServer::Reschedule).
+  // Returns the new EventId (the old one goes stale), or 0 if `id`
   // already ran or was cancelled — the caller should then schedule afresh.
   EventId RescheduleAfter(EventId id, Duration delay);
 
@@ -148,94 +136,56 @@ class Scheduler {
   std::uint64_t fast_lane_resumes() const { return fast_lane_resumes_; }
 
  private:
-  // One heap entry per pending timestamp chain. `key` packs
-  // {seq:40, slot:24} of the chain's current head, so a single integer
-  // compare breaks time ties FIFO and names the head slot.
+  // One heap entry per scheduled event. `key` packs {seq:40, slot:24};
+  // an entry whose seq no longer matches its slot's is stale (the event
+  // was rescheduled, or fired and its slot was reused).
   struct HeapEntry {
     SimTime time;
     std::uint64_t key;
-  };
-  // Hot per-event metadata, four to a cache line (SoA: the closure
-  // payload lives in the parallel chunked store, see FnAt). `seq` is the
-  // event's unique sequence number (0 = slot free); an empty FnAt(slot)
-  // on an occupied slot marks a cancelled event awaiting cheap removal
-  // when its timestamp is reached. `next_key` is the full chain key
-  // {seq:40, slot:24} of the next same-time event, or kNullKey at the
-  // chain tail.
-  struct SlotMeta {
-    std::uint64_t seq = 0;
-    std::uint64_t next_key = kNullKey;
   };
   struct RingEntry {
     std::coroutine_handle<> handle;
     std::uint64_t seq;
   };
-  // Lossy map from timestamp to the tail of a pending chain at that time.
-  // A stale entry is detected by checking the slot still holds the cached
-  // sequence number and is still a tail; a miss merely starts a second
-  // chain for the same instant. 16 bytes — `tail_key` is the tail's full
-  // chain key {seq:40, slot:24}, so hit validation and update are one
-  // load and one store each.
-  struct CacheEntry {
-    SimTime time = 0.0;
-    std::uint64_t tail_key = kNullKey;
-  };
 
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint64_t kNullKey = 0;  // real keys are >= 1<<24
-  static constexpr std::size_t kCacheSize = 512;  // power of two
 
-  // Closure payloads live in fixed-size chunks (4096 x 48 B = 192 KiB)
-  // indexed by slot. Unlike a flat vector, growing by a chunk never
-  // move-relocates the EventFns already in flight — with 100k+ pending
-  // events that relocation storm used to dominate the schedule path.
-  // Chunks are raw storage: a slot's EventFn is placement-new'd the
-  // first time the slot is acquired (slots below the high-water mark
-  // stay constructed, empty, across freelist reuse; the destructor
-  // destroys exactly [0, meta_.size())), so a fresh chunk costs one
-  // allocation instead of a 4096-element value-initialisation sweep.
-  static constexpr unsigned kFnChunkBits = 12;
-  static constexpr std::size_t kFnChunkSize = 1u << kFnChunkBits;
-
-  // First heap reservation: 512 entries (8 KiB). The heap also holds
-  // cancelled and rescheduled chains until they reach the top; counting
-  // those, kv_read_64n peaks at ~80 entries and shard_churn_write at ~400,
-  // so neither ever regrows it, while web_closed_100k (~610) regrows once.
+  // First reservations, taken on first use. The heap also holds cancelled
+  // and rescheduled entries until they reach the top: the perfbench
+  // workloads peak at 83 (kv), 406 (shard) and 629 (web) heap entries and
+  // at most 563 slots, so only web regrows the heap, once. 4096 slots
+  // (192 KiB of closures) sits above glibc's default mmap threshold, which
+  // keeps the block out of the main heap; 128 or 1024 slots raised
+  // kv_read_64n peak RSS by 0.4-0.8 MiB.
   static constexpr std::size_t kHeapReserve = 512;
+  static constexpr std::size_t kSlotReserve = 4096;
 
   static bool EntryLess(const HeapEntry& a, const HeapEntry& b) {
     return a.time < b.time || (a.time == b.time && a.key < b.key);
   }
-  static std::size_t CacheIndex(SimTime t);
 
   std::uint32_t AcquireSlot();
-  // Links an occupied slot (seq already assigned) into the chain/cache/
-  // heap structures at time `t` and returns its chain key.
-  EventId LinkSlot(std::uint32_t slot, std::uint64_t seq, SimTime t);
-  EventFn& FnAt(std::uint32_t slot) {
-    return reinterpret_cast<EventFn*>(
-        fn_chunks_[slot >> kFnChunkBits].get())[slot & (kFnChunkSize - 1)];
-  }
-  const EventFn& FnAt(std::uint32_t slot) const {
-    return reinterpret_cast<const EventFn*>(
-        fn_chunks_[slot >> kFnChunkBits].get())[slot & (kFnChunkSize - 1)];
-  }
   void FreeSlot(std::uint32_t slot) {
-    FnAt(slot).Reset();
-    meta_[slot].seq = 0;  // stale EventIds and cache entries fail validation
+    slot_seq_[slot] = 0;  // stale EventIds and heap entries fail validation
     free_slots_.push_back(slot);
   }
+  // True when {seq, slot} names a pending, uncancelled event.
+  bool IsLive(std::uint64_t seq, std::uint32_t slot) const {
+    return seq != 0 && slot < slot_seq_.size() && slot_seq_[slot] == seq &&
+           fns_[slot];
+  }
 
-  // Starts a new chain headed by (t, key).
-  void HeapPush(SimTime t, std::uint64_t key);
-
+  // Pushes the entry for slot `slot` under sequence number `seq` at time
+  // `t` and returns its key (the event's EventId).
+  EventId HeapPush(SimTime t, std::uint64_t seq, std::uint32_t slot);
   void HeapSiftUp(std::size_t pos);
   void HeapSiftDown(std::size_t pos);
   void PopRootEntry();
 
-  // Drops cancelled events off the top chain (freeing their slots) until
-  // the heap is empty or its top names a live chain head.
+  // Drops stale and cancelled entries off the heap top (freeing the
+  // cancelled events' slots) until the heap is empty or its top names a
+  // live event.
   void ResolveTop();
   // True when the next event in (time, seq) order is the ring front.
   // Precondition: ResolveTop() ran.
@@ -245,15 +195,8 @@ class Scheduler {
   void RingGrow();
 
   // Executes the globally minimal pending event.
-  // Precondition: pending_events() > 0.
+  // Precondition: ResolveTop() ran and pending_events() > 0.
   void ExecuteNext();
-  // Big-step drain: executes up to `budget` events off the heap-top
-  // timestamp chain without re-touching the heap between events,
-  // interleaving ring wake-ups by sequence number. Returns to the generic
-  // loop (with the heap left valid) as soon as another chain, a budget
-  // limit, or a callback-made structural change interleaves.
-  // Precondition: ResolveTop() ran, heap top live, budget >= 1.
-  std::size_t DrainTopChain(std::size_t budget);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -261,15 +204,9 @@ class Scheduler {
   std::size_t live_scheduled_ = 0;
 
   std::vector<HeapEntry> heap_;
-  std::vector<SlotMeta> meta_;
-  std::vector<std::unique_ptr<std::byte[]>> fn_chunks_;
+  std::vector<std::uint64_t> slot_seq_;
+  std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<CacheEntry> chain_cache_;
-
-  // Bumped on every heap structural change (push, pop, root advance) so
-  // DrainTopChain can detect callback-made mutations and fall back to the
-  // generic path.
-  std::uint64_t heap_gen_ = 0;
 
   // Fast-lane FIFO ring (power-of-two capacity).
   std::vector<RingEntry> ring_;

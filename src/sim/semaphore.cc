@@ -2,16 +2,18 @@
 
 #include <cassert>
 
+#include "common/check.h"
+
 namespace wimpy::sim {
 
 Semaphore::Semaphore(Scheduler* sched, std::int64_t permits)
     : sched_(sched), available_(permits) {
   assert(sched != nullptr);
-  assert(permits >= 0);
+  Check(permits >= 0, "sim::Semaphore", "permits must be >= 0");
 }
 
 bool Semaphore::TryAcquire(std::int64_t n) {
-  assert(n > 0);
+  Check(n > 0, "sim::Semaphore", "request must be > 0 permits");
   // FIFO fairness: cannot jump ahead of queued waiters.
   if (waiters_.empty() && available_ >= n) {
     available_ -= n;
@@ -22,7 +24,7 @@ bool Semaphore::TryAcquire(std::int64_t n) {
 }
 
 void Semaphore::EnqueueWaiter(std::coroutine_handle<> h, std::int64_t n) {
-  assert(n > 0);
+  Check(n > 0, "sim::Semaphore", "request must be > 0 permits");
   waiters_.push_back(Waiter{h, n});
   if (waiters_.size() > peak_queue_) peak_queue_ = waiters_.size();
 }
@@ -38,8 +40,9 @@ void Semaphore::Drain() {
 }
 
 void Semaphore::Release(std::int64_t n) {
-  assert(n > 0);
-  assert(in_use_ >= n);
+  // An over-release would silently raise the modelled capacity.
+  Check(n > 0, "sim::Semaphore", "release must be > 0 permits");
+  Check(in_use_ >= n, "sim::Semaphore", "released more permits than in use");
   in_use_ -= n;
   available_ += n;
   Drain();

@@ -543,9 +543,7 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
     return sum / static_cast<double>(values.size());
   };
   report.web_cpu_pct = mean_of(web_util, "web.cpu_pct");
-  report.web_memory_pct = mean_of(web_util, "web.mem_pct");
   report.cache_cpu_pct = mean_of(cache_util, "cache.cpu_pct");
-  report.cache_memory_pct = mean_of(cache_util, "cache.mem_pct");
 
   report.dispatch_response = window.dispatch_response;
   report.conn_intended_response = window.conn_intended_response;

@@ -91,8 +91,6 @@ struct LevelReport {
   Watts middle_tier_power = 0;     // web+cache aggregate mean over window
   double web_cpu_pct = 0;          // mean during window
   double cache_cpu_pct = 0;
-  double web_memory_pct = 0;
-  double cache_memory_pct = 0;
   // Table 7 decomposition, aggregated across all web servers.
   OnlineStats db_delay;
   OnlineStats cache_delay;

@@ -10,8 +10,11 @@
 //     reference engine (the original priority_queue + tombstone-set
 //     implementation this engine replaced) through an identical
 //     deterministic op mix — schedules, nested schedules, coroutine
-//     wake-ups, and cancels (including cancel of the earliest pending
-//     event and double-cancel) — and requires bit-identical traces. The
+//     wake-ups, cancels (including cancel of the earliest pending event
+//     and double-cancel), and a same-instant run of 1,000+ events that
+//     cancel, reschedule, wake coroutines and schedule at the current
+//     instant from inside their callbacks — and requires bit-identical
+//     traces. The
 //     tracer's explicit-time InstantAt form lets the reference engine's
 //     clock feed the same record path the real engine uses.
 //
@@ -187,6 +190,13 @@ struct RealEngine {
   void Resume(std::int64_t label) {
     sched.ResumeLater(LogOnResume(trace, sched, label).handle);
   }
+  // In place: the closure travels with the event, so `label` and `body`
+  // are only the reference engine's to rebuild.
+  std::uint64_t Reschedule(std::uint64_t id, Duration delay,
+                           std::int64_t /*label*/,
+                           std::function<void()> /*body*/) {
+    return sched.RescheduleAfter(id, delay);
+  }
   SimTime Now() const { return sched.now(); }
   void Run(SimTime until) { sched.Run(until); }
   void RunAll() { sched.Run(); }
@@ -207,6 +217,13 @@ struct RefEngine {
   void Resume(std::int64_t label) {
     sched.ResumeLater(
         [this, label] { Log(trace, sched.now(), label); });
+  }
+  // Reference semantics: cancel + schedule a fresh event, one sequence
+  // number either way.
+  std::uint64_t Reschedule(std::uint64_t id, Duration delay,
+                           std::int64_t label, std::function<void()> body) {
+    if (!Cancel(id)) return 0;
+    return Schedule(Now() + delay, label, std::move(body));
   }
   SimTime Now() const { return sched.now(); }
   void Run(SimTime until) { sched.Run(until); }
@@ -285,6 +302,69 @@ void RunOpMix(Engine& eng, std::vector<int>& cancel_log) {
     cancel_log.push_back(eng.Cancel((*armed)[i].id) ? 1 : 0);
     (*armed)[i].live = false;
   }
+
+  // A same-instant run of 1,000+ events at t = 2 (where script events
+  // land too) whose callbacks cancel, reschedule to the same instant and
+  // later, post fast-lane wake-ups and schedule more work at the current
+  // instant. Each callback draws its action when it runs, so the two
+  // engines stay in step only while they execute in the same order.
+  struct BurstEvent {
+    std::uint64_t id;
+    bool live;
+  };
+  constexpr std::size_t kBurst = 1000;
+  constexpr std::size_t kBurstCap = 1400;
+  std::vector<BurstEvent> burst;
+  auto burst_label = [](std::size_t idx) {
+    return static_cast<std::int64_t>(70000 + idx);
+  };
+  std::function<std::function<void()>(std::size_t)> burst_body;
+  auto burst_plant = [&eng, &burst, &burst_label, &burst_body](SimTime t) {
+    const std::size_t idx = burst.size();
+    burst.push_back({0, true});
+    burst[idx].id = eng.Schedule(t, burst_label(idx), burst_body(idx));
+  };
+  burst_body = [&eng, &next, &burst, &burst_label, &burst_body, &burst_plant,
+                &cancel_log](std::size_t idx) {
+    return std::function<void()>([&eng, &next, &burst, &burst_label,
+                                  &burst_body, &burst_plant, &cancel_log,
+                                  idx] {
+      burst[idx].live = false;  // fired
+      const std::uint32_t action = next() % 8;
+      const std::size_t pick = next() % burst.size();
+      switch (action) {
+        case 0:  // cancel
+          if (burst[pick].live) {
+            cancel_log.push_back(eng.Cancel(burst[pick].id) ? 1 : 0);
+            burst[pick].live = false;
+          } else {
+            cancel_log.push_back(2);
+          }
+          break;
+        case 1:    // reschedule to this instant
+        case 2: {  // reschedule later
+          if (!burst[pick].live) {
+            cancel_log.push_back(2);
+            break;
+          }
+          const Duration delay = action == 1 ? 0.0 : 0.125 * (1 + next() % 3);
+          burst[pick].id = eng.Reschedule(burst[pick].id, delay,
+                                          burst_label(pick), burst_body(pick));
+          cancel_log.push_back(burst[pick].id != 0 ? 1 : 0);
+          break;
+        }
+        case 3:
+          eng.Resume(80000 + static_cast<std::int64_t>(idx));
+          break;
+        case 4:
+          if (burst.size() < kBurstCap) burst_plant(eng.Now());
+          break;
+        default:
+          break;
+      }
+    });
+  };
+  for (std::size_t i = 0; i < kBurst; ++i) burst_plant(2.0);
 
   // Run in bounded windows (exercising the drained-queue clock advance),
   // then to completion.

@@ -201,7 +201,7 @@ void RunStress(std::uint64_t seed, int rounds, double step,
 }
 
 TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
-  // Coarse timestamps force same-time chains.
+  // Coarse timestamps force same-time runs.
   RunStress(12345, 300, 0.5,
             [](double now, const std::vector<Rec>&, Lcg& rng) {
               return now + (rng.Next() % 64) * 0.25;
@@ -211,7 +211,7 @@ TEST(SchedulerStressTest, InterleavedScheduleCancelRunKeepsExactAccounting) {
 TEST(SchedulerStressTest, MixedScaleDelaysKeepClockMonotonic) {
   // Delays in whole microseconds: under 256 µs, under 65.5 ms, and up to
   // ~131 ms. A quarter of the events land a few microseconds after the
-  // earliest pending event, so fresh chains keep slotting in just behind
+  // earliest pending event, so fresh events keep slotting in just behind
   // the heap top: each must still fire at its own time, with the clock
   // never stepping backwards.
   constexpr double kTick = 1e-6;
@@ -291,7 +291,7 @@ TEST(SchedulerAllocationTest, SmallCaptureSchedulePathIsAllocationFree) {
   sim::Scheduler sched;
   int fired = 0;
 
-  // Warm-up: sizes the slot pool, heap, and chain cache.
+  // Warm-up: sizes the slot pool and the heap.
   for (int i = 0; i < kEvents; ++i) {
     sched.ScheduleAt(static_cast<double>(i % 17), [&fired] { ++fired; });
   }

@@ -193,7 +193,7 @@ TEST(SchedulerTest, RescheduleAfterMatchesCancelPlusSchedule) {
     std::vector<std::pair<int, double>> trace;
     std::vector<EventId> ids;
     for (int i = 0; i < 16; ++i) {
-      const double t = 1.0 + 0.25 * (i % 5);  // clustered times share chains
+      const double t = 1.0 + 0.25 * (i % 5);  // clustered times are shared
       ids.push_back(s.ScheduleAt(t, [&trace, &s, i] {
         trace.emplace_back(i, s.now());
       }));
@@ -218,9 +218,8 @@ TEST(SchedulerTest, RescheduleAfterMatchesCancelPlusSchedule) {
   EXPECT_EQ(run(true), run(false));
 }
 
-// Rescheduling an event that shares its timestamp chain with others must
-// leave the chain-mates intact (tail and mid-chain positions differ in
-// the implementation, so cover both by rescheduling each position).
+// Rescheduling an event that shares its timestamp with others must leave
+// them intact and in order, whichever position the moved event held.
 TEST(SchedulerTest, RescheduleAfterLeavesChainMatesIntact) {
   for (int victim = 0; victim < 3; ++victim) {
     Scheduler s;
@@ -240,7 +239,7 @@ TEST(SchedulerTest, RescheduleAfterLeavesChainMatesIntact) {
 // ---------------------------------------------------------------------------
 // Reschedules across delay scales. Every move between delays from 1 µs to
 // 10 s, in both directions, plus a nudge far below 1 µs, must land the
-// event exactly at its new time, leave its chain-mate at the old time
+// event exactly at its new time, leave the event sharing its old time
 // intact, run behind a bystander already pending at the new time (FIFO by
 // schedule order), and leave nothing pending once drained.
 
@@ -255,7 +254,7 @@ TEST(SchedulerTest, RescheduleAfterAcrossDelayScalesKeepsTimeAndOrder) {
     Scheduler s;
     std::vector<int> order;
     double fired_at = -1;
-    s.ScheduleAt(from, [&] { order.push_back(0); });  // chain-mate
+    s.ScheduleAt(from, [&] { order.push_back(0); });  // time-mate
     const EventId id = s.ScheduleAt(from, [&] {
       fired_at = s.now();
       order.push_back(2);

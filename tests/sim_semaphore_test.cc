@@ -107,5 +107,31 @@ TEST(SemaphoreTest, GuardManualReleaseFreesPermitEarly) {
   EXPECT_EQ(acquired[0].second, 1.0);  // waiter got it at release time
 }
 
+// The boundary checks hold in every build type: a negative count or a
+// non-positive request would corrupt the FIFO accounting, and an
+// over-release would silently raise the modelled capacity.
+TEST(SemaphoreDeathTest, NegativePermitsAbortAtConstruction) {
+  Scheduler sched;
+  EXPECT_DEATH(Semaphore(&sched, -1), "sim::Semaphore: permits must be >= 0");
+}
+
+TEST(SemaphoreDeathTest, NonPositiveRequestAborts) {
+  Scheduler sched;
+  Semaphore sem(&sched, 2);
+  EXPECT_DEATH(sem.TryAcquire(0),
+               "sim::Semaphore: request must be > 0 permits");
+  EXPECT_DEATH(sem.Release(0), "sim::Semaphore: release must be > 0 permits");
+}
+
+TEST(SemaphoreDeathTest, OverReleaseAborts) {
+  Scheduler sched;
+  Semaphore sem(&sched, 2);
+  ASSERT_TRUE(sem.TryAcquire());
+  EXPECT_DEATH(sem.Release(2),
+               "sim::Semaphore: released more permits than in use");
+  EXPECT_DEATH(Semaphore(&sched, 1).Release(),
+               "sim::Semaphore: released more permits than in use");
+}
+
 }  // namespace
 }  // namespace wimpy::sim

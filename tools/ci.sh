@@ -14,8 +14,9 @@
 #      itself under ASan so every coroutine frame goes through the real
 #      allocator and gets poisoned/unpoisoned individually.
 #   3. Debug build + full ctest — every tier-1 and bench build defines
-#      NDEBUG, so the library's asserts (the scheduler's clock and slot
-#      invariants among them) only run here.
+#      NDEBUG, so the library's asserts (the scheduler's clock invariants
+#      among them) only run here; boundary checks such as the scheduler's
+#      slot capacity use wimpy::Check and run in every build.
 #   4. tools/check_trace.sh — obs export validation: trace-event JSON
 #      schema + causal ids + flow arrows, metrics CSV shape, flamegraph
 #      folding, the trace_analyze.py seed-77 golden, and (with
@@ -49,7 +50,7 @@ ASAN_SMOKE=(sim_scheduler_test sim_scheduler_stress_test
             kv_failover_test load_openloop_test obs_energy_test
             obs_causal_test obs_telemetry_test shard_experiment_test
             shard_router_test web_server_unit_test obs_metrics_test
-            cluster_test mapreduce_job_test)
+            cluster_test mapreduce_job_test sim_event_trace_test)
 ASAN_TESTS="${ASAN_TESTS:-^($(IFS='|'; echo "${ASAN_SMOKE[*]}"))\$}"
 DEBUG_BUILD_DIR="${DEBUG_BUILD_DIR:-build-debug}"
 
@@ -92,10 +93,9 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   # connection's frame (web server unit tests), and the metrics
   # registry, whose probes borrow the cluster and the MapReduce testbed
   # for the whole run (metrics, cluster and MapReduce job tests). The
-  # scheduler stress test
-  # rides along because the pending heap holds every cancelled or
-  # rescheduled chain until it reaches the top, and its slots are freed
-  # and reused from there.
+  # scheduler stress and event-trace tests ride along because the pending
+  # heap holds every cancelled or rescheduled event's entry until it
+  # reaches the top, while its slot may already hold a newer event.
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target "${ASAN_SMOKE[@]}"
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"
