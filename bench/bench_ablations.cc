@@ -10,18 +10,17 @@
 // Every ablation case is one sweep configuration: --replications=N runs
 // each case N times with independent seeds on --threads workers and the
 // tables report mean±95% CI (docs/parallel.md).
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "core/experiments.h"
 #include "hw/profiles.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -81,7 +80,6 @@ std::string Jls(const CaseStats& s) { return FormatMeanCI(s.joules, 0) + " J"; }
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
 
   std::vector<Case> cases;
 
@@ -197,13 +195,9 @@ int main(int argc, char** argv) {
     }});
   }
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto sweep = sim::RunSweep(
-      cases, plan, [](const Case& c, Rng& root) { return c.run(root); });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::TimedSweep timed(args);
+  const auto sweep = timed.Run(
+      cases, [](const Case& c, Rng& root) { return c.run(root); });
 
   std::vector<CaseStats> stats;
   stats.reserve(sweep.size());
@@ -305,8 +299,6 @@ int main(int argc, char** argv) {
         "clusters sit near 95%% data-local maps.\n");
   }
 
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cases.size(), plan.replications, threads, sweep_seconds);
+  timed.PrintFooter();
   return 0;
 }

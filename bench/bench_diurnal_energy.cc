@@ -8,17 +8,15 @@
 // figures report mean±95% CI (docs/parallel.md). --trace/--metrics export
 // one log per sampled hour — each hour runs on a fresh testbed, so each
 // hour is its own trace pid / metrics series (docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "core/diurnal.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -52,7 +50,6 @@ CellResult RunCell(const Cell& cell, Rng& root,
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
 
   core::DiurnalPattern pattern;
   pattern.peak_rps = 7000;
@@ -63,16 +60,12 @@ int main(int argc, char** argv) {
       {"3 Dell (2 web + 1 cache)", false},
   };
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
   const bool want_trace = !args.trace_path.empty();
   const bool want_metrics = !args.metrics_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
     return RunCell(cell, root, pattern, want_trace, want_metrics);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const auto& reps = sweep[c];
@@ -132,8 +125,6 @@ int main(int argc, char** argv) {
     }
     bench::ExportObsLogs(args, logs, series);
   }
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  timed.PrintFooter();
   return 0;
 }

@@ -12,21 +12,17 @@
 // --threads still parallelises the grid and --trace/--metrics export a
 // per-cell "duty" span plus per-second node probes
 // (docs/parallel.md, docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "hw/dvfs.h"
 #include "hw/profiles.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
 #include "sim/process.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -41,8 +37,7 @@ struct Cell {
 struct CellResult {
   double joules = 0;
   double elapsed_s = 0;
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
+  bench::ObsResult obs;
 };
 
 // Runs a duty-cycled single-core load for 200 s and returns joules.
@@ -90,8 +85,8 @@ CellResult RunDuty(const hw::HardwareProfile& profile,
   res.joules = node.power().CumulativeJoules();
   sched.Run();
   res.elapsed_s = sched.now();
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = registry.TakeSeries();
+  if (want_trace) res.obs.trace = tracer.TakeLog();
+  if (want_metrics) res.obs.metrics = registry.TakeSeries();
   return res;
 }
 
@@ -132,16 +127,16 @@ CellResult RunEdisonEqualWork(bool want_trace, bool want_metrics) {
   CellResult res;
   res.joules = node.power().CumulativeJoules();
   res.elapsed_s = sched.now();
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = registry.TakeSeries();
+  if (want_trace) res.obs.trace = tracer.TakeLog();
+  if (want_metrics) res.obs.metrics = registry.TakeSeries();
   return res;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kTraceMetrics);
   const auto dell = hw::DellR620Profile();
 
   const std::vector<double> duties = {0.0, 0.1, 0.3, 0.5, 0.9};
@@ -153,11 +148,10 @@ int main(int argc, char** argv) {
   }
   cells.push_back({Cell::kEdisonWork});
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
   const bool want_trace = !args.trace_path.empty();
   const bool want_metrics = !args.metrics_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
     (void)root;  // the duty cells are deterministic by construction
     if (cell.kind == Cell::kEdisonWork) {
       return RunEdisonEqualWork(want_trace, want_metrics);
@@ -166,9 +160,6 @@ int main(int argc, char** argv) {
     return RunDuty(dell, cell.ondemand ? &ondemand : nullptr, cell.duty,
                    want_trace, want_metrics);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   TextTable table(
       "DVFS proportionality on a Dell R620 (200 s, one-core duty cycle)");
@@ -209,9 +200,7 @@ int main(int argc, char** argv) {
       "%.0f s vs Dell fixed-frequency %.0f J — the architectural route to "
       "efficiency dwarfs the DVFS route (paper §1).\n",
       edison_work.mean, edison_time.mean, dell_work.mean);
-  bench::ExportSweepObs(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

@@ -12,17 +12,13 @@
 // reports mean±95% CI (docs/parallel.md). --trace/--metrics export
 // sampled connection spans and node/service probes
 // (docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web/service.h"
 
 namespace {
@@ -42,19 +38,15 @@ struct CellResult {
   double err_after = 0;
   double delay_before_ms = 0;
   double delay_after_ms = 0;
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
+  bench::ObsResult obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics) {
+CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
   web::WebTestbedConfig cfg = cell.edison ? web::EdisonWebTestbed(24, 11)
                                           : web::DellWebTestbed(2, 1);
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  if (want_trace) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
+  bench::ObsCapture capture(args);
+  capture.Wire(cfg);
   web::WebExperiment exp(std::move(cfg));
   const auto report = exp.MeasureWithFailure(
       web::LightMix(), cell.concurrency, 10, /*failed_servers=*/1,
@@ -66,38 +58,27 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
   res.err_after = 100 * report.after.error_rate;
   res.delay_before_ms = 1000 * report.before.mean_response;
   res.delay_after_ms = 1000 * report.after.mean_response;
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
+  res.obs = capture.Take();
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
+using bench::Over;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kTraceMetrics);
 
   const std::vector<Cell> cells = {
       {"24 Edison (lose 1/24)", true, 450},
       {"2 Dell (lose 1/2)", false, 450},
   };
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, want_trace, want_metrics);
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
+    return RunCell(cell, root, args);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   TextTable table("Web tier resilience: one server killed mid-run");
   table.SetHeader({"Cluster", "rps before", "rps after", "err before %",
@@ -119,9 +100,7 @@ int main(int argc, char** argv) {
       "\nShape: the Edison fleet absorbs a 4%% load shift; the surviving\n"
       "Dell inherits 100%% extra offered load at its knee — latency and\n"
       "errors jump, the QoS cliff of Janapa Reddi et al. [29].\n");
-  bench::ExportSweepObs(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

@@ -10,15 +10,11 @@
 // with independent seeds on --threads workers, reports the scalar metrics
 // as mean±95% CI and merges the per-replication histograms into one
 // distribution (docs/parallel.md, docs/observability.md).
-#include <chrono>
 #include <cstdio>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web_bench_util.h"
 
 namespace {
@@ -39,23 +35,15 @@ struct CellResult {
   double error_rate = 0;
   double mean_delay_ms = 0;
   LinearHistogram hist{0.0, kHistMaxS, kHistBuckets};
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
+  bench::ObsResult obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics) {
-  const bench::WebScale scale = cell.edison ? bench::EdisonScales().back()
-                                            : bench::DellScales().back();
-  web::WebTestbedConfig cfg =
-      cell.edison
-          ? web::EdisonWebTestbed(scale.web_servers, scale.cache_servers)
-          : web::DellWebTestbed(scale.web_servers, scale.cache_servers);
+CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
+  web::WebTestbedConfig cfg = bench::TestbedConfig(
+      cell.edison ? bench::EdisonScales().back() : bench::DellScales().back());
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  if (want_trace) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
+  bench::ObsCapture capture(args);
+  capture.Wire(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::OpenLoopReport r =
       exp.MeasureOpenLoop(web::HeavyMix(), kTargetRps,
@@ -66,28 +54,21 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
   res.error_rate = r.error_rate;
   res.mean_delay_ms = 1000 * r.client_delay.mean();
   res.hist = r.delay_histogram;
-  if (want_trace) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
+  res.obs = capture.Take();
   return res;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kTraceMetrics);
 
   const std::vector<Cell> cells = {{true}, {false}};
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, want_trace, want_metrics);
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
+    return RunCell(cell, root, args);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const bool edison = cells[c].edison;
@@ -119,9 +100,7 @@ int main(int argc, char** argv) {
       "distribution; Dell's histogram has secondary spikes near 1, 3 and\n"
       "7 seconds (SYN retransmission backoff), because ~3000 fresh\n"
       "connections/sec funnel into only 2 servers' accept queues.\n");
-  bench::ExportSweepObs(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

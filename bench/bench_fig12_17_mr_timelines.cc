@@ -13,11 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "core/experiments.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
 
 namespace {
 
@@ -40,12 +38,16 @@ void PrintTimeline(const std::string& title,
   const std::vector<double> power = t.Column("slaves.power_w");
   const std::vector<double> map = t.Column("job.map_pct");
   const std::vector<double> reduce = t.Column("job.reduce_pct");
-  // Thin the series to ~25 printed rows.
-  const std::size_t stride = std::max<std::size_t>(1, t.times.size() / 25);
-  for (std::size_t i = 0; i < t.times.size(); i += stride) {
+  auto print_row = [&](std::size_t i) {
     std::printf("%8.0f %8.1f %8.1f %8.1f %8.1f %8.1f\n", t.times[i], cpu[i],
                 mem[i], power[i], map[i], reduce[i]);
-  }
+  };
+  // Thin the series to ~25 printed rows, always ending on the last: the
+  // job's end instant.
+  const std::size_t n = t.times.size();
+  const std::size_t stride = std::max<std::size_t>(1, n / 25);
+  for (std::size_t i = 0; i < n; i += stride) print_row(i);
+  if (n > 0 && (n - 1) % stride != 0) print_row(n - 1);
   std::printf("\n");
 }
 
@@ -53,21 +55,16 @@ void PrintTimeline(const std::string& title,
 
 int main(int argc, char** argv) {
   using core::PaperJob;
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  std::vector<obs::TraceLog> logs;
-  std::vector<obs::MetricsSeries> series;
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kTraceMetrics);
   // Runs one paper job with per-run observability capture; logs merge in
   // run order.
+  std::vector<bench::ObsResult> runs;
   auto run_job = [&](PaperJob job, mapreduce::MrClusterConfig cfg) {
-    obs::Tracer tracer;
-    obs::MetricsRegistry metrics;
-    if (want_trace) cfg.tracer = &tracer;
-    if (want_metrics) cfg.metrics = &metrics;
+    bench::ObsCapture capture(args);
+    capture.Wire(cfg);
     const auto result = core::RunPaperJob(job, std::move(cfg));
-    if (want_trace) logs.push_back(tracer.TakeLog());
-    if (want_metrics) series.push_back(metrics.TakeSeries());
+    runs.push_back(capture.Take());
     return result;
   };
 
@@ -105,6 +102,6 @@ int main(int argc, char** argv) {
       "(~45 s on Edison vs ~20 s on Dell for wordcount); wordcount2 cuts\n"
       "completion time 41%% on Edison and 69%% on Dell; pi pins CPU at\n"
       "100%% on both and is the one job where Dell wins on energy.\n");
-  bench::ExportObsLogs(args, logs, series);
+  bench::ExportObs(args, std::move(runs));
   return 0;
 }

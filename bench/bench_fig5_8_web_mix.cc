@@ -6,79 +6,23 @@
 // Supports multi-seed sweeps: --replications=N runs every
 // (platform, concurrency, mix) cell N times with independent seeds on
 // --threads workers and reports mean±95% CI (docs/parallel.md).
-#include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web_bench_util.h"
 
-namespace {
-
-using namespace wimpy;
-using bench::WebScale;
-
-struct Cell {
-  WebScale scale;
-  double concurrency = 0;
-  web::WorkloadMix mix;
-};
-
-struct CellResult {
-  double rps = 0;
-  double error_rate = 0;
-  double delay_ms = 0;
-  double mj_per_req = 0;  // attributed, from the energy ledger
-  double disp_p99_ms = 0;      // p99, service start -> completion
-  double intended_p99_ms = 0;  // p99, connection intended -> completion
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
-};
-
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics, bool want_summary) {
-  web::WebTestbedConfig cfg =
-      cell.scale.edison
-          ? web::EdisonWebTestbed(cell.scale.web_servers,
-                                  cell.scale.cache_servers)
-          : web::DellWebTestbed(cell.scale.web_servers,
-                                cell.scale.cache_servers);
-  cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (want_trace || want_summary) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
-  if (want_summary) cfg.energy = &energy;
-  web::WebExperiment exp(std::move(cfg));
-  const web::LevelReport r = exp.MeasureClosedLoop(
-      cell.mix, cell.concurrency,
-      web::WebExperiment::TunedCallsPerConnection(cell.concurrency),
-      bench::WarmupWindow(), bench::MeasureWindowFor(cell.concurrency));
-  CellResult res{r.achieved_rps, r.error_rate, 1000 * r.mean_response};
-  res.disp_p99_ms = 1000 * r.p99_dispatch;
-  res.intended_p99_ms = 1000 * r.p99_conn_intended;
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_req = bench::MeanRequestMillijoules(res.ledger);
-  }
-  return res;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool want_omission = bench::PeelOmissionFlag(&argc, argv);
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
+  using namespace wimpy;
+  using bench::ClosedLoopResult;
+  using bench::WebScale;
+  const bool omission = bench::PeelFlag(&argc, argv, "--omission").has_value();
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kWithSummary);
 
   struct MixCase {
     std::string label;
@@ -90,45 +34,41 @@ int main(int argc, char** argv) {
       {"img=6%", web::MixWithImagePercent(0.06)},
       {"img=10%", web::MixWithImagePercent(0.10)},
   };
+  std::vector<std::string> labels;
+  for (const auto& c : cases) labels.push_back(c.label);
   const std::vector<WebScale> scales = {bench::EdisonScales().back(),
                                         bench::DellScales().back()};
   const std::vector<double> levels = bench::ConcurrencyLevels();
 
   // Grid in print order: platform, then concurrency, then mix.
-  std::vector<Cell> cells;
+  std::vector<bench::ClosedLoopCell> cells;
   for (const auto& scale : scales) {
     for (double conc : levels) {
       for (const auto& c : cases) cells.push_back({scale, conc, c.mix});
     }
   }
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
+  bench::TimedSweep timed(args);
   auto sweep =
-      sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-        return RunCell(cell, root, want_trace, want_metrics, want_summary);
+      timed.Run(cells, [&](const bench::ClosedLoopCell& cell, Rng& root) {
+        return bench::RunClosedLoopCell(cell, root, args);
       });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
-  int cell_idx = 0;
+  const bool want_summary = !args.trace_summary_path.empty();
+  std::size_t cell_idx = 0;
   for (const auto& scale : scales) {
-    const int scale_base = cell_idx;
+    const std::size_t scale_base = cell_idx;
     TextTable rps(std::string("Figure 5: requests/sec — ") + scale.label +
                   " web servers");
     TextTable delay(std::string("Figure 8: mean delay (ms) — ") +
                     scale.label + " web servers");
     std::vector<std::string> header{"Concurrency"};
-    for (const auto& c : cases) header.push_back(c.label);
+    header.insert(header.end(), labels.begin(), labels.end());
     delay.SetHeader(header);
     // Per-request attributed energy columns (one per mix) ride along
     // when the energy ledger is being filled (--trace-summary).
     if (want_summary) {
-      for (const auto& c : cases) header.push_back(c.label + " mJ/req");
+      for (const auto& label : labels) header.push_back(label + " mJ/req");
     }
     rps.SetHeader(header);
 
@@ -138,25 +78,14 @@ int main(int argc, char** argv) {
       std::vector<std::string> mj_cells;
       for (std::size_t i = 0; i < cases.size(); ++i) {
         const auto& reps = sweep[cell_idx++];
-        const MetricSummary rate =
-            SummarizeOver(reps, [](const CellResult& r) { return r.rps; });
-        const MetricSummary errors = SummarizeOver(
-            reps, [](const CellResult& r) { return r.error_rate; });
-        const MetricSummary delay_ms = SummarizeOver(
-            reps, [](const CellResult& r) { return r.delay_ms; });
-        std::string cell = FormatMeanCI(rate, 0);
-        if (errors.mean > 0.01) {
-          cell += " (err " + TextTable::Num(100 * errors.mean, 0) + "%)";
-        }
-        rps_row.push_back(cell);
-        delay_row.push_back(FormatMeanCI(delay_ms, 1));
-        if (want_summary) {
-          const MetricSummary mj = SummarizeOver(
-              reps, [](const CellResult& r) { return r.mj_per_req; });
-          mj_cells.push_back(TextTable::Num(mj.mean, 2));
-        }
+        rps_row.push_back(bench::RpsCell(reps));
+        delay_row.push_back(bench::DelayCell(reps));
+        mj_cells.push_back(TextTable::Num(
+            bench::Over(reps, &ClosedLoopResult::mj_per_req).mean, 2));
       }
-      for (auto& c : mj_cells) rps_row.push_back(std::move(c));
+      if (want_summary) {
+        rps_row.insert(rps_row.end(), mj_cells.begin(), mj_cells.end());
+      }
       rps.AddRow(rps_row);
       delay.AddRow(delay_row);
     }
@@ -165,40 +94,23 @@ int main(int argc, char** argv) {
     delay.Print();
     std::printf("\n");
 
-    if (want_omission) {
-      TextTable omission(
+    if (omission) {
+      bench::OmissionTable(
           std::string("Omission annotation — ") + scale.label +
-          ": call p99 from dispatch / from connection arrival (ms)");
-      std::vector<std::string> oh{"Concurrency"};
-      for (const auto& c : cases) oh.push_back(c.label);
-      omission.SetHeader(oh);
-      int idx = scale_base;
-      for (double conc : levels) {
-        std::vector<std::string> row{TextTable::Num(conc, 0)};
-        for (std::size_t i = 0; i < cases.size(); ++i) {
-          const auto& reps = sweep[idx++];
-          const MetricSummary d = SummarizeOver(
-              reps, [](const CellResult& r) { return r.disp_p99_ms; });
-          const MetricSummary in = SummarizeOver(
-              reps, [](const CellResult& r) { return r.intended_p99_ms; });
-          row.push_back(bench::FormatOmissionCell(d.mean, in.mean));
-        }
-        omission.AddRow(row);
-      }
-      omission.Print();
+              ": call p99 from dispatch / from connection arrival (ms)",
+          labels, levels, sweep, scale_base)
+          .Print();
       std::printf("\n");
     }
   }
-  if (want_omission) bench::PrintOmissionNote();
+  if (omission) bench::PrintOmissionNote();
 
   std::printf(
       "Paper shapes: peak throughput at 512 concurrency changes little\n"
       "across these mixes, but the 1024-concurrency point drops sharply\n"
       "as image share rises, and delays roughly double even at low\n"
       "concurrency when images are in the mix.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

@@ -6,209 +6,51 @@
 // Supports multi-seed sweeps: --replications=N runs every
 // (concurrency, scale) cell N times with independent seeds on --threads
 // workers and reports mean±95% CI (docs/parallel.md).
-#include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
-#include "common/csv.h"
-#include "common/summary.h"
-#include "common/table.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web_bench_util.h"
 
-namespace {
-
-using namespace wimpy;
-using bench::WebScale;
-
-struct Cell {
-  WebScale scale;
-  double concurrency = 0;
-};
-
-struct CellResult {
-  double rps = 0;
-  double error_rate = 0;
-  double delay_ms = 0;
-  double power = 0;
-  double mj_per_req = 0;  // attributed, from the energy ledger
-  double disp_p99_ms = 0;      // p99, service start -> completion
-  double intended_p99_ms = 0;  // p99, connection intended -> completion
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
-};
-
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics, bool want_summary) {
-  web::WebTestbedConfig cfg =
-      cell.scale.edison
-          ? web::EdisonWebTestbed(cell.scale.web_servers,
-                                  cell.scale.cache_servers)
-          : web::DellWebTestbed(cell.scale.web_servers,
-                                cell.scale.cache_servers);
-  cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (want_trace || want_summary) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
-  if (want_summary) cfg.energy = &energy;
-  web::WebExperiment exp(std::move(cfg));
-  const web::LevelReport r = exp.MeasureClosedLoop(
-      web::HeavyMix(), cell.concurrency,
-      web::WebExperiment::TunedCallsPerConnection(cell.concurrency),
-      bench::WarmupWindow(), bench::MeasureWindowFor(cell.concurrency));
-  CellResult res{r.achieved_rps, r.error_rate, 1000 * r.mean_response,
-                 r.middle_tier_power};
-  res.disp_p99_ms = 1000 * r.p99_dispatch;
-  res.intended_p99_ms = 1000 * r.p99_conn_intended;
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_req = bench::MeanRequestMillijoules(res.ledger);
-  }
-  return res;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool want_omission = bench::PeelOmissionFlag(&argc, argv);
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
+  using namespace wimpy;
+  using bench::ClosedLoopResult;
+  const bool omission = bench::PeelFlag(&argc, argv, "--omission").has_value();
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kWithSummary);
 
-  std::vector<WebScale> scales = bench::EdisonScales();
-  for (const auto& s : bench::DellScales()) scales.push_back(s);
-  const std::vector<double> levels = bench::ConcurrencyLevels();
+  bench::TimedSweep timed(args);
+  auto sweep = bench::RunWebLadder(
+      args, omission,
+      {web::HeavyMix(),
+       "Figure 6: requests/sec vs concurrency (20% image, 93% cache) + "
+       "cluster power",
+       "Figure 9: mean response delay (ms) vs concurrency",
+       "fig6_throughput", "fig9_delay"},
+      timed);
 
-  // Row-major (concurrency, scale) grid, matching the table iteration.
-  std::vector<Cell> cells;
-  for (double conc : levels) {
-    for (const auto& scale : scales) cells.push_back({scale, conc});
-  }
-
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep =
-      sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-        return RunCell(cell, root, want_trace, want_metrics, want_summary);
-      });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  TextTable rps(
-      "Figure 6: requests/sec vs concurrency (20% image, 93% cache) + "
-      "cluster power");
-  TextTable delay("Figure 9: mean response delay (ms) vs concurrency");
-  std::vector<std::string> header{"Concurrency"};
-  for (const auto& s : scales) header.push_back(s.label);
-  header.push_back("Edison power (24)");
-  header.push_back("Dell power (2)");
-  // Per-request attributed energy columns ride along when the energy
-  // ledger is being filled (--trace-summary).
-  const std::size_t base_columns = header.size();
-  if (want_summary) {
-    header.push_back("Edison mJ/req (24)");
-    header.push_back("Dell mJ/req (2)");
-  }
-  rps.SetHeader(header);
-  delay.SetHeader(std::vector<std::string>(
-      header.begin(), header.begin() + (base_columns - 2)));
-
+  // Work done per joule at each full cluster's error-free peak.
+  const std::vector<bench::WebScale> scales = bench::LadderScales();
   double edison_peak = 0, dell_peak = 0;
   double edison_peak_power = 0, dell_peak_power = 0;
-  int cell_idx = 0;
-  for (double conc : levels) {
-    std::vector<std::string> rps_row{TextTable::Num(conc, 0)};
-    std::vector<std::string> delay_row{TextTable::Num(conc, 0)};
-    double epow = 0, dpow = 0;
-    double emj = 0, dmj = 0;
-    for (const auto& scale : scales) {
-      const auto& reps = sweep[cell_idx++];
-      const MetricSummary rate =
-          SummarizeOver(reps, [](const CellResult& r) { return r.rps; });
-      const MetricSummary errors = SummarizeOver(
-          reps, [](const CellResult& r) { return r.error_rate; });
-      const MetricSummary delay_ms = SummarizeOver(
-          reps, [](const CellResult& r) { return r.delay_ms; });
-      const MetricSummary power =
-          SummarizeOver(reps, [](const CellResult& r) { return r.power; });
-      std::string cell = FormatMeanCI(rate, 0);
-      if (errors.mean > 0.01) {
-        cell += " (err " + TextTable::Num(100 * errors.mean, 0) + "%)";
-      }
-      rps_row.push_back(cell);
-      delay_row.push_back(FormatMeanCI(delay_ms, 1));
-      if (scale.label == "24 Edison") {
-        epow = power.mean;
-        if (errors.mean <= 0.01 && rate.mean > edison_peak) {
-          edison_peak = rate.mean;
-          edison_peak_power = epow;
-        }
-      }
-      if (scale.label == "2 Dell") {
-        dpow = power.mean;
-        if (errors.mean <= 0.01 && rate.mean > dell_peak) {
-          dell_peak = rate.mean;
-          dell_peak_power = dpow;
-        }
-      }
-      if (want_summary) {
-        const MetricSummary mj = SummarizeOver(
-            reps, [](const CellResult& r) { return r.mj_per_req; });
-        if (scale.label == "24 Edison") emj = mj.mean;
-        if (scale.label == "2 Dell") dmj = mj.mean;
-      }
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const std::string& label = scales[i % scales.size()].label;
+    const double rate = bench::Over(sweep[i], &ClosedLoopResult::rps).mean;
+    const double errors =
+        bench::Over(sweep[i], &ClosedLoopResult::error_rate).mean;
+    const double power = bench::Over(sweep[i], &ClosedLoopResult::power).mean;
+    if (errors > 0.01) continue;
+    if (label == "24 Edison" && rate > edison_peak) {
+      edison_peak = rate;
+      edison_peak_power = power;
     }
-    rps_row.push_back(TextTable::Num(epow, 1) + " W");
-    rps_row.push_back(TextTable::Num(dpow, 1) + " W");
-    if (want_summary) {
-      rps_row.push_back(TextTable::Num(emj, 2));
-      rps_row.push_back(TextTable::Num(dmj, 2));
+    if (label == "2 Dell" && rate > dell_peak) {
+      dell_peak = rate;
+      dell_peak_power = power;
     }
-    rps.AddRow(rps_row);
-    delay.AddRow(delay_row);
   }
-  rps.Print();
-  MaybeExportCsv(rps, "fig6_throughput");
-  std::printf("\n");
-  delay.Print();
-  MaybeExportCsv(delay, "fig9_delay");
-
-  if (want_omission) {
-    TextTable omission(
-        "Omission annotation: call p99 from dispatch / from connection "
-        "arrival (ms)");
-    std::vector<std::string> oh{"Concurrency"};
-    for (const auto& s : scales) oh.push_back(s.label);
-    omission.SetHeader(oh);
-    int idx = 0;
-    for (double conc : levels) {
-      std::vector<std::string> row{TextTable::Num(conc, 0)};
-      for (std::size_t s = 0; s < scales.size(); ++s) {
-        const auto& reps = sweep[idx++];
-        const MetricSummary d = SummarizeOver(
-            reps, [](const CellResult& r) { return r.disp_p99_ms; });
-        const MetricSummary in = SummarizeOver(
-            reps, [](const CellResult& r) { return r.intended_p99_ms; });
-        row.push_back(bench::FormatOmissionCell(d.mean, in.mean));
-      }
-      omission.AddRow(row);
-    }
-    std::printf("\n");
-    omission.Print();
-    bench::PrintOmissionNote();
-  }
-
   if (edison_peak_power > 0 && dell_peak_power > 0 && dell_peak > 0) {
     const double edison_eff = edison_peak / edison_peak_power;
     const double dell_eff = dell_peak / dell_peak_power;
@@ -222,9 +64,7 @@ int main(int argc, char** argv) {
       "half Edison cluster can no longer survive 1024 concurrency; Edison\n"
       "drops from slightly ahead of Dell to slightly behind, but the\n"
       "3.5x energy-efficiency edge persists.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

@@ -15,20 +15,14 @@
 // outstanding, 512 queued) so the overloaded cells actually shed — the
 // incident the shed/burn-rate alert rules exist to catch; combine with
 // --slo-ms to arm the SLO rules.
-#include <chrono>
 #include <cstdio>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "hw/profiles.h"
 #include "kv/experiment.h"
-#include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -48,11 +42,7 @@ struct CellResult {
   double power_w = 0;
   double queries_per_joule = 0;
   double mj_per_query = 0;  // attributed, from the energy ledger
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
-  obs::TelemetrySeries telemetry;
-  obs::AlertLog alerts;
+  bench::ObsResult obs;
 };
 
 kv::KvExperimentConfig BaseConfig(bool edison) {
@@ -65,26 +55,14 @@ kv::KvExperimentConfig BaseConfig(bool edison) {
 }
 
 CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
-  const bool want_summary = !args.trace_summary_path.empty();
   kv::KvExperimentConfig config = BaseConfig(cell.edison);
   if (cell.failover) config.replication = 2;
   config.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  obs::Telemetry telemetry;
-  // The summary CSV is derived from the trace, so recording is on
-  // whenever either export is requested.
-  if (want_trace || want_summary) config.tracer = &tracer;
-  if (want_metrics) config.metrics = &metrics;
-  if (want_summary) config.energy = &energy;
+  bench::ObsCapture capture(args);
+  capture.Wire(config);
   if (args.WantTelemetry()) {
-    // One Telemetry per replication (sim/replication.h merge contract);
-    // the SLO bound arms the burn-rate/p99/shed rules in the experiment
+    // The SLO bound arms the burn-rate/p99/shed rules in the experiment
     // wiring. Telemetry also needs a gate so sheds exist to alert on.
-    config.telemetry = &telemetry;
     if (args.slo_ms > 0) config.openloop.slo = Milliseconds(args.slo_ms);
     config.openloop.max_outstanding = 256;
     config.openloop.queue_limit = 512;
@@ -102,30 +80,17 @@ CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
   res.p99_lat_ms = 1000 * r.p99_latency;
   res.power_w = r.store_power;
   res.queries_per_joule = r.queries_per_joule;
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_query = bench::MeanRequestMillijoules(res.ledger);
-  }
-  if (args.WantTelemetry()) {
-    res.telemetry = telemetry.TakeSeries();
-    res.alerts = telemetry.TakeAlerts();
-  }
+  res.obs = capture.Take();
+  res.mj_per_query = bench::MeanRequestMillijoules(res.obs.ledger);
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
+using bench::Over;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
 
   // The (qps, platform) grid rows, then the failover scenario as the
   // last cell so exports stay in table order.
@@ -137,15 +102,11 @@ int main(int argc, char** argv) {
   }
   cells.push_back({2000.0, /*edison=*/true, /*failover=*/true});
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_summary = !args.trace_summary_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
     return RunCell(cell, root, args);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const bool want_summary = !args.trace_summary_path.empty();
 
   TextTable table("FAWN-style key-value serving (90% GET, 1 KB values)");
   // The attributed-energy column rides along when the energy ledger is
@@ -196,22 +157,7 @@ int main(int argc, char** argv) {
       "throughput at a fraction of the power, so queries-per-joule is\n"
       "several-fold higher — consistent with this paper's web results;\n"
       "and the ring absorbs node failures with no visible outage.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
-  if (args.WantTelemetry()) {
-    // Flattened in the same [config][replication] index order as the
-    // other exports, so --threads never changes a byte.
-    std::vector<obs::TelemetrySeries> telemetry;
-    std::vector<obs::AlertLog> alerts;
-    for (auto& per_config : sweep) {
-      for (auto& rep : per_config) {
-        telemetry.push_back(std::move(rep.telemetry));
-        alerts.push_back(std::move(rep.alerts));
-      }
-    }
-    bench::ExportTelemetryLogs(args, telemetry, alerts);
-  }
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

@@ -10,18 +10,16 @@
 // (docs/parallel.md). --trace/--metrics export per-load-point spans and
 // node probes, plus per-strategy MapReduce task spans
 // (docs/observability.md).
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "core/powerdown.h"
 #include "core/proportionality.h"
 #include "hw/profiles.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -63,22 +61,17 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
 
   const std::vector<Cell> cells = {{Cell::kCurve, /*edison=*/false},
                                    {Cell::kCurve, /*edison=*/true},
                                    {Cell::kPowerDown}};
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
   const bool want_trace = !args.trace_path.empty();
   const bool want_metrics = !args.metrics_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
     return RunCell(cell, root, want_trace, want_metrics);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   // --- power-vs-load curves ----------------------------------------------
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -159,8 +152,6 @@ int main(int argc, char** argv) {
     }
     bench::ExportObsLogs(args, logs, series);
   }
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  timed.PrintFooter();
   return 0;
 }

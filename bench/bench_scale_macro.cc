@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/random.h"
 #include "hw/profiles.h"
 #include "kv/experiment.h"
@@ -239,23 +240,7 @@ int RunDeterminism(const Flags& flags) {
         const CellOutcome out = cell.web
                                     ? RunWebCell(cell.n, root, &tracer)
                                     : RunKvCell(cell.n, root, &tracer);
-        DetResult res{out, {}};
-        const obs::TraceLog log = tracer.TakeLog();
-        const std::size_t prefix =
-            std::min<std::size_t>(log.events.size(), 48);
-        for (std::size_t i = 0; i < prefix; ++i) {
-          const obs::TraceEvent& e = log.events[i];
-          char buf[256];
-          std::snprintf(buf, sizeof(buf),
-                        "%c %s t=%.9g track=%d arg=%lld ids=%llu/%llu/%llu",
-                        e.phase, e.name, e.time, e.track,
-                        static_cast<long long>(e.arg),
-                        static_cast<unsigned long long>(e.trace_id),
-                        static_cast<unsigned long long>(e.span_id),
-                        static_cast<unsigned long long>(e.parent_id));
-          res.trace_prefix.push_back(buf);
-        }
-        sweep[c][r] = std::move(res);
+        sweep[c][r] = {out, bench::TracePrefix(tracer.TakeLog(), 48)};
       });
   for (std::size_t c = 0; c < cells.size(); ++c) {
     for (int r = 0; r < flags.reps; ++r) {
@@ -326,44 +311,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!flags.json_path.empty()) {
-    std::FILE* f = std::fopen(flags.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   flags.json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"context\": {\n"
-                 "    \"executable\": \"bench_scale_macro\",\n"
-                 "    \"window_seconds\": %g,\n"
-                 "    \"reps\": %d,\n"
-                 "    \"note\": \"items_per_second = whole replications "
-                 "per wall second (1/wall); events_per_second is "
-                 "informational; peak_rss_bytes is process VmHWM "
-                 "(monotonic across cells, run in ascending-N "
-                 "order)\"\n  },\n  \"benchmarks\": [\n",
-                 kWindowSeconds, flags.reps);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const Entry& e = entries[i];
-      std::fprintf(
-          f,
-          "    {\"name\": \"%s\", \"run_name\": \"%s\", "
-          "\"run_type\": \"iteration\", \"repetition_index\": %d, "
-          "\"iterations\": 1, \"real_time\": %.6f, \"cpu_time\": %.6f, "
-          "\"time_unit\": \"s\", \"items_per_second\": %.6f, "
-          "\"events\": %llu, \"events_per_second\": %.3f, "
-          "\"served_per_second\": %.3f, "
-          "\"error_rate\": %.6f, \"peak_rss_bytes\": %lld}%s\n",
-          e.run_name.c_str(), e.run_name.c_str(), e.rep, e.wall_s, e.wall_s,
-          e.wall_s > 0 ? 1.0 / e.wall_s : 0.0,
-          static_cast<unsigned long long>(e.outcome.events), e.events_per_s,
-          e.outcome.achieved_per_s, e.outcome.error_rate, e.peak_rss,
-          i + 1 < entries.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", flags.json_path.c_str());
+  if (flags.json_path.empty()) return 0;
+  std::vector<bench::BenchJsonRow> rows;
+  for (const Entry& e : entries) {
+    rows.push_back(
+        {e.run_name,
+         e.rep,
+         e.wall_s,
+         {bench::JsonFixed("items_per_second",
+                           e.wall_s > 0 ? 1.0 / e.wall_s : 0.0, 6),
+          bench::JsonInt("events", static_cast<long long>(e.outcome.events)),
+          bench::JsonFixed("events_per_second", e.events_per_s, 3),
+          bench::JsonFixed("served_per_second", e.outcome.achieved_per_s, 3),
+          bench::JsonFixed("error_rate", e.outcome.error_rate, 6),
+          bench::JsonInt("peak_rss_bytes", e.peak_rss)}});
   }
-  return 0;
+  const std::vector<bench::JsonField> context = {
+      bench::JsonString("executable", "bench_scale_macro"),
+      bench::JsonNumber("window_seconds", kWindowSeconds),
+      bench::JsonInt("reps", flags.reps),
+      bench::JsonString(
+          "note",
+          "items_per_second = whole replications per wall second (1/wall); "
+          "events_per_second is informational; peak_rss_bytes is process "
+          "VmHWM (monotonic across cells, run in ascending-N order)")};
+  return bench::WriteBenchJson(flags.json_path, context, rows) ? 0 : 1;
 }

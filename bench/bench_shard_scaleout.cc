@@ -27,22 +27,16 @@
 // cutover), so tools/trace_analyze.py decomposes cross-rack time and
 // rebalance cost from the same file (the seed-77 golden pins both).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
 #include "shard/experiment.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -116,20 +110,12 @@ struct CellResult {
   double migration_mb = 0;
   double migration_s = 0;
   std::uint64_t events = 0;
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
+  bench::ObsResult obs;
   std::vector<std::string> trace_prefix;  // --determinism only
 };
 
-struct Wants {
-  bool trace = false;
-  bool metrics = false;
-  bool summary = false;
-  bool determinism = false;
-};
-
-CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
+CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args,
+                   bool determinism) {
   shard::ShardExperimentConfig config;
   config.racks = cell.racks;
   config.nodes_per_rack = cell.nodes_per_rack;
@@ -138,14 +124,9 @@ CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
   config.get_fraction = cell.get_fraction;
   config.churn = cell.churn;
   config.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (wants.trace || wants.summary || wants.determinism) {
-    config.tracer = &tracer;
-  }
-  if (wants.metrics) config.metrics = &metrics;
-  if (wants.summary) config.energy = &energy;
+  bench::ObsCapture capture(args);
+  capture.Wire(config);
+  if (determinism) config.tracer = &capture.tracer;
   shard::ShardExperiment exp(std::move(config));
   const shard::ShardReport r =
       exp.Measure(cell.qps, Seconds(kMeasureSeconds));
@@ -167,75 +148,34 @@ CellResult RunCell(const Cell& cell, Rng& root, const Wants& wants) {
       (1024.0 * 1024.0);
   res.migration_s = r.migration.done ? r.migration.duration() : 0.0;
   res.events = r.executed_events;
-  if (wants.trace || wants.summary) res.trace = tracer.TakeLog();
-  if (wants.metrics) res.metrics = metrics.TakeSeries();
-  if (wants.summary) res.ledger = energy.TakeLedger();
-  if (wants.determinism) {
-    const obs::TraceLog log = (wants.trace || wants.summary)
-                                  ? std::move(res.trace)
-                                  : tracer.TakeLog();
-    const std::size_t prefix = std::min<std::size_t>(log.events.size(), 32);
-    for (std::size_t i = 0; i < prefix; ++i) {
-      const obs::TraceEvent& e = log.events[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "%c %s t=%.9g track=%d arg=%lld ids=%llu/%llu/%llu",
-                    e.phase, e.name, e.time, e.track,
-                    static_cast<long long>(e.arg),
-                    static_cast<unsigned long long>(e.trace_id),
-                    static_cast<unsigned long long>(e.span_id),
-                    static_cast<unsigned long long>(e.parent_id));
-      res.trace_prefix.push_back(buf);
-    }
+  res.obs = capture.Take();
+  if (determinism) {
+    const obs::TraceLog log = std::move(res.obs.trace);
+    res.trace_prefix = bench::TracePrefix(log, 32);
     res.trace_prefix.push_back(
         "trace_events=" + std::to_string(log.events.size()));
   }
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
+using bench::Over;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off this bench's own flags before the shared parser (which
-  // rejects unknown arguments).
-  std::string json_path;
-  bool determinism = false;
-  std::vector<char*> shared;
-  shared.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--determinism") == 0) {
-      determinism = true;
-    } else {
-      shared.push_back(argv[i]);
-    }
-  }
-  const BenchArgs args =
-      ParseBenchArgs(static_cast<int>(shared.size()), shared.data());
-  const int threads = ResolvedThreads(args);
+  // This bench's own flags, peeled before the shared parser.
+  const std::string json_path =
+      bench::PeelFlag(&argc, argv, "--json=").value_or("");
+  const bool determinism =
+      bench::PeelFlag(&argc, argv, "--determinism").has_value();
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kWithSummary);
 
   const std::vector<Cell> cells = BuildCells();
-  Wants wants;
-  wants.trace = !args.trace_path.empty();
-  wants.metrics = !args.metrics_path.empty();
-  wants.summary = !args.trace_summary_path.empty();
-  wants.determinism = determinism;
-
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root, wants);
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
+    return RunCell(cell, root, args, determinism);
   });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   if (determinism) {
     // Pure function of (cells, seed, replications): per-replication final
@@ -291,55 +231,38 @@ int main(int argc, char** argv) {
       "the rack uplinks and\nbends the goodput curve while p99 blows out; "
       "a join/leave mid-run streams\nits shards over the same fabric and "
       "commits with zero failed requests.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
+  if (json_path.empty()) return 0;
+  std::vector<bench::BenchJsonRow> rows;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (std::size_t r = 0; r < sweep[c].size(); ++r) {
+      const CellResult& res = sweep[c][r];
+      rows.push_back(
+          {std::string("BM_ShardScaleout/") + cells[c].name,
+           static_cast<int>(r),
+           kMeasureSeconds,
+           {bench::JsonFixed("items_per_second", res.goodput_qps, 6),
+            bench::JsonFixed("p99_ms", res.p99_lat_ms, 6),
+            bench::JsonFixed("queries_per_joule", res.queries_per_joule, 6),
+            bench::JsonFixed("error_rate", res.error_rate, 6),
+            bench::JsonFixed("cross_rack_pct", res.cross_rack_pct, 3),
+            bench::JsonFixed("max_rack_uplink_busy", res.uplink_busy, 6),
+            bench::JsonFixed("migration_shards", res.migration_shards, 0),
+            bench::JsonFixed("migration_mb", res.migration_mb, 3),
+            bench::JsonFixed("migration_seconds", res.migration_s, 6),
+            bench::JsonInt("events", static_cast<long long>(res.events))}});
     }
-    std::fprintf(f,
-                 "{\n  \"context\": {\n"
-                 "    \"executable\": \"bench_shard_scaleout\",\n"
-                 "    \"window_seconds\": %g,\n"
-                 "    \"replications\": %d,\n"
-                 "    \"note\": \"items_per_second = in-window goodput "
-                 "qps (simulated, deterministic for a given seed); the "
-                 "O1/O4/O32 write-heavy cells trace the oversubscription "
-                 "throughput bend\"\n  },\n  \"benchmarks\": [\n",
-                 kMeasureSeconds, plan.replications);
-    bool first = true;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      for (std::size_t r = 0; r < sweep[c].size(); ++r) {
-        const CellResult& res = sweep[c][r];
-        if (!first) std::fprintf(f, ",\n");
-        first = false;
-        std::fprintf(
-            f,
-            "    {\"name\": \"BM_ShardScaleout/%s\", "
-            "\"run_name\": \"BM_ShardScaleout/%s\", "
-            "\"run_type\": \"iteration\", \"repetition_index\": %zu, "
-            "\"iterations\": 1, \"real_time\": %.6f, \"cpu_time\": %.6f, "
-            "\"time_unit\": \"s\", \"items_per_second\": %.6f, "
-            "\"p99_ms\": %.6f, \"queries_per_joule\": %.6f, "
-            "\"error_rate\": %.6f, \"cross_rack_pct\": %.3f, "
-            "\"max_rack_uplink_busy\": %.6f, "
-            "\"migration_shards\": %.0f, \"migration_mb\": %.3f, "
-            "\"migration_seconds\": %.6f, \"events\": %llu}",
-            cells[c].name, cells[c].name, r, kMeasureSeconds,
-            kMeasureSeconds, res.goodput_qps, res.p99_lat_ms,
-            res.queries_per_joule, res.error_rate, res.cross_rack_pct,
-            res.uplink_busy, res.migration_shards, res.migration_mb,
-            res.migration_s, static_cast<unsigned long long>(res.events));
-      }
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  const std::vector<bench::JsonField> context = {
+      bench::JsonString("executable", "bench_shard_scaleout"),
+      bench::JsonNumber("window_seconds", kMeasureSeconds),
+      bench::JsonInt("replications", args.replications),
+      bench::JsonString(
+          "note",
+          "items_per_second = in-window goodput qps (simulated, "
+          "deterministic for a given seed); the O1/O4/O32 write-heavy "
+          "cells trace the oversubscription throughput bend")};
+  return bench::WriteBenchJson(json_path, context, rows) ? 0 : 1;
 }

@@ -19,18 +19,17 @@
 //   --determinism    print per-replication final stats (a pure function
 //                    of cells + seed) and exit; tools/check_trace.sh
 //                    diffs this output at --threads=1 vs 8.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "load/openloop.h"
-#include "sim/replication.h"
 #include "web/service.h"
 #include "web_bench_util.h"
 
@@ -118,12 +117,7 @@ struct CellResult {
 };
 
 CellResult RunCell(const Cell& cell, Rng& root) {
-  web::WebTestbedConfig cfg =
-      cell.tier.scale.edison
-          ? web::EdisonWebTestbed(cell.tier.scale.web_servers,
-                                  cell.tier.scale.cache_servers)
-          : web::DellWebTestbed(cell.tier.scale.web_servers,
-                                cell.tier.scale.cache_servers);
+  web::WebTestbedConfig cfg = bench::TestbedConfig(cell.tier.scale);
   cfg.seed = root.Next();
   web::WebExperiment exp(std::move(cfg));
   CellResult res;
@@ -165,44 +159,22 @@ CellResult RunCell(const Cell& cell, Rng& root) {
   return res;
 }
 
-MetricSummary Over(const std::vector<CellResult>& reps,
-                   double CellResult::*member) {
-  return SummarizeOver(reps,
-                       [&](const CellResult& r) { return r.*member; });
-}
+using bench::Over;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off this bench's own flags before the shared parser (which
-  // rejects unknown arguments).
-  std::string json_path;
-  bool determinism = false;
-  std::vector<char*> shared;
-  shared.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--determinism") == 0) {
-      determinism = true;
-    } else {
-      shared.push_back(argv[i]);
-    }
-  }
-  const BenchArgs args =
-      ParseBenchArgs(static_cast<int>(shared.size()), shared.data());
-  const int threads = ResolvedThreads(args);
+  // This bench's own flags, peeled before the shared parser.
+  const std::string json_path =
+      bench::PeelFlag(&argc, argv, "--json=").value_or("");
+  const bool determinism =
+      bench::PeelFlag(&argc, argv, "--determinism").has_value();
+  const BenchArgs args = ParseBenchArgs(argc, argv);
 
   const std::vector<Cell> cells = BuildCells();
   const double measure_seconds = bench::MeasureWindow();
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-    return RunCell(cell, root);
-  });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, RunCell);
 
   if (determinism) {
     // Pure function of (cells, seed, replications); tools/check_trace.sh
@@ -284,58 +256,40 @@ int main(int argc, char** argv) {
       "past the knee the closed loop self-throttles while the open loop\n"
       "queues and sheds, so honest p99 explodes, SLO-good %% collapses,\n"
       "and burstiness (MMPP) drags the knee earlier (docs/openloop.md).\n");
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  timed.PrintFooter();
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
+  if (json_path.empty()) return 0;
+  std::vector<bench::BenchJsonRow> rows;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (std::size_t r = 0; r < sweep[c].size(); ++r) {
+      const CellResult& res = sweep[c][r];
+      const double items = cells[c].closed
+                               ? res.achieved_rps
+                               : res.slo_good_fraction * res.offered_rps;
+      rows.push_back(
+          {"BM_SloOpenLoop/" + cells[c].name,
+           static_cast<int>(r),
+           measure_seconds,
+           {bench::JsonFixed("items_per_second", items, 6),
+            bench::JsonFixed("offered_rps", res.offered_rps, 6),
+            bench::JsonFixed("shed", res.shed, 0),
+            bench::JsonFixed("p99_service_ms", res.p99_service_ms, 6),
+            bench::JsonFixed("p99_intended_ms", res.p99_intended_ms, 6),
+            bench::JsonFixed("slo_good_fraction", res.slo_good_fraction, 6),
+            bench::JsonFixed("slo_goodput_per_joule",
+                             res.slo_goodput_per_joule, 6),
+            bench::JsonFixed("power_w", res.power_w, 6),
+            bench::JsonInt("events", static_cast<long long>(res.events))}});
     }
-    std::fprintf(f,
-                 "{\n  \"context\": {\n"
-                 "    \"executable\": \"bench_slo_openloop\",\n"
-                 "    \"window_seconds\": %g,\n"
-                 "    \"replications\": %d,\n"
-                 "    \"note\": \"items_per_second = under-SLO completions "
-                 "per second (open-loop cells, coordinated-omission-free) "
-                 "or achieved rps (closed-loop references); simulated and "
-                 "deterministic for a given seed\"\n  },\n"
-                 "  \"benchmarks\": [\n",
-                 measure_seconds, plan.replications);
-    bool first = true;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      for (std::size_t r = 0; r < sweep[c].size(); ++r) {
-        const CellResult& res = sweep[c][r];
-        const double items = cells[c].closed
-                                 ? res.achieved_rps
-                                 : res.slo_good_fraction * res.offered_rps;
-        if (!first) std::fprintf(f, ",\n");
-        first = false;
-        std::fprintf(
-            f,
-            "    {\"name\": \"BM_SloOpenLoop/%s\", "
-            "\"run_name\": \"BM_SloOpenLoop/%s\", "
-            "\"run_type\": \"iteration\", \"repetition_index\": %zu, "
-            "\"iterations\": 1, \"real_time\": %.6f, \"cpu_time\": %.6f, "
-            "\"time_unit\": \"s\", \"items_per_second\": %.6f, "
-            "\"offered_rps\": %.6f, \"shed\": %.0f, "
-            "\"p99_service_ms\": %.6f, \"p99_intended_ms\": %.6f, "
-            "\"slo_good_fraction\": %.6f, "
-            "\"slo_goodput_per_joule\": %.6f, \"power_w\": %.6f, "
-            "\"events\": %llu}",
-            cells[c].name.c_str(), cells[c].name.c_str(), r,
-            measure_seconds, measure_seconds, items, res.offered_rps,
-            res.shed, res.p99_service_ms, res.p99_intended_ms,
-            res.slo_good_fraction, res.slo_goodput_per_joule, res.power_w,
-            static_cast<unsigned long long>(res.events));
-      }
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  const std::vector<bench::JsonField> context = {
+      bench::JsonString("executable", "bench_slo_openloop"),
+      bench::JsonNumber("window_seconds", measure_seconds),
+      bench::JsonInt("replications", args.replications),
+      bench::JsonString(
+          "note",
+          "items_per_second = under-SLO completions per second (open-loop "
+          "cells, coordinated-omission-free) or achieved rps (closed-loop "
+          "references); simulated and deterministic for a given seed")};
+  return bench::WriteBenchJson(json_path, context, rows) ? 0 : 1;
 }

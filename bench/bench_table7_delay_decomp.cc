@@ -11,18 +11,13 @@
 // `svc.*_delay_mean` samples reproduce this table exactly; a test pins
 // that cross-check, and another pins that the same decomposition is
 // re-derivable from the causal trace's critical path alone.
-#include <chrono>
 #include <cstdio>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/csv.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/energy.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
-#include "obs_bench_util.h"
-#include "sim/replication.h"
 #include "web_bench_util.h"
 
 namespace {
@@ -39,26 +34,14 @@ struct CellResult {
   double cache_ms = 0;
   double total_ms = 0;
   double mj_per_req = 0;  // attributed, from the energy ledger
-  obs::TraceLog trace;
-  obs::MetricsSeries metrics;
-  obs::EnergyLedger ledger;
+  bench::ObsResult obs;
 };
 
-CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
-                   bool want_metrics, bool want_summary) {
-  web::WebTestbedConfig cfg =
-      cell.scale.edison
-          ? web::EdisonWebTestbed(cell.scale.web_servers,
-                                  cell.scale.cache_servers)
-          : web::DellWebTestbed(cell.scale.web_servers,
-                                cell.scale.cache_servers);
+CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
+  web::WebTestbedConfig cfg = bench::TestbedConfig(cell.scale);
   cfg.seed = root.Next();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::EnergyAttributor energy;
-  if (want_trace || want_summary) cfg.tracer = &tracer;
-  if (want_metrics) cfg.metrics = &metrics;
-  if (want_summary) cfg.energy = &energy;
+  bench::ObsCapture capture(args);
+  capture.Wire(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::OpenLoopReport r =
       exp.MeasureOpenLoop(web::HeavyMix(), cell.rate,
@@ -67,20 +50,16 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
   res.db_ms = 1000 * r.db_delay.mean();
   res.cache_ms = 1000 * r.cache_delay.mean();
   res.total_ms = 1000 * r.total_delay.mean();
-  if (want_trace || want_summary) res.trace = tracer.TakeLog();
-  if (want_metrics) res.metrics = metrics.TakeSeries();
-  if (want_summary) {
-    res.ledger = energy.TakeLedger();
-    res.mj_per_req = bench::MeanRequestMillijoules(res.ledger);
-  }
+  res.obs = capture.Take();
+  res.mj_per_req = bench::MeanRequestMillijoules(res.obs.ledger);
   return res;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kWithSummary);
 
   const std::vector<double> rates = {480, 960, 1920, 3840, 7680};
   // Row-major (rate, platform) grid: Edison column first, like the table.
@@ -90,18 +69,11 @@ int main(int argc, char** argv) {
     cells.push_back({bench::DellScales().back(), rate});
   }
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const bool want_trace = !args.trace_path.empty();
-  const bool want_metrics = !args.metrics_path.empty();
+  bench::TimedSweep timed(args);
+  auto sweep = timed.Run(cells, [&](const Cell& cell, Rng& root) {
+    return RunCell(cell, root, args);
+  });
   const bool want_summary = !args.trace_summary_path.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep =
-      sim::RunSweep(cells, plan, [&](const Cell& cell, Rng& root) {
-        return RunCell(cell, root, want_trace, want_metrics, want_summary);
-      });
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   TextTable table(
       "Table 7: delay decomposition in ms, (Edison, Dell) per cell");
@@ -116,15 +88,10 @@ int main(int argc, char** argv) {
   for (double rate : rates) {
     const auto& edison_reps = sweep[cell_idx++];
     const auto& dell_reps = sweep[cell_idx++];
-    auto mean = [](const std::vector<CellResult>& reps,
-                   double CellResult::* member) {
-      return SummarizeOver(reps, [member](const CellResult& r) {
-               return r.*member;
-             }).mean;
-    };
     auto pair = [&](double CellResult::* member) {
-      return "(" + TextTable::Num(mean(edison_reps, member), 2) + ", " +
-             TextTable::Num(mean(dell_reps, member), 2) + ")";
+      return "(" + TextTable::Num(bench::Over(edison_reps, member).mean, 2) +
+             ", " + TextTable::Num(bench::Over(dell_reps, member).mean, 2) +
+             ")";
     };
     std::vector<std::string> row{TextTable::Num(rate, 0),
                                  pair(&CellResult::db_ms),
@@ -142,9 +109,7 @@ int main(int argc, char** argv) {
       " 7680: db (10.99, 1.98) cache (212.0, 0.74) total (225.1, 2.93)\n"
       "Shape: Edison cache delay grows ~45x over this range while its DB\n"
       "delay merely doubles; Dell's stays flat throughout.\n");
-  bench::ExportSweepObsEnergy(args, sweep);
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  bench::ExportObs(args, sweep);
+  timed.PrintFooter();
   return 0;
 }

@@ -7,17 +7,16 @@
 // with independent seeds on --threads workers and reports mean±95% CI
 // (docs/parallel.md). The default single replication keeps the paper's
 // one-run table shape.
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bench_args.h"
 #include "common/csv.h"
 #include "common/summary.h"
 #include "common/table.h"
 #include "core/experiments.h"
-#include "sim/replication.h"
 
 namespace {
 
@@ -49,7 +48,6 @@ CellResult RunCell(const Cell& cell, Rng& root) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv);
-  const int threads = ResolvedThreads(args);
 
   const std::vector<int> edison_sizes = {35, 17, 8, 4};
   const std::vector<int> dell_sizes = {2, 1};
@@ -78,12 +76,8 @@ int main(int argc, char** argv) {
     for (int n : dell_sizes) cells.push_back({job, false, n});
   }
 
-  const sim::SweepPlan plan{args.replications, threads, args.seed};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto sweep = sim::RunSweep(cells, plan, RunCell);
-  const double sweep_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::TimedSweep timed(args);
+  const auto sweep = timed.Run(cells, RunCell);
 
   TextTable table("Table 8: execution time and energy vs cluster size");
   std::vector<std::string> header{"Job"};
@@ -162,8 +156,6 @@ int main(int argc, char** argv) {
       "inputs (wordcount2/logcount2) helps Dell far more than Edison;\n"
       "light jobs scale worst (logcount2's small-cluster runs use the\n"
       "least total energy).\n");
-  std::printf(
-      "\nSweep: %zu configs x %d replication(s) on %d thread(s) in %.2fs.\n",
-      cells.size(), plan.replications, threads, sweep_seconds);
+  timed.PrintFooter();
   return 0;
 }

@@ -1,8 +1,9 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
+
+#include "common/check.h"
 
 namespace wimpy {
 
@@ -11,8 +12,8 @@ LinearHistogram::LinearHistogram(double lo, double hi,
     : lo_(lo),
       width_((hi - lo) / static_cast<double>(num_buckets)),
       counts_(num_buckets, 0) {
-  assert(hi > lo);
-  assert(num_buckets > 0);
+  Check(hi > lo, "LinearHistogram", "hi must be > lo");
+  Check(num_buckets > 0, "LinearHistogram", "num_buckets must be > 0");
 }
 
 void LinearHistogram::Add(double x) {
@@ -38,9 +39,13 @@ double LinearHistogram::BucketHigh(std::size_t i) const {
 }
 
 void LinearHistogram::Merge(const LinearHistogram& other) {
-  assert(lo_ == other.lo_);
-  assert(width_ == other.width_);
-  assert(counts_.size() == other.counts_.size());
+  // Per-replication histograms are merged into one distribution; a
+  // different geometry would silently add counts into the wrong buckets.
+  Check(lo_ == other.lo_, "LinearHistogram::Merge", "lo differs");
+  Check(width_ == other.width_, "LinearHistogram::Merge",
+        "bucket width differs");
+  Check(counts_.size() == other.counts_.size(), "LinearHistogram::Merge",
+        "bucket count differs");
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }

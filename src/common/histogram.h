@@ -13,14 +13,15 @@ namespace wimpy {
 // linear seconds on the x axis.
 class LinearHistogram {
  public:
-  // Requires hi > lo and num_buckets > 0.
+  // Requires hi > lo and num_buckets > 0 (checked in every build type).
   LinearHistogram(double lo, double hi, std::size_t num_buckets);
 
   void Add(double x);
 
   // Adds another histogram's counts into this one. Both must have been
-  // constructed with identical (lo, hi, num_buckets); sweeps use this to
-  // aggregate per-replication histograms into one distribution.
+  // constructed with identical (lo, hi, num_buckets), checked in every
+  // build type; sweeps use this to aggregate per-replication histograms
+  // into one distribution.
   void Merge(const LinearHistogram& other);
 
   std::size_t bucket_count() const { return counts_.size(); }

@@ -1,5 +1,7 @@
 #include "mapreduce/testbed.h"
 
+#include <vector>
+
 #include "hw/profiles.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -119,10 +121,13 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
   sim::ProcessRef ref = job.Start();
 
   // Stop telemetry the moment the job driver finishes so the event queue
-  // can drain.
+  // can drain, after one last timeline row at the job's end instant (the
+  // 1 Hz ticks alone stop up to a second short of it).
   auto watcher = [this](sim::ProcessRef target,
                         obs::MetricsRegistry* t) -> sim::Process {
     co_await target.Join();
+    const std::vector<SimTime>& times = t->series().times;
+    if (times.empty() || times.back() != sched_.now()) t->SampleNow();
     t->Stop();
     if (config_.metrics != nullptr) config_.metrics->Stop();
   };

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/check.h"
+
 namespace wimpy::obs {
 
 namespace {
@@ -74,7 +76,9 @@ void HdrSketch::Merge(const HdrSketch& other) {
 }
 
 void HdrSketch::AddBucketCount(int index, std::uint64_t n) {
-  assert(index >= 0 && index < kBucketCount);
+  // Sketches are rebuilt from exported CSV rows: outside input.
+  Check(index >= 0 && index < kBucketCount, "obs::HdrSketch",
+        "bucket index out of range");
   if (n == 0) return;
   counts_[index] += n;
   const double mid = 0.5 * (BucketLower(index) + BucketUpper(index));

@@ -58,7 +58,8 @@ class HdrSketch {
   // Adds `n` observations directly to bucket `index`, using the bucket
   // midpoint for sum and min/max. This is how a sketch is reconstructed
   // from exported `name.b<idx>` CSV rows; reconstruction then yields the
-  // same quantiles as the live sketch.
+  // same quantiles as the live sketch. An index outside
+  // [0, kBucketCount) aborts in every build type.
   void AddBucketCount(int index, std::uint64_t n);
 
   // Quantile in [0, 1] via rank walk; returns the bucket midpoint

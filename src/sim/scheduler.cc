@@ -23,6 +23,9 @@ EventId Scheduler::HeapPush(SimTime t, std::uint64_t seq,
 }
 
 EventId Scheduler::ScheduleAt(SimTime t, EventFn fn) {
+  // An empty closure would be counted live but dropped as cancelled when
+  // it reached the top, leaving pending_events() stuck above zero.
+  Check(static_cast<bool>(fn), "sim::Scheduler", "empty event closure");
   if (t < now_) t = now_;
   if (fn.heap_allocated()) ++fn_heap_allocs_;
   const std::uint32_t slot = AcquireSlot();

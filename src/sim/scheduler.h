@@ -73,6 +73,7 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   // Schedules `fn` at absolute time `t` (clamped to now if in the past).
+  // An empty `fn` aborts in every build type.
   EventId ScheduleAt(SimTime t, EventFn fn);
 
   // Schedules `fn` after `delay` seconds (negative treated as 0).

@@ -251,5 +251,24 @@ TEST(LinearHistogramTest, MergeAddsCountsAndOverflow) {
   EXPECT_EQ(a.overflow(), 1u);
 }
 
+// Geometry is checked in every build type: fig10_11 merges per-replication
+// histograms, and a mismatched geometry would silently mis-merge.
+TEST(LinearHistogramDeathTest, BadGeometryAbortsAtConstruction) {
+  EXPECT_DEATH(LinearHistogram(1.0, 1.0, 4), "hi must be > lo");
+  EXPECT_DEATH(LinearHistogram(2.0, 1.0, 4), "hi must be > lo");
+  EXPECT_DEATH(LinearHistogram(0.0, 1.0, 0), "num_buckets must be > 0");
+}
+
+TEST(LinearHistogramDeathTest, MergeOfDifferentGeometryAborts) {
+  LinearHistogram h(0.0, 8.0, 32);
+  EXPECT_DEATH(h.Merge(LinearHistogram(1.0, 9.0, 32)), "lo differs");
+  EXPECT_DEATH(h.Merge(LinearHistogram(0.0, 16.0, 32)),
+               "bucket width differs");
+  EXPECT_DEATH(h.Merge(LinearHistogram(0.0, 16.0, 64)),
+               "bucket count differs");
+  h.Merge(LinearHistogram(0.0, 8.0, 32));  // same geometry still merges
+  EXPECT_EQ(h.bucket_count(), 32u);
+}
+
 }  // namespace
 }  // namespace wimpy

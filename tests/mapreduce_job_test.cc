@@ -124,10 +124,14 @@ TEST(MrJobTest, TimelineIsPinnedBitForBit) {
       digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
     }
   }
-  ASSERT_EQ(rows.size(), 286u);
+  ASSERT_EQ(rows.size(), 287u);
   EXPECT_EQ(rows.front(), "0,0,36,5.5999999999999996,0,0");
-  EXPECT_EQ(rows.back(), "285,0,66,5.6840000000000002,100,83.500000000000014");
-  EXPECT_EQ(digest, 948824458137097591ull);
+  // The last 1 Hz tick, then one row at the job's end instant, where
+  // reduce progress reaches 100%.
+  EXPECT_EQ(rows[rows.size() - 2],
+            "285,0,66,5.6840000000000002,100,83.500000000000014");
+  EXPECT_EQ(rows.back(), "285.36629633060227,0,36,5.5999999999999996,100,100");
+  EXPECT_EQ(digest, 15637723219267769818ull);
 }
 
 TEST(MrJobTest, CombinerCutsShuffleBytes) {

@@ -177,5 +177,16 @@ TEST(HdrSketchTest, ResetKeepsGeometryDropsData) {
   EXPECT_DOUBLE_EQ(sketch.min(), 4.0);
 }
 
+// Bucket rows come from CSV files, so a bad index is outside input and
+// is rejected in every build type instead of writing past the counts.
+TEST(HdrSketchDeathTest, OutOfRangeBucketRowAborts) {
+  HdrSketch sketch;
+  EXPECT_DEATH(sketch.AddBucketCount(-1, 1), "bucket index out of range");
+  EXPECT_DEATH(sketch.AddBucketCount(HdrSketch::kBucketCount, 1),
+               "bucket index out of range");
+  sketch.AddBucketCount(HdrSketch::kBucketCount - 1, 1);
+  EXPECT_EQ(sketch.count(), 1u);
+}
+
 }  // namespace
 }  // namespace wimpy::obs

@@ -291,5 +291,17 @@ TEST(SchedulerTest, RescheduleAfterRoundTripKeepsClosureAndOrder) {
   EXPECT_EQ(s.now(), 0.005);
 }
 
+// An empty closure would count as pending but be dropped as cancelled,
+// so pending_events() would never return to zero and a later Step() would
+// read an empty heap. It is rejected at the boundary in every build type.
+TEST(SchedulerDeathTest, EmptyClosureAbortsInEveryBuild) {
+  Scheduler s;
+  EXPECT_DEATH(s.ScheduleAt(1.0, EventFn{}), "empty event closure");
+  EXPECT_DEATH(s.ScheduleAfter(1.0, EventFn{}), "empty event closure");
+  s.ScheduleAt(1.0, [] {});
+  EXPECT_EQ(s.Run(), 1u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace wimpy::sim

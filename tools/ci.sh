@@ -21,6 +21,10 @@
 #      schema + causal ids + flow arrows, metrics CSV shape, flamegraph
 #      folding, the trace_analyze.py seed-77 golden, and (with
 #      CHECK_DETERMINISM=1) byte-identical exports across --threads.
+#   5. Seed-77 bench stdout digests — tools/bench_stdout_digests.sh must
+#      reproduce tests/data/bench_stdout_seed77.sha256, so any drift in
+#      simulated output is caught here and re-baselined on purpose (the
+#      script's header says how; CHANGES.md says why).
 #
 # tools/check_bench_regression.sh calls this after its performance gate;
 # it can also run standalone.
@@ -119,6 +123,12 @@ fi
 echo
 echo "== observability export checks =="
 BUILD_DIR="${BUILD_DIR}" tools/check_trace.sh
+
+echo
+echo "== seed-77 bench stdout digests =="
+BUILD_DIR="${BUILD_DIR}" tools/bench_stdout_digests.sh |
+  diff -u tests/data/bench_stdout_seed77.sha256 -
+echo "bench stdout digests OK"
 
 echo
 echo "OK: ci.sh gates passed"
