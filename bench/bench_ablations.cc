@@ -79,7 +79,8 @@ std::string Jls(const CaseStats& s) { return FormatMeanCI(s.joules, 0) + " J"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kNone);
 
   std::vector<Case> cases;
 

@@ -49,7 +49,8 @@ CellResult RunCell(const Cell& cell, Rng& root,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kTraceMetrics);
 
   core::DiurnalPattern pattern;
   pattern.peak_rps = 7000;

@@ -51,14 +51,27 @@ struct ObsResult {
 // The export planes a bench records. ParseBenchArgs accepts every export
 // flag, so a bench that does not record every plane passes its parsed
 // args through ObsArgs before building captures or exporting: the flags
-// of the planes it lacks parse and export nothing. Only the kv bench
-// records the telemetry plane; it uses its parsed args as they are.
-enum class ObsPlanes { kTraceMetrics, kWithSummary };
+// of the planes it lacks export nothing, and each one given prints one
+// stderr line saying so. Only the kv bench records the telemetry plane;
+// it uses its parsed args as they are.
+enum class ObsPlanes { kNone, kTraceMetrics, kWithSummary };
 
 inline BenchArgs ObsArgs(BenchArgs args, ObsPlanes planes) {
-  args.telemetry_path.clear();
-  args.alerts_path.clear();
-  if (planes == ObsPlanes::kTraceMetrics) args.trace_summary_path.clear();
+  auto ignore = [](std::string& path, const char* flag) {
+    if (path.empty()) return;
+    std::fprintf(stderr, "warning: %s=%s ignored: this bench does not "
+                 "record that plane\n", flag, path.c_str());
+    path.clear();
+  };
+  if (planes == ObsPlanes::kNone) {
+    ignore(args.trace_path, "--trace");
+    ignore(args.metrics_path, "--metrics");
+  }
+  if (planes != ObsPlanes::kWithSummary) {
+    ignore(args.trace_summary_path, "--trace-summary");
+  }
+  ignore(args.telemetry_path, "--telemetry");
+  ignore(args.alerts_path, "--alerts");
   return args;
 }
 

@@ -60,7 +60,8 @@ CellResult RunCell(const Cell& cell, Rng& root, bool want_trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kTraceMetrics);
 
   const std::vector<Cell> cells = {{Cell::kCurve, /*edison=*/false},
                                    {Cell::kCurve, /*edison=*/true},

@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
       bench::PeelFlag(&argc, argv, "--json=").value_or("");
   const bool determinism =
       bench::PeelFlag(&argc, argv, "--determinism").has_value();
-  const BenchArgs args = ParseBenchArgs(argc, argv);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kNone);
 
   const std::vector<Cell> cells = BuildCells();
   const double measure_seconds = bench::MeasureWindow();

@@ -47,7 +47,8 @@ CellResult RunCell(const Cell& cell, Rng& root) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv);
+  const BenchArgs args = bench::ObsArgs(ParseBenchArgs(argc, argv),
+                                        bench::ObsPlanes::kNone);
 
   const std::vector<int> edison_sizes = {35, 17, 8, 4};
   const std::vector<int> dell_sizes = {2, 1};

@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -8,17 +9,29 @@
 
 namespace wimpy::sim {
 
-EventId Scheduler::HeapPush(SimTime t, std::uint64_t seq,
-                            std::uint32_t slot) {
-  // First growth jumps straight to a useful capacity so warmed-up runs
-  // never reallocate on the schedule path (sim_scheduler_stress_test pins
-  // this with an operator-new override).
-  if (heap_.size() == heap_.capacity() && heap_.capacity() < kHeapReserve) {
-    heap_.reserve(kHeapReserve);
-  }
+EventId Scheduler::Push(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  assert(TimeBits(t) >= last_);
   const std::uint64_t key = (seq << kSlotBits) | slot;
-  heap_.push_back(HeapEntry{t, key});
-  HeapSiftUp(heap_.size() - 1);
+  const std::uint32_t node = AcquireNode();
+  entries_[node] = Entry{t, key};
+  const unsigned b = BucketOf(t);
+  if (b == 0) {
+    // Append: the newest key is the largest at the reference instant.
+    next_[node] = kNil;
+    if (occupied_ & 1) {
+      next_[tail0_] = node;
+    } else {
+      head_[0] = node;
+    }
+    tail0_ = node;
+  } else {
+    next_[node] = head_[b];
+    head_[b] = node;
+  }
+  occupied_ |= 1ull << b;
+  // Same time as the known minimum means a larger key, so only an
+  // earlier time takes over.
+  if (top_ != kNil && t < entries_[top_].time) top_ = node;
   return key;
 }
 
@@ -33,7 +46,7 @@ EventId Scheduler::ScheduleAt(SimTime t, EventFn fn) {
   const std::uint64_t seq = next_seq_++;
   slot_seq_[slot] = seq;
   ++live_scheduled_;
-  return HeapPush(t, seq, slot);
+  return Push(t, seq, slot);
 }
 
 EventId Scheduler::ScheduleAfter(Duration delay, EventFn fn) {
@@ -47,7 +60,7 @@ bool Scheduler::Cancel(EventId id) {
     return false;  // never issued, already ran, or already cancelled
   }
   // O(1): destroy the closure now; ResolveTop frees the slot when the
-  // event's heap entry reaches the top.
+  // event's entry surfaces.
   fns_[slot].Reset();
   --live_scheduled_;
   return true;
@@ -59,11 +72,11 @@ EventId Scheduler::RescheduleAfter(EventId id, Duration delay) {
     return 0;  // never issued, already ran, or already cancelled
   }
   if (delay < 0) delay = 0;
-  // The slot keeps its closure under a fresh sequence number; the old heap
-  // entry goes stale and is dropped when it reaches the top.
+  // The slot keeps its closure under a fresh sequence number; the old
+  // entry goes stale and is dropped when it surfaces.
   const std::uint64_t seq = next_seq_++;
   slot_seq_[slot] = seq;
-  return HeapPush(now_ + delay, seq, slot);
+  return Push(now_ + delay, seq, slot);
 }
 
 void Scheduler::ResumeLater(std::coroutine_handle<> handle) {
@@ -89,61 +102,132 @@ std::uint32_t Scheduler::AcquireSlot() {
   return static_cast<std::uint32_t>(slot);
 }
 
-void Scheduler::HeapSiftUp(std::size_t pos) {
-  const HeapEntry e = heap_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) >> 2;
-    if (!EntryLess(e, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    pos = parent;
+std::uint32_t Scheduler::AcquireNode() {
+  if (free_node_ != kNil) {
+    const std::uint32_t node = free_node_;
+    free_node_ = next_[node];
+    return node;
   }
-  heap_[pos] = e;
+  // First growth jumps straight to a useful capacity so warmed-up runs
+  // never reallocate on the schedule path (sim_scheduler_stress_test pins
+  // this with an operator-new override).
+  if (entries_.size() == entries_.capacity() &&
+      entries_.capacity() < kEntryReserve) {
+    entries_.reserve(kEntryReserve);
+    next_.reserve(kEntryReserve);
+  }
+  entries_.emplace_back();
+  next_.push_back(kNil);
+  return static_cast<std::uint32_t>(entries_.size() - 1);
 }
 
-void Scheduler::HeapSiftDown(std::size_t pos) {
-  const HeapEntry e = heap_[pos];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t child = (pos << 2) + 1;
-    if (child >= n) break;
-    const std::size_t end = child + 4 < n ? child + 4 : n;
-    std::size_t best = child;
-    for (std::size_t c = child + 1; c < end; ++c) {
-      if (EntryLess(heap_[c], heap_[best])) best = c;
+void Scheduler::Discard(std::uint32_t node) {
+  const std::uint64_t key = entries_[node].key;
+  const std::uint32_t slot = static_cast<std::uint32_t>(key & kSlotMask);
+  // A cancelled event still owns its slot. A stale entry's slot belongs
+  // to a newer event (it was rescheduled, or fired and the slot was
+  // reused) and is not ours to free.
+  if (slot_seq_[slot] == key >> kSlotBits) FreeSlot(slot);
+  FreeNode(node);
+}
+
+void Scheduler::DropDeadEntries(unsigned b) {
+  std::size_t dropped = 0;
+  std::uint32_t* link = &head_[b];
+  while (*link != kNil) {
+    const std::uint32_t node = *link;
+    if (EntryLive(node)) {
+      link = &next_[node];
+    } else {
+      *link = next_[node];
+      Discard(node);
+      ++dropped;
     }
-    if (!EntryLess(heap_[best], e)) break;
-    heap_[pos] = heap_[best];
-    pos = best;
   }
-  heap_[pos] = e;
+  if (head_[b] == kNil) occupied_ &= ~(1ull << b);
+  // The dead minimum lies in this bucket unless an entry landed below the
+  // reference time; without this check ResolveTop would spin on it.
+  Check(dropped > 0, "sim::Scheduler", "pending-set bucket invariant broken");
 }
 
-void Scheduler::PopRootEntry() {
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) HeapSiftDown(0);
+std::uint32_t Scheduler::FindMin() const {
+  if (occupied_ & 1) return head_[0];
+  std::uint32_t best = head_[std::countr_zero(occupied_)];
+  for (std::uint32_t n = next_[best]; n != kNil; n = next_[n]) {
+    if (EntryLess(entries_[n], entries_[best])) best = n;
+  }
+  return best;
+}
+
+void Scheduler::Advance(SimTime t) {
+  const unsigned b = BucketOf(t);
+  assert(b > 0 && (occupied_ & 1) == 0);
+  last_ = TimeBits(t);
+  std::uint32_t n = head_[b];
+  head_[b] = kNil;
+  occupied_ &= ~(1ull << b);
+  ties_.clear();
+  // Every entry of bucket b agrees with the new reference time above bit
+  // b-1, so each moves to a strictly lower bucket.
+  while (n != kNil) {
+    const std::uint32_t next = next_[n];
+    const unsigned nb = BucketOf(entries_[n].time);
+    if (nb == 0) {
+      ties_.push_back(n);
+    } else {
+      next_[n] = head_[nb];
+      head_[nb] = n;
+      occupied_ |= 1ull << nb;
+    }
+    n = next;
+  }
+  // The minimum itself lands in bucket 0 unless an entry was misfiled.
+  Check(!ties_.empty(), "sim::Scheduler",
+        "pending-set bucket invariant broken");
+  if (ties_.size() > 1) {
+    std::sort(ties_.begin(), ties_.end(),
+              [this](std::uint32_t x, std::uint32_t y) {
+                return entries_[x].key < entries_[y].key;
+              });
+  }
+  head_[0] = ties_[0];
+  for (std::size_t i = 1; i < ties_.size(); ++i) {
+    next_[ties_[i - 1]] = ties_[i];
+  }
+  tail0_ = ties_.back();
+  next_[tail0_] = kNil;
+  occupied_ |= 1;
 }
 
 void Scheduler::ResolveTop() {
-  while (!heap_.empty()) {
-    const std::uint64_t key = heap_[0].key;
-    const std::uint32_t slot = static_cast<std::uint32_t>(key & kSlotMask);
-    if (slot_seq_[slot] == key >> kSlotBits) {
-      if (fns_[slot]) return;
-      FreeSlot(slot);  // cancelled
+  for (;;) {
+    if (top_ == kNil) {
+      if (occupied_ == 0) return;
+      top_ = FindMin();
     }
-    // Otherwise the entry is stale: the event was rescheduled, or fired
-    // and its slot now holds a newer event. The slot is not ours to free.
-    PopRootEntry();
+    if (EntryLive(top_)) return;
+    // A dead minimum: drop it (bucket 0) or every dead entry of its
+    // bucket, so one scan serves a run of cancelled minima. The reference
+    // time stays put; a later push may land below the dropped entry.
+    const unsigned b = BucketOf(entries_[top_].time);
+    if (b == 0) {
+      Check(head_[0] == top_, "sim::Scheduler",
+            "pending-set bucket invariant broken");
+      UnlinkHead();
+      Discard(top_);
+    } else {
+      DropDeadEntries(b);
+    }
+    top_ = kNil;
   }
 }
 
 bool Scheduler::TakeRingNext() const {
   if (ring_count_ == 0) return false;
-  if (heap_.empty()) return true;
-  const HeapEntry& top = heap_[0];
+  if (top_ == kNil) return true;
+  const Entry& top = entries_[top_];
   // Ring entries were posted at the current instant (the clock cannot
-  // advance past a pending wake-up), so any strictly-future heap event
+  // advance past a pending wake-up), so any strictly-future timed event
   // loses; at the current instant the smaller sequence number wins.
   if (top.time > now_) return true;
   assert(top.time == now_);
@@ -183,9 +267,15 @@ void Scheduler::ExecuteNext() {
     e.handle.resume();
     return;
   }
-  // The ring lost (or is empty), so the next event is the live heap top.
-  const HeapEntry top = heap_[0];
-  PopRootEntry();
+  // The ring lost (or is empty), so the next event is the live minimum.
+  // It becomes bucket 0's head, moving the reference time if need be.
+  const std::uint32_t node = top_;
+  const Entry top = entries_[node];
+  top_ = kNil;
+  if (TimeBits(top.time) != last_) Advance(top.time);
+  assert(head_[0] == node);
+  UnlinkHead();
+  FreeNode(node);
   const std::uint32_t slot = static_cast<std::uint32_t>(top.key & kSlotMask);
   EventFn fn = std::move(fns_[slot]);
   FreeSlot(slot);
@@ -212,13 +302,13 @@ std::size_t Scheduler::Run(SimTime until, std::size_t max_events) {
     // A non-empty ring always has work due at the current instant, which
     // is <= until by the loop invariant.
     if (ring_count_ == 0) {
-      if (heap_.empty()) {
+      if (top_ == kNil) {
         // Queue drained before the time limit: land the clock on `until`,
         // matching the next-event-beyond-`until` exit below.
         if (until > now_ && std::isfinite(until)) now_ = until;
         break;
       }
-      if (heap_[0].time > until) {
+      if (entries_[top_].time > until) {
         if (until > now_) now_ = until;
         break;
       }

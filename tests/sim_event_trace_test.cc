@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -167,14 +169,16 @@ struct FireOnce {
   std::coroutine_handle<promise_type> handle;
 };
 
-FireOnce LogOnResume(Tracer& trace, Scheduler& sched, std::int64_t label) {
+FireOnce LogOnResume(Tracer& trace, Scheduler& sched, std::int64_t label,
+                     std::function<void()> body) {
   Log(trace, sched.now(), label);
+  if (body) body();
   co_return;
 }
 
 // Adapters so one op script can drive both engines. `Resume` posts a
 // same-time coroutine wake-up on the real engine and the equivalent
-// same-time callback on the reference.
+// same-time callback on the reference; either logs, then runs `body`.
 struct RealEngine {
   Scheduler sched;
   Tracer trace;
@@ -187,8 +191,9 @@ struct RealEngine {
     });
   }
   bool Cancel(std::uint64_t id) { return sched.Cancel(id); }
-  void Resume(std::int64_t label) {
-    sched.ResumeLater(LogOnResume(trace, sched, label).handle);
+  void Resume(std::int64_t label, std::function<void()> body = nullptr) {
+    sched.ResumeLater(
+        LogOnResume(trace, sched, label, std::move(body)).handle);
   }
   // In place: the closure travels with the event, so `label` and `body`
   // are only the reference engine's to rebuild.
@@ -214,9 +219,11 @@ struct RefEngine {
     });
   }
   bool Cancel(std::uint64_t id) { return sched.Cancel(id); }
-  void Resume(std::int64_t label) {
-    sched.ResumeLater(
-        [this, label] { Log(trace, sched.now(), label); });
+  void Resume(std::int64_t label, std::function<void()> body = nullptr) {
+    sched.ResumeLater([this, label, body = std::move(body)] {
+      Log(trace, sched.now(), label);
+      if (body) body();
+    });
   }
   // Reference semantics: cancel + schedule a fresh event, one sequence
   // number either way.
@@ -456,6 +463,170 @@ TEST(EventTraceTest, RescheduleAcrossDelayScalesMatchesReference) {
   EXPECT_EQ(TraceHash(real.trace), TraceHash(ref.trace));
   EXPECT_EQ(real.Now(), ref.Now());
   EXPECT_EQ(real.sched.pending_events(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hazards of the monotone pending set. The engine buckets entries by the
+// bits of their time relative to the last *executed* timed event, which is
+// only sound while every push lands at or after that reference time. Each
+// script below would let a later push land below an entry the engine has
+// already looked at, if looking (a `Run(until)` peek, a discard) moved the
+// reference time. Both engines run the script and must agree bit for bit.
+
+template <typename Script>
+void ExpectEnginesAgree(Script script) {
+  RealEngine real;
+  RefEngine ref;
+  script(real);
+  script(ref);
+  ASSERT_EQ(real.trace.size(), ref.trace.size());
+  for (std::size_t i = 0; i < real.trace.size(); ++i) {
+    const TraceEvent& a = real.trace.events()[i];
+    const TraceEvent& b = ref.trace.events()[i];
+    EXPECT_EQ(a.time, b.time) << "entry " << i;
+    EXPECT_EQ(a.arg, b.arg) << "entry " << i;
+  }
+  // The hash mixes raw bits, so it also tells -0.0 from +0.0.
+  EXPECT_EQ(TraceHash(real.trace), TraceHash(ref.trace));
+  EXPECT_EQ(real.sched.executed_events(), ref.sched.executed_events());
+  EXPECT_EQ(real.sched.pending_events(), ref.sched.pending_events());
+  EXPECT_EQ(real.Now(), ref.Now());
+  EXPECT_EQ(std::signbit(real.Now()), std::signbit(ref.Now()));
+}
+
+TEST(EventTraceTest, RunUntilPeekThenScheduleBelowFarEventMatchesReference) {
+  ExpectEnginesAgree([](auto& eng) {
+    eng.Schedule(10.0, 1, nullptr);  // far events the windows stop short of
+    eng.Schedule(10.0 + 1.0 / 64, 2, nullptr);
+    eng.Schedule(0.5, 3, nullptr);
+    eng.Run(1.0);
+    // Between `until` and the far events, spread over many buckets, and
+    // one at the landed clock itself.
+    for (int i = 0; i < 24; ++i) {
+      eng.Schedule(1.0 + 0.375 * i, 10 + i, nullptr);
+    }
+    eng.Schedule(eng.Now(), 40, nullptr);
+    eng.Run(3.0);
+    for (int i = 0; i < 8; ++i) {
+      eng.Schedule(3.0 + 0.8 * i, 50 + i, [&eng, i] {
+        eng.Schedule(eng.Now() + 0.0625 * i, 60 + i, nullptr);
+      });
+    }
+    eng.Run(9.0);
+    eng.Run(9.5);  // a second peek at the same far event
+    eng.Schedule(9.75, 70, nullptr);
+    // A window that drains the near events and lands between the two far
+    // ones' neighbours.
+    eng.Run(10.0);
+    eng.Schedule(10.0 + 1.0 / 128, 71, nullptr);
+    eng.RunAll();
+  });
+}
+
+TEST(EventTraceTest, DiscardedFarTopThenRingSchedulesEarlierMatchesReference) {
+  ExpectEnginesAgree([](auto& eng) {
+    // A cancelled and a rescheduled (stale) entry are the minimum far
+    // ahead; live far events sit in several buckets behind them.
+    const std::uint64_t cancelled = eng.Schedule(10.0, 1, nullptr);
+    const std::uint64_t moved = eng.Schedule(10.25, 2, nullptr);
+    for (int i = 0; i < 6; ++i) eng.Schedule(10.5 + 1.5 * i, 3 + i, nullptr);
+    eng.Schedule(1.0, 20, [&eng, cancelled, moved] {
+      eng.Cancel(cancelled);
+      eng.Reschedule(moved, 20.0, 2, nullptr);
+      // Runs after the dead entries were dropped, and schedules below
+      // where they were.
+      eng.Resume(21, [&eng] {
+        for (int i = 0; i < 6; ++i) {
+          eng.Schedule(eng.Now() + 0.25 + 0.75 * i, 30 + i, nullptr);
+        }
+      });
+    });
+    eng.RunAll();
+
+    // The same through a Run(until) window: the dead top is dropped by the
+    // window's peek, then the clock lands and a wake-up schedules below it.
+    const std::uint64_t dead = eng.Schedule(eng.Now() + 8.0, 40, nullptr);
+    for (int i = 0; i < 4; ++i) {
+      eng.Schedule(eng.Now() + 8.5 + i, 41 + i, nullptr);
+    }
+    eng.Cancel(dead);
+    eng.Run(eng.Now() + 1.0);
+    eng.Resume(50, [&eng] {
+      eng.Schedule(eng.Now() + 0.5, 51, nullptr);
+      eng.Schedule(eng.Now() + 2.0, 52, nullptr);
+    });
+    eng.RunAll();
+  });
+}
+
+TEST(EventTraceTest, ThousandsOfSameInstantEventsStayFifoMatchesReference) {
+  ExpectEnginesAgree([](auto& eng) {
+    constexpr SimTime kT = 5.0;
+    // Entries for kT pushed from several earlier instants, so each bucket
+    // list mixes push orders before the tie is rebucketed into bucket 0.
+    auto ids = std::make_shared<std::vector<std::uint64_t>>();
+    for (int i = 0; i < 200; ++i) {
+      ids->push_back(eng.Schedule(kT, 1000 + i, nullptr));
+    }
+    for (int k = 1; k <= 4; ++k) {
+      eng.Schedule(1.0 * k, 100 + k, [&eng, k] {
+        for (int i = 0; i < 100; ++i) {
+          eng.Schedule(kT, 2000 + 100 * k + i, nullptr);
+          // Neighbours just before and after kT keep the tie moving
+          // between buckets.
+          if (i % 25 == 0) {
+            eng.Schedule(kT - 0.5 / k, 3000 + 100 * k + i, nullptr);
+            eng.Schedule(kT + 0.5 / k, 4000 + 100 * k + i, nullptr);
+          }
+        }
+      });
+    }
+    // Reschedule some early ties onto kT again (fresh sequence numbers)
+    // and cancel others.
+    eng.Schedule(4.5, 150, [&eng, ids] {
+      for (std::size_t i = 0; i < ids->size(); ++i) {
+        if (i % 10 == 3) {
+          eng.Reschedule((*ids)[i], 0.5, 1000 + static_cast<int>(i), nullptr);
+        } else if (i % 7 == 5) {
+          eng.Cancel((*ids)[i]);
+        }
+      }
+    });
+    // One tie pushes 600 more at the current instant straight into the
+    // tie's bucket, some of which push again and wake coroutines.
+    eng.Schedule(kT, 5000, [&eng] {
+      for (int i = 0; i < 600; ++i) {
+        eng.Schedule(eng.Now(), 6000 + i, [&eng, i] {
+          if (i % 50 == 0) eng.Schedule(eng.Now(), 7000 + i, nullptr);
+          if (i % 75 == 0) eng.Resume(8000 + i);
+        });
+      }
+    });
+    eng.RunAll();
+  });
+}
+
+TEST(EventTraceTest, NegativeZeroAndInfiniteTimesMatchReference) {
+  ExpectEnginesAgree([](auto& eng) {
+    constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+    eng.Schedule(-0.0, 1, nullptr);
+    eng.Schedule(0.0, 2, nullptr);
+    eng.Schedule(-0.0, 3, [&eng] {
+      eng.Schedule(-0.0, 4, nullptr);
+      eng.Schedule(eng.Now(), 5, nullptr);
+      eng.Resume(6);
+    });
+    eng.Schedule(kInf, 7, [&eng] {
+      eng.Schedule(eng.Now() + 1.0, 8, nullptr);
+      eng.Resume(9);
+      eng.Schedule(kInf, 10, nullptr);
+    });
+    eng.Schedule(kInf, 11, nullptr);
+    eng.Schedule(1.0, 12, nullptr);
+    eng.Run(2.0);  // stops short of +inf; the clock lands on 2
+    eng.Schedule(3.0, 13, nullptr);
+    eng.RunAll();
+  });
 }
 
 // ---------------------------------------------------------------------------

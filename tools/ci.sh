@@ -98,8 +98,8 @@ if [[ "${SKIP_ASAN:-0}" == "0" ]]; then
   # registry, whose probes borrow the cluster and the MapReduce testbed
   # for the whole run (metrics, cluster and MapReduce job tests). The
   # scheduler stress and event-trace tests ride along because the pending
-  # heap holds every cancelled or rescheduled event's entry until it
-  # reaches the top, while its slot may already hold a newer event.
+  # set holds every cancelled or rescheduled event's entry until it
+  # surfaces, while its slot may already hold a newer event.
   cmake --build "${ASAN_BUILD_DIR}" -j "$(nproc)" --target "${ASAN_SMOKE[@]}"
   (cd "${ASAN_BUILD_DIR}" && ctest -R "${ASAN_TESTS}" --output-on-failure)
   echo "ASan smoke OK"
