@@ -44,9 +44,8 @@ BENCHMARK(BM_SchedulerEventThroughput)->Arg(10000)->Arg(100000);
 
 // Same loop with an obs::Tracer engine hook attached: every executed
 // event records one kEngine instant. The delta over the untraced variant
-// is the full (enabled) tracing cost; the untraced variant itself pins
-// the disabled-path overhead against BENCH_engine.json (<= 2%,
-// tools/check_bench_regression.sh).
+// is the full (enabled) tracing cost; the untraced variant itself bounds
+// the disabled-path overhead against the base commit (2%, tools/ab.sh).
 void BM_SchedulerEventThroughputTraced(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler sched;
@@ -259,7 +258,7 @@ BENCHMARK(BM_RollupRecord)->Arg(100000);
 
 // The same loop with the plane compiled in but disabled: the contract is
 // a single branch per call (docs/telemetry.md). This variant is the one
-// tools/check_bench_regression.sh gates against BENCH_engine.json — an
+// tools/ab.sh gates at 2% against the base commit — an
 // enabled-plane slowdown is a tuning problem, a disabled-plane slowdown
 // is a tax on every run.
 void BM_RollupRecordDisabled(benchmark::State& state) {

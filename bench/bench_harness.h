@@ -360,8 +360,9 @@ struct BenchJsonRow {
 };
 
 // Writes a google-benchmark-compatible JSON document (the format
-// tools/check_bench_regression.sh reads) and prints "wrote PATH". Returns
-// false after an error line when the file cannot be opened.
+// tools/ab_verdict.py reads and the BENCH_*.json goldens use) and prints
+// "wrote PATH". Returns false after an error line when the file cannot be
+// opened.
 inline bool WriteBenchJson(const std::string& path,
                            const std::vector<JsonField>& context,
                            const std::vector<BenchJsonRow>& rows) {

@@ -9,12 +9,12 @@
 // but not the gate metric, because an optimization that removes pure
 // bookkeeping events (fewer events, less wall) must read as a win.
 //
-// Output is google-benchmark-compatible JSON (--json=FILE) so
-// tools/check_bench_regression.sh gates it against the committed
-// BENCH_macro.json with the same best-of-repetitions, host-normalized
-// comparison as the engine suite. Peak RSS (VmHWM) is recorded per entry;
-// it is monotonic across the process, so cells run in ascending-N order
-// and the first 100k cell's value is the honest peak for that geometry.
+// Output is google-benchmark-compatible JSON (--json=FILE); tools/ab.sh
+// gates each cell's best repetition against a base commit in alternating
+// pairs, as it does the engine suite. Peak RSS (VmHWM) is recorded per
+// entry; it is monotonic across the process, so cells run in ascending-N
+// order and the first 100k cell's value is the honest peak for that
+// geometry.
 //
 // --determinism prints a golden-trace prefix + final stats instead (no
 // wall-clock, no RSS): the large-N determinism check in

@@ -9,13 +9,14 @@
 // Shares the sweep flag surface (--replications/--threads/--seed/--trace/
 // --metrics/--trace-summary, common/bench_args.h) plus two of its own:
 //
-//   --json=FILE      google-benchmark-compatible JSON for
-//                    tools/check_bench_regression.sh (committed baseline
-//                    BENCH_shard.json). items_per_second is the cell's
-//                    in-window goodput qps — simulated and deterministic,
-//                    so the >threshold gate only trips on behavioral
-//                    change; the oversubscription cells are where the
-//                    throughput curve visibly bends.
+//   --json=FILE      google-benchmark-compatible JSON (committed as
+//                    BENCH_shard.json at --replications=1; ctest
+//                    bench_shard_json_golden cmps a fresh capture against
+//                    it). items_per_second is the cell's in-window goodput
+//                    qps; every field is simulated and deterministic, so
+//                    any diff is a behavioral change. The
+//                    oversubscription cells are where the throughput
+//                    curve visibly bends.
 //   --determinism    print per-replication final stats plus a golden
 //                    trace prefix (a pure function of cells + seed) and
 //                    exit; tools/check_trace.sh diffs this output at

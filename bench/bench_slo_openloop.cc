@@ -9,13 +9,13 @@
 // Shares the sweep flag surface (--replications/--threads/--seed,
 // common/bench_args.h) plus two of its own:
 //
-//   --json=FILE      google-benchmark-compatible JSON for
-//                    tools/check_bench_regression.sh (committed baseline
-//                    BENCH_slo.json). items_per_second is under-SLO
-//                    completions per second for open-loop cells and
-//                    achieved rps for the closed-loop references —
-//                    simulated and deterministic, so the gate only trips
-//                    on behavioral change.
+//   --json=FILE      google-benchmark-compatible JSON (committed as
+//                    BENCH_slo.json at --replications=1; ctest
+//                    bench_slo_json_golden cmps a fresh capture against
+//                    it). items_per_second is under-SLO completions per
+//                    second for open-loop cells and achieved rps for the
+//                    closed-loop references. Every field is simulated and
+//                    deterministic, so any diff is a behavioral change.
 //   --determinism    print per-replication final stats (a pure function
 //                    of cells + seed) and exit; tools/check_trace.sh
 //                    diffs this output at --threads=1 vs 8.

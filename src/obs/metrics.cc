@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -33,8 +32,10 @@ std::vector<double> MetricsSeries::Column(std::string_view name) const {
 MetricsRegistry::~MetricsRegistry() { Stop(); }
 
 void MetricsRegistry::Add(std::string name, std::function<double()> probe) {
-  assert(series_.times.empty() &&
-         "register all probes before the first sample");
+  // A late column would leave the earlier rows shorter than `names`, and
+  // MetricsSeries::Column would read past their end.
+  Check(series_.times.empty(), "obs::MetricsRegistry",
+        "probe registered after the first sample");
   // Registering a live probe re-arms a detached registry: the guard
   // exists to catch sampling through *severed* closures, not to make
   // registries single-use.

@@ -1,9 +1,10 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
+
+#include "common/check.h"
 
 namespace wimpy::obs {
 
@@ -142,8 +143,10 @@ Telemetry::~Telemetry() {
 }
 
 Rollup* Telemetry::AddInstrument(std::string name, Rollup::Kind kind) {
-  assert(by_name_.find(name) == by_name_.end() &&
-         "duplicate telemetry instrument name");
+  // by_name_ keeps the first of two equal names, so a duplicate's rollup
+  // would be orphaned: recorded into, but never found or exported by name.
+  Check(by_name_.find(name) == by_name_.end(), "obs::Telemetry",
+        "duplicate instrument name");
   instruments_.push_back(std::unique_ptr<Rollup>(
       new Rollup(std::move(name), kind, config_.slide, config_.ring_buckets)));
   Rollup* rollup = instruments_.back().get();

@@ -21,9 +21,11 @@
 //  * A disabled tracer (`set_enabled(false)`) returns from every record
 //    call after a single predictable branch and never allocates.
 //  * The engine hook costs the scheduler one null-check per executed
-//    event when no tracer is attached; bench_engine_micro's
-//    BM_SchedulerEventThroughput pins this at <= 2% against the
-//    BENCH_engine.json baseline (tools/check_bench_regression.sh).
+//    event when no tracer is attached. tools/ab.sh fails a change whose
+//    bench_engine_micro BM_SchedulerEventThroughput/100000 loses more
+//    than 2% in the median of its alternating pairs against the base
+//    commit, when a sign test finds the loss significant. On a shared
+//    4-CPU host its 40 pairs resolve a ~10% loss, not a 2% one.
 #ifndef WIMPY_OBS_TRACER_H_
 #define WIMPY_OBS_TRACER_H_
 

@@ -39,7 +39,10 @@ EventId Scheduler::ScheduleAt(SimTime t, EventFn fn) {
   // An empty closure would be counted live but dropped as cancelled when
   // it reached the top, leaving pending_events() stuck above zero.
   Check(static_cast<bool>(fn), "sim::Scheduler", "empty event closure");
-  if (t < now_) t = now_;
+  if (!(t >= now_)) {
+    Check(t < now_, "sim::Scheduler", "NaN event time");
+    t = now_;
+  }
   if (fn.heap_allocated()) ++fn_heap_allocs_;
   const std::uint32_t slot = AcquireSlot();
   fns_[slot] = std::move(fn);
@@ -50,7 +53,10 @@ EventId Scheduler::ScheduleAt(SimTime t, EventFn fn) {
 }
 
 EventId Scheduler::ScheduleAfter(Duration delay, EventFn fn) {
-  if (delay < 0) delay = 0;
+  if (!(delay >= 0)) {
+    Check(delay < 0, "sim::Scheduler", "NaN event delay");
+    delay = 0;
+  }
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
@@ -71,7 +77,10 @@ EventId Scheduler::RescheduleAfter(EventId id, Duration delay) {
   if (!IsLive(id >> kSlotBits, slot)) {
     return 0;  // never issued, already ran, or already cancelled
   }
-  if (delay < 0) delay = 0;
+  if (!(delay >= 0)) {
+    Check(delay < 0, "sim::Scheduler", "NaN event delay");
+    delay = 0;
+  }
   // The slot keeps its closure under a fresh sequence number; the old
   // entry goes stale and is dropped when it surfaces.
   const std::uint64_t seq = next_seq_++;

@@ -82,10 +82,11 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   // Schedules `fn` at absolute time `t` (clamped to now if in the past).
-  // An empty `fn` aborts in every build type.
+  // An empty `fn` or a NaN `t` aborts in every build type.
   EventId ScheduleAt(SimTime t, EventFn fn);
 
-  // Schedules `fn` after `delay` seconds (negative treated as 0).
+  // Schedules `fn` after `delay` seconds (negative treated as 0, NaN
+  // aborts).
   EventId ScheduleAfter(Duration delay, EventFn fn);
 
   // Cancels a pending event in O(1). Returns false if it already ran or
@@ -99,6 +100,7 @@ class Scheduler {
   // closure (the arm/cancel/re-arm pattern of FairShareServer::Reschedule).
   // Returns the new EventId (the old one goes stale), or 0 if `id`
   // already ran or was cancelled — the caller should then schedule afresh.
+  // A negative `delay` is treated as 0; a NaN one aborts.
   EventId RescheduleAfter(EventId id, Duration delay);
 
   // Schedules a coroutine resumption at the current time via the fast

@@ -91,6 +91,28 @@ TEST(MetricsRegistryDeathTest, SamplingAfterDetachAborts) {
   EXPECT_DEATH(registry.Start(&sched, Seconds(1)), "detached registry");
 }
 
+// A column registered after the first sample would leave the earlier rows
+// shorter than `names`, so Column() would read past their end. Fabric
+// registers late links on this path; it is rejected in every build type.
+TEST(MetricsRegistryDeathTest, AddAfterFirstSampleAborts) {
+  sim::Scheduler sched;
+  MetricsRegistry registry;
+  registry.AddGauge("early", [] { return 1.0; });
+  registry.AddCounter("also_early", [] { return 2.0; });
+  registry.Start(&sched, Seconds(1));  // samples at t=0 immediately
+  registry.Stop();
+  EXPECT_DEATH(registry.AddGauge("late", [] { return 3.0; }),
+               "obs::MetricsRegistry: probe registered after the first "
+               "sample");
+  EXPECT_DEATH(registry.AddCounter("late", [] { return 3.0; }),
+               "probe registered after the first sample");
+  // A fresh series takes new columns again.
+  registry.TakeSeries();
+  registry.AddGauge("late", [] { return 3.0; });
+  registry.SampleNow();
+  EXPECT_EQ(registry.series().Column("late"), (std::vector<double>{3.0}));
+}
+
 TEST(MetricsRegistryTest, DetachStopsTheSamplingClock) {
   sim::Scheduler sched;
   MetricsRegistry registry;

@@ -382,6 +382,22 @@ TEST(TelemetryTest, DisabledPlaneIsANoOp) {
   EXPECT_EQ(telemetry.Query("c", 10.0).count, 0u);
 }
 
+// by_name_ keeps the first of two equal names, so a second instrument by
+// that name would be recorded into but never queried or exported. It is
+// rejected in every build type, whatever the two instruments' kinds.
+TEST(TelemetryDeathTest, DuplicateInstrumentNameAborts) {
+  Telemetry telemetry;
+  telemetry.AddCounter("c");
+  EXPECT_DEATH(telemetry.AddCounter("c"),
+               "obs::Telemetry: duplicate instrument name");
+  EXPECT_DEATH(telemetry.AddHistogram("c"), "duplicate instrument name");
+  EXPECT_DEATH(telemetry.AddProbe("c", [] { return 1.0; }),
+               "duplicate instrument name");
+  telemetry.AddHistogram("h");
+  EXPECT_NE(telemetry.Find("c"), nullptr);
+  EXPECT_NE(telemetry.Find("h"), nullptr);
+}
+
 TEST(TelemetryTest, SloStreamFeedsInstruments) {
   sim::Scheduler sched;
   Telemetry telemetry;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -301,6 +302,24 @@ TEST(SchedulerDeathTest, EmptyClosureAbortsInEveryBuild) {
   s.ScheduleAt(1.0, [] {});
   EXPECT_EQ(s.Run(), 1u);
   EXPECT_EQ(s.pending_events(), 0u);
+}
+
+// `t < now()` and `delay < 0` are both false for NaN, so a NaN time would
+// slip past the clamp: the event would run at now() = nan, the clock would
+// then step back, and the radix buckets would misfile every later push.
+TEST(SchedulerDeathTest, NanTimeOrDelayAbortsInEveryBuild) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Scheduler s;
+  const EventId id = s.ScheduleAt(1.0, [] {});
+  EXPECT_DEATH(s.ScheduleAt(nan, [] {}), "NaN event time");
+  EXPECT_DEATH(s.ScheduleAfter(nan, [] {}), "NaN event delay");
+  EXPECT_DEATH(s.RescheduleAfter(id, nan), "NaN event delay");
+  // The clamps still hold for ordinary out-of-range values.
+  s.ScheduleAt(-1.0, [] {});
+  s.ScheduleAfter(-1.0, [] {});
+  EXPECT_NE(s.RescheduleAfter(id, -1.0), 0u);
+  EXPECT_EQ(s.Run(), 3u);
+  EXPECT_EQ(s.now(), 0.0);
 }
 
 }  // namespace

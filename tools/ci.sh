@@ -26,8 +26,9 @@
 #      simulated output is caught here and re-baselined on purpose (the
 #      script's header says how; CHANGES.md says why).
 #
-# tools/check_bench_regression.sh calls this after its performance gate;
-# it can also run standalone.
+# Speed is judged separately, against a base commit in alternating pairs
+# (tools/ab.sh); the Debug ctest includes the byte-for-byte goldens of the
+# deterministic BENCH_shard.json and BENCH_slo.json cells.
 #
 # Usage:
 #   tools/ci.sh
