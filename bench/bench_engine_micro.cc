@@ -5,15 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "hw/profiles.h"
 #include "kernels/dhrystone.h"
 #include "kernels/sysbench.h"
-#include "mapreduce/compute.h"
-#include "mapreduce/textgen.h"
 #include "obs/sketch.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
@@ -330,30 +327,6 @@ void BM_CountPrimes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountPrimes)->Arg(20000);
-
-void BM_WordCountMap(benchmark::State& state) {
-  Rng rng(1);
-  const std::string corpus =
-      mapreduce::GenerateTextCorpus(MB(1), 10000, rng);
-  for (auto _ : state) {
-    const auto stats = mapreduce::WordCountMap(corpus, nullptr);
-    benchmark::DoNotOptimize(stats.output_records);
-  }
-  state.SetBytesProcessed(state.iterations() * corpus.size());
-}
-BENCHMARK(BM_WordCountMap);
-
-void BM_TeraSort(benchmark::State& state) {
-  Rng rng(2);
-  const std::string records =
-      mapreduce::GenerateTeraRecords(state.range(0), rng);
-  for (auto _ : state) {
-    const std::string sorted = mapreduce::TeraSortRecords(records);
-    benchmark::DoNotOptimize(sorted.data());
-  }
-  state.SetBytesProcessed(state.iterations() * records.size());
-}
-BENCHMARK(BM_TeraSort)->Arg(10000);
 
 }  // namespace
 

@@ -15,8 +15,8 @@
 //   --trace-summary=FILE
 //                      export the per-trace roll-up CSV (root span,
 //                      latency, span count, attributed joules) computed
-//                      by obs/critical_path.h; implies trace recording
-//                      even without --trace
+//                      by obs::SummarizeTraces (obs/critical_path.h);
+//                      implies trace recording even without --trace
 //   --slo-ms=T         latency SLO bound in milliseconds. Adds an
 //                      `under_slo` column to the --trace-summary CSV and
 //                      an slo_goodput_per_joule roll-up (under-SLO work

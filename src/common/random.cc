@@ -92,22 +92,6 @@ double Rng::LogNormalMeanStd(double mean, double stddev) {
   return std::exp(Normal(mu, std::sqrt(sigma2)));
 }
 
-std::size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0;
-  for (double w : weights) {
-    assert(w >= 0);
-    total += w;
-  }
-  assert(total > 0);
-  double x = NextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::Fork() {
   Rng child(0);
   // Seed the child from four parent draws; keeps streams decorrelated.

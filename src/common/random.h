@@ -8,7 +8,6 @@
 #define WIMPY_COMMON_RANDOM_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace wimpy {
 
@@ -50,10 +49,6 @@ class Rng {
   // distribution (not of the underlying normal); convenient for latency
   // models specified by measured mean and spread.
   double LogNormalMeanStd(double mean, double stddev);
-
-  // Samples an index in [0, weights.size()) proportionally to weights.
-  // Requires a non-empty vector with non-negative weights summing > 0.
-  std::size_t WeightedIndex(const std::vector<double>& weights);
 
   // Derives an independent child stream. Deterministic: forking the same
   // parent state twice yields different children (parent advances), but the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace wimpy {
 
@@ -10,7 +9,6 @@ void OnlineStats::Add(double x) {
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
@@ -26,20 +24,10 @@ void OnlineStats::Merge(const OnlineStats& other) {
   const double delta = other.mean_ - mean_;
   const double total = n1 + n2;
   mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
-
-void OnlineStats::Reset() { *this = OnlineStats(); }
-
-double OnlineStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double PercentileTracker::Percentile(double q) const {
   // NaN, not 0: a zero p99 from an empty tracker would vacuously pass any

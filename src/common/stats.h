@@ -8,19 +8,14 @@
 
 namespace wimpy {
 
-// Streaming mean/variance/min/max (Welford's algorithm). O(1) memory.
+// Streaming mean/min/max. O(1) memory.
 class OnlineStats {
  public:
   void Add(double x);
   void Merge(const OnlineStats& other);
-  void Reset();
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  // Sample variance (Bessel's n-1 denominator, matching
-  // Summarize().stddev); 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return count_ == 0 ? 0.0 : mean_ * count_; }
@@ -28,7 +23,6 @@ class OnlineStats {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

@@ -44,11 +44,4 @@ std::string FormatDuration(Duration d) {
   return Format(d * 1e6, "us");
 }
 
-std::string FormatWatts(Watts w) { return Format(w, "W"); }
-
-std::string FormatJoules(Joules j) {
-  if (std::fabs(j) >= 1e5) return Format(j / 1e3, "kJ");
-  return Format(j, "J");
-}
-
 }  // namespace wimpy

@@ -92,10 +92,6 @@ std::string FormatBytes(Bytes bytes);
 std::string FormatBitRate(BytesPerSecond rate);
 // "18.0 ms", "1.30 s", "7.0 us", ...
 std::string FormatDuration(Duration d);
-// "58.8 W"
-std::string FormatWatts(Watts w);
-// "17670 J" or "43.4 kJ"
-std::string FormatJoules(Joules j);
 
 }  // namespace wimpy
 

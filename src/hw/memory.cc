@@ -18,12 +18,6 @@ sim::Task<void> MemoryModel::Transfer(Bytes bytes) {
   co_await bus_.Serve(static_cast<double>(bytes));
 }
 
-sim::Task<void> MemoryModel::Reserve(Bytes bytes) {
-  const std::int64_t mb = ToMb(bytes);
-  co_await capacity_mb_.Acquire(mb);
-  used_ += mb * MB(1);
-}
-
 bool MemoryModel::TryReserve(Bytes bytes) {
   const std::int64_t mb = ToMb(bytes);
   if (!capacity_mb_.TryAcquire(mb)) return false;

@@ -25,8 +25,7 @@ class MemoryModel {
   // Streams `bytes` through the memory bus (sysbench memory semantics).
   sim::Task<void> Transfer(Bytes bytes);
 
-  // Capacity grants, in whole megabytes. Waits until available.
-  sim::Task<void> Reserve(Bytes bytes);
+  // Capacity grants, in whole megabytes; false when not available.
   bool TryReserve(Bytes bytes);
   void Free(Bytes bytes);
 

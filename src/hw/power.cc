@@ -60,8 +60,4 @@ Joules NodePowerModel::CumulativeJoules() const {
   return watts_history_.IntegralUntil(sched_->now());
 }
 
-Watts NodePowerModel::AverageWatts() const {
-  return watts_history_.AverageUntil(sched_->now());
-}
-
 }  // namespace wimpy::hw

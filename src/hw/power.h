@@ -42,9 +42,6 @@ class NodePowerModel {
   // Energy consumed from construction until now.
   Joules CumulativeJoules() const;
 
-  // Average power over the whole simulated history.
-  Watts AverageWatts() const;
-
   // Scales the CPU's contribution to the dynamic power range (DVFS: lower
   // voltage/frequency shrinks CPU dynamic power; other components keep
   // their full range — the paper's proportionality critique).

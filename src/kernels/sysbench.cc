@@ -35,10 +35,6 @@ double SysbenchCpuEventDemandMinstr(std::int64_t max_prime) {
   return kAnchorDemand * scale;
 }
 
-double SysbenchCpuTotalDemandMinstr(int events, std::int64_t max_prime) {
-  return static_cast<double>(events) * SysbenchCpuEventDemandMinstr(max_prime);
-}
-
 MemoryBenchResult RunHostMemoryBench(Bytes block_size, Bytes total_bytes) {
   MemoryBenchResult result;
   result.block_size = block_size;

@@ -31,9 +31,6 @@ inline constexpr std::int64_t kSysbenchMaxPrime = 20000;
 // trial division up to sqrt(n) for all candidates.
 double SysbenchCpuEventDemandMinstr(std::int64_t max_prime);
 
-// Total demand of a whole test run.
-double SysbenchCpuTotalDemandMinstr(int events, std::int64_t max_prime);
-
 // --- Memory test -------------------------------------------------------------
 
 struct MemoryBenchResult {

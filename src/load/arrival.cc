@@ -28,11 +28,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig& config)
   }
 }
 
-double ArrivalProcess::CurrentRate() const {
-  if (config_.model == ArrivalModel::kPoisson) return config_.rate;
-  return in_burst_ ? burst_rate_ : calm_rate_;
-}
-
 Duration ArrivalProcess::NextGap(Rng& rng) {
   if (config_.model == ArrivalModel::kPoisson) {
     // Exactly one draw — keeps legacy `rng.Exponential(rate)` loops

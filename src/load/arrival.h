@@ -45,8 +45,6 @@ class ArrivalProcess {
   // one. Advances the modulating chain for kMmpp.
   Duration NextGap(Rng& rng);
 
-  // Instantaneous arrival rate of the current modulation state.
-  double CurrentRate() const;
   bool in_burst() const { return in_burst_; }
 
   const ArrivalConfig& config() const { return config_; }

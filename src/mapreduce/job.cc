@@ -1,12 +1,20 @@
 #include "mapreduce/job.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "common/check.h"
 #include "obs/tracer.h"
 
 namespace wimpy::mapreduce {
+
+namespace {
+
+void Check(bool ok, const char* what) {
+  wimpy::Check(ok, "mapreduce::MapReduceJob", what);
+}
+
+}  // namespace
 
 MapReduceJob::MapReduceJob(net::Fabric* fabric, Hdfs* hdfs, Yarn* yarn,
                            JobSpec spec, FrameworkCosts costs,
@@ -18,7 +26,7 @@ MapReduceJob::MapReduceJob(net::Fabric* fabric, Hdfs* hdfs, Yarn* yarn,
       costs_(costs),
       efficiency_(spec_.EfficiencyFor(platform_profile)),
       rng_(seed) {
-  assert(efficiency_ > 0);
+  Check(efficiency_ > 0, "platform efficiency must be > 0");
   for (int r = 0; r < spec_.reducers; ++r) {
     shuffle_.push_back(std::make_unique<sim::WaitQueue<MapOutputPart>>(
         &fabric_->scheduler()));
@@ -38,7 +46,7 @@ std::vector<MapReduceJob::Split> MapReduceJob::ComputeSplits() const {
   std::vector<HdfsBlock> blocks;
   for (int i = 0; i < spec_.input_files; ++i) {
     auto file = hdfs_->GetFile(spec_.input_prefix + "-" + std::to_string(i));
-    assert(file.ok());
+    Check(file.ok(), "input file missing from HDFS");
     for (const auto& b : file->blocks) blocks.push_back(b);
   }
 
@@ -58,7 +66,8 @@ std::vector<MapReduceJob::Split> MapReduceJob::ComputeSplits() const {
   // grouping by replica holder first — like the real implementation's
   // node-local pass — so a combined split stays data-local (the paper
   // observes ~95% locality for the tuned jobs).
-  assert(spec_.max_split_size > 0);
+  Check(spec_.max_split_size > 0,
+        "max_split_size must be > 0 when combining inputs");
   std::map<int, std::vector<HdfsBlock>> by_node;
   for (const auto& block : blocks) {
     by_node[block.replica_nodes.front()].push_back(block);
@@ -320,7 +329,7 @@ sim::Process MapReduceJob::ReduceTask(int reduce_index) {
       // Source-side read of the spilled segment, then the wire for remote
       // fetches.
       hw::ServerNode* source = yarn_->NodeById(part.source_node);
-      assert(source != nullptr);
+      Check(source != nullptr, "shuffle source is not a YARN slave");
       co_await source->storage().Read(part.bytes, /*buffered=*/true);
       if (part.source_node != node->id()) {
         co_await fabric_->Transfer(part.source_node, node->id(),

@@ -81,11 +81,6 @@ void Yarn::Release(const Container& container) {
   }
 }
 
-Bytes Yarn::FreeMemory(int node_id) const {
-  auto it = free_memory_.find(node_id);
-  return it == free_memory_.end() ? 0 : it->second;
-}
-
 hw::ServerNode* Yarn::NodeById(int node_id) const {
   for (auto* node : slaves_) {
     if (node->id() == node_id) return node;

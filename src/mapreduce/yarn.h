@@ -78,9 +78,6 @@ class Yarn {
   // True when the chosen node was in the preferred list.
   bool last_allocation_was_preferred() const { return last_preferred_; }
 
-  // Free container memory on a node (for tests/telemetry).
-  Bytes FreeMemory(int node_id) const;
-
   // Slave lookup by node id; nullptr when unknown.
   hw::ServerNode* NodeById(int node_id) const;
 

@@ -194,10 +194,6 @@ const Fabric::Endpoint& Fabric::Lookup(int node_id) const {
   return endpoints_[static_cast<std::size_t>(node_id)];
 }
 
-const std::string& Fabric::GroupOf(int node_id) const {
-  return group_names_[static_cast<std::size_t>(Lookup(node_id).group)];
-}
-
 int Fabric::GroupIdOf(int node_id) const { return Lookup(node_id).group; }
 
 Duration Fabric::Latency(int src_id, int dst_id) const {
@@ -284,17 +280,6 @@ void Fabric::TransferOp::Join(std::coroutine_handle<> caller) {
 
 sim::Task<void> Fabric::RoundTrip(int src_id, int dst_id) {
   co_await sim::Delay(*sched_, Rtt(src_id, dst_id));
-}
-
-double Fabric::GroupLinkBusyFraction(const std::string& a,
-                                     const std::string& b) const {
-  const int ga = FindGroup(a);
-  const int gb = FindGroup(b);
-  if (ga < 0 || gb < 0) return 0.0;
-  const GroupLink* link = FindLink(ga, gb);
-  if (link == nullptr) return 0.0;
-  return std::max(link->forward->busy_fraction(),
-                  link->backward->busy_fraction());
 }
 
 double Fabric::GroupLinkAverageBusyFraction(const std::string& a,

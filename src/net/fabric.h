@@ -78,7 +78,6 @@ class Fabric {
   static constexpr int kMaxPathHops = 4;
 
   bool HasNode(int node_id) const;
-  const std::string& GroupOf(int node_id) const;
 
   // Dense interned id of the node's group (assigned in first-seen order at
   // topology-build time). Id-indexed callers (KV routing tables, per-node
@@ -156,10 +155,6 @@ class Fabric {
 
   // Small control message pair (SYN/ACK, ping): pays RTT, no bandwidth.
   sim::Task<void> RoundTrip(int src_id, int dst_id);
-
-  // Instantaneous utilisation of the group link (0 if none configured).
-  double GroupLinkBusyFraction(const std::string& a,
-                               const std::string& b) const;
 
   // Time-averaged utilisation of the group link's busier direction since
   // construction (0 if none configured). The report-level counterpart of

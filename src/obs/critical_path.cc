@@ -2,54 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string_view>
 
 namespace wimpy::obs {
 
 namespace {
-
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 // Same rendering contract as obs/export.cc: pure function of the value.
 std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
-}
-
-// Backward walk over [span.begin, min(until, span.end)], appending
-// segments in reverse time order (CriticalPath reverses once at the end).
-void Walk(const TraceTree& tree, std::size_t si, SimTime until,
-          std::vector<PathSegment>& out) {
-  const SpanRecord& s = tree.spans[si];
-  SimTime t = std::min(until, s.end);
-  while (t > s.begin) {
-    // The bottleneck child at time t: latest effective end, ties broken
-    // toward the later begin then the larger span_id so overlapping
-    // children resolve deterministically.
-    std::size_t best = kNone;
-    SimTime best_ce = 0;
-    for (std::size_t ci : s.children) {
-      const SpanRecord& c = tree.spans[ci];
-      if (c.begin >= t) continue;
-      const SimTime ce = std::min(c.end, t);
-      if (ce <= s.begin) continue;
-      const SpanRecord* b = best == kNone ? nullptr : &tree.spans[best];
-      if (b == nullptr || ce > best_ce ||
-          (ce == best_ce &&
-           (c.begin > b->begin ||
-            (c.begin == b->begin && c.span_id > b->span_id)))) {
-        best = ci;
-        best_ce = ce;
-      }
-    }
-    if (best == kNone) {
-      out.push_back(PathSegment{si, s.begin, t});
-      return;
-    }
-    if (best_ce < t) out.push_back(PathSegment{si, best_ce, t});
-    Walk(tree, best, best_ce, out);
-    t = std::max(tree.spans[best].begin, s.begin);
-  }
 }
 
 }  // namespace
@@ -116,23 +80,6 @@ std::vector<TraceTree> BuildTraceTrees(const TraceLog& log) {
     out.push_back(std::move(tree));
   }
   return out;
-}
-
-std::vector<PathSegment> CriticalPath(const TraceTree& tree) {
-  std::vector<PathSegment> out;
-  if (tree.spans.empty()) return out;
-  Walk(tree, tree.root, tree.spans[tree.root].end, out);
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-std::map<std::string_view, Duration> DecomposeCriticalPath(
-    const TraceTree& tree) {
-  std::map<std::string_view, Duration> by_name;
-  for (const PathSegment& seg : CriticalPath(tree)) {
-    by_name[tree.spans[seg.span].name] += seg.end - seg.begin;
-  }
-  return by_name;
 }
 
 std::vector<TraceSummaryRow> SummarizeTraces(

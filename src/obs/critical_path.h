@@ -1,25 +1,21 @@
-// Causal-trace reconstruction and critical-path/joule analysis.
+// Causal-trace reconstruction and per-trace roll-ups.
 //
 // Input is the flat `TraceLog` a `Tracer` records: span begin/end pairs
 // keyed by causal span ids (obs/context.h), plus causal instants. This
-// module rebuilds the per-request span trees and answers the two
-// questions the paper's tables reduce to — where did the latency go
-// (critical-path decomposition, Table 7's db/cache/total delay split)
-// and what did it cost (joules per request, FAWN-style queries/joule) —
-// from the export alone, without access to the live testbed. The Python
-// twin (tools/trace_analyze.py) implements the same algorithm over the
-// JSON export; the golden test pins them against each other.
+// module rebuilds the per-request span trees and rolls each one up into
+// latency, span count and attributed joules (the --trace-summary CSV)
+// and into SLO-conditioned goodput per joule, from the export alone,
+// without access to the live testbed. The critical-path decomposition
+// (where a request's latency went) is tools/trace_analyze.py's walk
+// over the JSON export.
 //
 // All outputs are deterministic functions of the log: spans sort by
-// (begin, span_id), ties in the backward walk break toward the later
-// begin then the larger span_id.
+// (begin, span_id).
 #ifndef WIMPY_OBS_CRITICAL_PATH_H_
 #define WIMPY_OBS_CRITICAL_PATH_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -65,27 +61,6 @@ struct TraceTree {
 // trace_id; spans within a tree by (begin, span_id). Non-causal events
 // (trace_id 0, e.g. the engine hook stream) are ignored.
 std::vector<TraceTree> BuildTraceTrees(const TraceLog& log);
-
-// A maximal constant-attribution stretch of the critical path: during
-// [begin, end) the tree's latency was waiting on `spans[span]`
-// exclusively (none of its children were the bottleneck).
-struct PathSegment {
-  std::size_t span = 0;
-  SimTime begin = 0;
-  SimTime end = 0;
-};
-
-// Backward walk from the root's end to its begin. At each point the path
-// descends into the child whose effective end (min(child end, current
-// time)) is largest; gaps with no child running are the parent's own
-// self time. Segments come back in forward time order and exactly tile
-// [root.begin, root.end].
-std::vector<PathSegment> CriticalPath(const TraceTree& tree);
-
-// Sums critical-path self time by span name — the per-request latency
-// decomposition ("serve" self vs "db" vs "cache" vs transfer spans).
-std::map<std::string_view, Duration> DecomposeCriticalPath(
-    const TraceTree& tree);
 
 // Per-trace roll-up row for the --trace-summary CSV.
 struct TraceSummaryRow {

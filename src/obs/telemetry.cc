@@ -8,20 +8,6 @@
 
 namespace wimpy::obs {
 
-const char* AggName(Agg agg) {
-  switch (agg) {
-    case Agg::kRate: return "rate";
-    case Agg::kMean: return "mean";
-    case Agg::kMin: return "min";
-    case Agg::kMax: return "max";
-    case Agg::kIntegral: return "integral";
-    case Agg::kP50: return "p50";
-    case Agg::kP90: return "p90";
-    case Agg::kP99: return "p99";
-  }
-  return "?";
-}
-
 namespace {
 double Clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 }  // namespace

@@ -57,7 +57,6 @@ enum class Agg : std::uint8_t {
   kP90,
   kP99,
 };
-const char* AggName(Agg agg);
 
 // Everything `Query` knows about a window. `window` is the covered
 // span: n * slide where n = min(requested / slide, closed buckets) —

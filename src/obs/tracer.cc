@@ -108,13 +108,6 @@ int Tracer::open_spans(std::int32_t track) const {
   return it == open_spans_.end() ? 0 : it->second;
 }
 
-void Tracer::Clear() {
-  RecycleChunks();
-  flat_cache_.clear();
-  open_spans_.clear();
-  next_seq_ = 1;
-}
-
 TraceLog Tracer::TakeLog() {
   TraceLog log;
   if (flat_cache_.size() == count_) {

@@ -7,9 +7,9 @@
 // begin/end spans emitted by instrumented components (web requests,
 // MapReduce tasks, network timeouts). Spans can additionally carry a
 // causal identity (`TraceContext`: trace/span/parent ids) so a sampled
-// request forms a cross-node span tree that the critical-path analyzer
-// (obs/critical_path.h, tools/trace_analyze.py) can reconstruct from the
-// export alone. The stream is a pure function of the simulation — no
+// request forms a cross-node span tree that obs::BuildTraceTrees
+// (obs/critical_path.h) and the critical-path analyzer
+// tools/trace_analyze.py can reconstruct from the export alone. The stream is a pure function of the simulation — no
 // wall-clock, no pointers, no thread identity — so a trace taken at any
 // `--threads` count is byte-identical for the same seed once
 // per-replication tracers are merged in index order (the same contract
@@ -187,7 +187,6 @@ class Tracer {
   // are erased).
   std::size_t open_tracks() const { return open_spans_.size(); }
   std::size_t size() const { return count_; }
-  void Clear();
 
   // Moves the recorded stream out (e.g. into a sweep result), leaving the
   // tracer empty but still attached/enabled. Arena chunks are recycled

@@ -124,13 +124,4 @@ void Ring::Rebuild() {
   }
 }
 
-std::vector<int> Ring::MovedPrimaries(const Ring& before, const Ring& after) {
-  Check(before.shards() == after.shards(), "rings differ in shard count");
-  std::vector<int> moved;
-  for (int s = 0; s < before.shards(); ++s) {
-    if (before.PrimaryOf(s) != after.PrimaryOf(s)) moved.push_back(s);
-  }
-  return moved;
-}
-
 }  // namespace wimpy::shard

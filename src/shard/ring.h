@@ -91,11 +91,6 @@ class Ring {
     return pref.empty() ? -1 : pref[0];
   }
 
-  // Shards whose primary owner differs between two rings of identical
-  // geometry (the key-movement measure the churn test pins).
-  static std::vector<int> MovedPrimaries(const Ring& before,
-                                         const Ring& after);
-
  private:
   void Rebuild();
 

@@ -25,7 +25,6 @@ FairShareServer::FairShareServer(Scheduler* sched, double capacity,
     : sched_(sched),
       capacity_(capacity),
       per_job_cap_(per_job_cap > 0 ? per_job_cap : capacity),
-      cap_tracks_capacity_(per_job_cap <= 0),
       name_(std::move(name)) {
   assert(sched != nullptr);
   CheckRate(capacity, "capacity must be > 0");
@@ -59,21 +58,12 @@ void FairShareServer::SetUsageListener(
   usage_listener_ = std::move(listener);
 }
 
-void FairShareServer::SetCapacity(double capacity) {
-  CheckRate(capacity, "capacity must be > 0");
-  Advance();
-  capacity_ = capacity;
-  if (cap_tracks_capacity_) per_job_cap_ = capacity;
-  Reschedule();
-}
-
 void FairShareServer::SetRates(double capacity, double per_job_cap) {
   CheckRate(capacity, "capacity must be > 0");
   CheckRate(per_job_cap, "per_job_cap must be > 0");
   Advance();
   capacity_ = capacity;
   per_job_cap_ = per_job_cap;
-  cap_tracks_capacity_ = false;
   Reschedule();
 }
 

@@ -92,12 +92,9 @@ class FairShareServer {
   // departs). The power model subscribes here.
   void SetUsageListener(std::function<void(double busy_fraction)> listener);
 
-  // Changes the capacity (e.g. DVFS experiments). In-flight jobs continue
-  // with the new rate from the current instant.
-  void SetCapacity(double capacity);
-
   // Changes capacity and per-job cap together (frequency scaling affects
-  // both the pool and a single thread's speed).
+  // both the pool and a single thread's speed). In-flight jobs continue
+  // with the new rate from the current instant.
   void SetRates(double capacity, double per_job_cap);
 
  private:
@@ -133,9 +130,6 @@ class FairShareServer {
   Scheduler* sched_;
   double capacity_;
   double per_job_cap_;
-  // True when the constructor defaulted per_job_cap_ to the capacity;
-  // SetCapacity keeps them in lockstep in that case.
-  bool cap_tracks_capacity_;
   std::string name_;
 
   std::priority_queue<Job, std::vector<Job>, JobOrder> jobs_;

@@ -35,7 +35,7 @@ TEST_F(ClusterTest, AddNodesAssignsRolesAndIds) {
   EXPECT_EQ(cache[0]->id(), 24);
   EXPECT_EQ(cluster_.node(24), cache[0]);
   EXPECT_EQ(cluster_.node(999), nullptr);
-  EXPECT_EQ(fabric_.GroupOf(0), "edison-room");
+  EXPECT_EQ(fabric_.GroupIdOf(0), fabric_.GroupIdOf(24));  // edison-room
 }
 
 TEST_F(ClusterTest, IdleClusterPowerMatchesTable3) {

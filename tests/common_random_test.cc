@@ -95,17 +95,6 @@ TEST(RngTest, LogNormalMeanStdMatchesTarget) {
   EXPECT_NEAR(std::sqrt(var), 1.5, 0.1);
 }
 
-TEST(RngTest, WeightedIndexFollowsWeights) {
-  Rng rng(23);
-  std::vector<double> weights = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.WeightedIndex(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.01);
-}
-
 TEST(RngTest, ForkedStreamsAreIndependentAndDeterministic) {
   Rng root1(42), root2(42);
   Rng a1 = root1.Fork();

@@ -15,7 +15,6 @@ TEST(OnlineStatsTest, EmptyIsZero) {
   OnlineStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(OnlineStatsTest, BasicMoments) {
@@ -23,33 +22,9 @@ TEST(OnlineStatsTest, BasicMoments) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance (Bessel's n-1): sum of squared deviations is 32.
-  EXPECT_DOUBLE_EQ(s.variance(), 32.0 / 7.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), std::sqrt(32.0 / 7.0));
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStatsTest, SingleSampleHasZeroVariance) {
-  OnlineStats s;
-  s.Add(3.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-// OnlineStats::stddev() and Summarize().stddev are two routes to the same
-// quantity (one streaming, one two-pass); they must agree so sweep tables
-// and online accumulators never disagree about spread.
-TEST(OnlineStatsTest, StddevMatchesSummarize) {
-  const std::vector<double> samples = {2.0, 4.0, 4.0, 4.0,
-                                       5.0, 5.0, 7.0, 9.0};
-  OnlineStats s;
-  for (double x : samples) s.Add(x);
-  const MetricSummary summary = Summarize(samples);
-  EXPECT_EQ(summary.count, s.count());
-  EXPECT_NEAR(summary.mean, s.mean(), 1e-12);
-  EXPECT_NEAR(summary.stddev, s.stddev(), 1e-12);
 }
 
 // Merging per-shard accumulators must agree with Summarize over the
@@ -66,7 +41,6 @@ TEST(OnlineStatsTest, MergeMatchesSummarize) {
   const MetricSummary summary = Summarize(samples);
   EXPECT_EQ(summary.count, a.count());
   EXPECT_NEAR(summary.mean, a.mean(), 1e-12);
-  EXPECT_NEAR(summary.stddev, a.stddev(), 1e-9);
 }
 
 TEST(OnlineStatsTest, MergeEqualsSingleStream) {
@@ -79,7 +53,6 @@ TEST(OnlineStatsTest, MergeEqualsSingleStream) {
   a.Merge(b);
   EXPECT_EQ(a.count(), all.count());
   EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
   EXPECT_EQ(a.min(), all.min());
   EXPECT_EQ(a.max(), all.max());
 }

@@ -106,23 +106,6 @@ TEST(MemoryModelTest, CapacityReservations) {
   EXPECT_TRUE(mem.TryReserve(MB(1000)));
 }
 
-sim::Process BlockingReserve(MemoryModel& mem, Bytes n, sim::Scheduler& sched,
-                             double* granted_at) {
-  co_await mem.Reserve(n);
-  *granted_at = sched.now();
-}
-
-TEST(MemoryModelTest, ReserveBlocksUntilFreed) {
-  sim::Scheduler sched;
-  MemoryModel mem(&sched, EdisonProfile().memory);
-  ASSERT_TRUE(mem.TryReserve(MB(900)));
-  double granted_at = -1;
-  sim::Spawn(sched, BlockingReserve(mem, MB(500), sched, &granted_at));
-  sched.ScheduleAt(5.0, [&] { mem.Free(MB(900)); });
-  sched.Run();
-  EXPECT_EQ(granted_at, 5.0);
-}
-
 sim::Process DoRead(StorageDevice& dev, Bytes n, bool buffered,
                     sim::Scheduler& sched, double* done_at) {
   co_await dev.Read(n, buffered);

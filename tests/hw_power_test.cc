@@ -63,7 +63,7 @@ TEST(PowerTest, AverageWattsBetweenIdleAndBusy) {
   sim::Spawn(sched, BusyLoop(node, 10.0));
   sched.ScheduleAt(20.0, [] {});  // 10 s busy + 10 s idle
   sched.Run();
-  const Watts avg = node.power().AverageWatts();
+  const Watts avg = node.power().CumulativeJoules() / sched.now();
   EXPECT_GT(avg, node.profile().power.idle);
   EXPECT_LT(avg, node.profile().power.busy);
 }

@@ -201,5 +201,24 @@ TEST(MrJobTest, DellClusterRunsSameJobFaster) {
   EXPECT_GT(d.mean_slave_power, 20 * e.mean_slave_power);
 }
 
+// Job inputs are checked in every build type: an assert() here compiled
+// out under NDEBUG, and a missing input file then dereferenced an error
+// StatusOr.
+TEST(MrJobDeathTest, BadInputsAbortInEveryBuild) {
+  MrTestbed testbed(EdisonMrCluster(4));
+  JobSpec no_efficiency = SmallWordCount(testbed.config());
+  no_efficiency.efficiency_by_profile[testbed.config().slave_profile.name] = 0;
+  EXPECT_DEATH(testbed.RunJob(no_efficiency),
+               "platform efficiency must be > 0");
+  EXPECT_DEATH(testbed.RunJob(SmallWordCount(testbed.config())),
+               "input file missing from HDFS");
+  JobSpec no_split_size = SmallWordCount(testbed.config());
+  no_split_size.combine_inputs = true;
+  no_split_size.max_split_size = 0;
+  LoadInputFor(no_split_size, &testbed);
+  EXPECT_DEATH(testbed.RunJob(no_split_size),
+               "max_split_size must be > 0 when combining inputs");
+}
+
 }  // namespace
 }  // namespace wimpy::mapreduce

@@ -136,11 +136,13 @@ TEST_F(FabricTest, ByteCountersTrackTraffic) {
 }
 
 TEST_F(FabricTest, GroupLinkUtilisationVisible) {
-  EXPECT_EQ(fabric_.GroupLinkBusyFraction("edison-room", "dell-room"), 0.0);
+  EXPECT_EQ(
+      fabric_.GroupLinkAverageBusyFraction("edison-room", "dell-room"), 0.0);
   double done_at = -1;
   sim::Spawn(sched_, DoTransfer(10, 0, GB(1), &done_at));
   sched_.Run(1.0);
-  EXPECT_GT(fabric_.GroupLinkBusyFraction("edison-room", "dell-room"), 0.0);
+  EXPECT_GT(
+      fabric_.GroupLinkAverageBusyFraction("edison-room", "dell-room"), 0.0);
   sched_.Run();
 }
 
@@ -185,7 +187,7 @@ TEST(FabricDeathTest, BadNodesAbortInEveryBuild) {
                "node ids must be non-negative");
   EXPECT_DEATH(fabric.AddNode(&same_id, "other-room"), "duplicate node id");
   EXPECT_TRUE(fabric.HasNode(3));
-  EXPECT_EQ(fabric.GroupOf(3), "room");
+  EXPECT_EQ(fabric.GroupIdOf(3), 0);  // "room", the first group interned
 }
 
 TEST(FabricDeathTest, BadLinksAndPathsAbortInEveryBuild) {

@@ -1,8 +1,8 @@
 // Causal-tracing contract tests (docs/observability.md): trace/span id
 // allocation, CausalSpan propagation and the null no-op path, the web
-// call's span order, name interning, open-track bookkeeping, span-tree reconstruction, the
-// critical-path walk's tie-breaks, Perfetto flow-event rendering, and
-// the --trace-summary CSV.
+// call's span order, name interning, open-track bookkeeping, span-tree
+// reconstruction, Perfetto flow-event rendering, and the --trace-summary
+// CSV.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -427,55 +427,6 @@ TEST(TraceTreeTest, RebuildsNestingAndFlagsIncompleteSpans) {
   ASSERT_EQ(tree.instants.size(), 1u);
   EXPECT_EQ(std::string_view(tree.instants[0].name), "late");
   EXPECT_EQ(tree.instants[0].parent_id, 1u);
-}
-
-TEST(CriticalPathTest, SequentialChildrenDecompose) {
-  Tracer tracer;
-  tracer.BeginSpanAt(0.0, "root", Category::kRequest, 0,
-                     TraceContext{1, 1, 0});
-  Span(tracer, "a", 1.0, 4.0, 1, 2, 1);
-  Span(tracer, "b", 5.0, 9.0, 1, 3, 1);
-  tracer.EndSpanAt(10.0, "root", Category::kRequest, 0,
-                   TraceContext{1, 1, 0});
-  TraceLog log = tracer.TakeLog();
-
-  const std::vector<TraceTree> trees = BuildTraceTrees(log);
-  ASSERT_EQ(trees.size(), 1u);
-  const std::vector<PathSegment> path = CriticalPath(trees[0]);
-  // Segments tile [root.begin, root.end] contiguously in forward order.
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.front().begin, 0.0);
-  EXPECT_EQ(path.back().end, 10.0);
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    EXPECT_EQ(path[i].begin, path[i - 1].end);
-  }
-
-  const auto decomp = DecomposeCriticalPath(trees[0]);
-  // Root self time: [0,1] + [4,5] + [9,10].
-  EXPECT_DOUBLE_EQ(decomp.at("root"), 3.0);
-  EXPECT_DOUBLE_EQ(decomp.at("a"), 3.0);
-  EXPECT_DOUBLE_EQ(decomp.at("b"), 4.0);
-}
-
-TEST(CriticalPathTest, OverlappingChildrenChargeTheLaterFinisher) {
-  Tracer tracer;
-  tracer.BeginSpanAt(0.0, "root", Category::kRequest, 0,
-                     TraceContext{1, 1, 0});
-  Span(tracer, "a", 1.0, 6.0, 1, 2, 1);
-  Span(tracer, "b", 4.0, 9.0, 1, 3, 1);
-  tracer.EndSpanAt(10.0, "root", Category::kRequest, 0,
-                   TraceContext{1, 1, 0});
-  TraceLog log = tracer.TakeLog();
-
-  const std::vector<TraceTree> trees = BuildTraceTrees(log);
-  ASSERT_EQ(trees.size(), 1u);
-  const auto decomp = DecomposeCriticalPath(trees[0]);
-  // Backward from 10: root waits on b until 9, b owns (4,9]; the walk
-  // resumes at b.begin=4 where a (still running) owns (1,4]; root keeps
-  // [0,1] and [9,10].
-  EXPECT_DOUBLE_EQ(decomp.at("root"), 2.0);
-  EXPECT_DOUBLE_EQ(decomp.at("b"), 5.0);
-  EXPECT_DOUBLE_EQ(decomp.at("a"), 3.0);
 }
 
 std::size_t CountOccurrences(const std::string& doc,

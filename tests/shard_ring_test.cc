@@ -1,12 +1,12 @@
 // Consistent-hash ring properties (shard/ring.h): map determinism and
 // insertion-order independence (the "same seed + same node set =>
 // byte-identical shard map" contract, for AddNode one by one and for the
-// bulk constructor alike), ownership invariants, the consistent-hashing
-// churn bound — one node joining or leaving an N-node ring moves only
-// ~K/N of the K shards — and the always-on geometry/membership checks.
+// bulk constructor alike), ownership invariants and the always-on
+// geometry/membership checks. The churn bound (a join or leave moves only
+// ~K/N of the K shards) is pinned on the router's migration plans in
+// shard_router_test.cc.
 #include "shard/ring.h"
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -96,45 +96,6 @@ TEST(ShardRingTest, ShardOfUsesTopBits) {
   EXPECT_EQ(ring.ShardOf(0), 0);
   EXPECT_EQ(ring.ShardOf(~0ULL), 255);
   EXPECT_EQ(ring.ShardOf(1ULL << 56), 1);
-}
-
-TEST(ShardRingTest, JoinMovesAboutOneNthOfShards) {
-  RingConfig config;
-  config.replication = 1;
-  const std::vector<int> nodes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  const Ring before = MakeRing(config, nodes);
-  Ring after = MakeRing(config, nodes);
-  after.AddNode(12);
-  const std::vector<int> moved = Ring::MovedPrimaries(before, after);
-  // Ideal: K/N = 256/13 ~ 20 shards change primary. Ketama with 64
-  // vnodes is lumpy, so accept a generous band — the property under test
-  // is "a small fraction moved, not a reshuffle".
-  const double ideal = 256.0 / 13.0;
-  EXPECT_GE(moved.size(), static_cast<std::size_t>(ideal / 3));
-  EXPECT_LE(moved.size(), static_cast<std::size_t>(ideal * 3));
-  // Every moved shard moved *to* the joiner, nowhere else.
-  for (int s : moved) EXPECT_EQ(after.PrimaryOf(s), 12);
-}
-
-TEST(ShardRingTest, LeaveMovesOnlyTheLeaversShards) {
-  RingConfig config;
-  config.replication = 1;
-  const std::vector<int> nodes = {0, 1, 2, 3, 4, 5, 6, 7};
-  const Ring before = MakeRing(config, nodes);
-  Ring after = MakeRing(config, nodes);
-  after.RemoveNode(3);
-  const std::vector<int> moved = Ring::MovedPrimaries(before, after);
-  std::size_t owned_before = 0;
-  for (int s = 0; s < before.shards(); ++s) {
-    if (before.PrimaryOf(s) == 3) ++owned_before;
-  }
-  // Exactly the shards node 3 owned change primary; everything else is
-  // untouched (the consistent-hashing minimal-disruption property).
-  EXPECT_EQ(moved.size(), owned_before);
-  for (int s : moved) {
-    EXPECT_EQ(before.PrimaryOf(s), 3);
-    EXPECT_NE(after.PrimaryOf(s), 3);
-  }
 }
 
 TEST(ShardRingTest, SaltReshapesTheMap) {

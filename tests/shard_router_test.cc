@@ -1,6 +1,7 @@
 // Migration-aware routing (shard/router.h): the serve-old-until-commit
 // contract, dirty-write counting for catch-up sizing, and the shape of
-// join/leave migration plans.
+// join/leave migration plans, including the consistent-hashing churn
+// bound (only ~K/N of K shards move).
 #include "shard/router.h"
 
 #include <algorithm>
@@ -37,7 +38,12 @@ TEST(ShardRouterTest, SteadyStateServesTheRingChains) {
 TEST(ShardRouterTest, JoinPlansMovesOnlyToTheJoiner) {
   Router router(TestConfig(1), {0, 1, 2, 3, 4, 5});
   const std::vector<Router::ShardMove> moves = router.Join(6);
-  EXPECT_FALSE(moves.empty());
+  // Ideal: K/N = 256/7 ~ 37 shards change primary. Ketama with 64 vnodes
+  // is lumpy, so accept a generous band: the property under test is "a
+  // small fraction moved, not a reshuffle".
+  const double ideal = router.ring().shards() / 7.0;
+  EXPECT_GE(moves.size(), static_cast<std::size_t>(ideal / 3));
+  EXPECT_LE(moves.size(), static_cast<std::size_t>(ideal * 3));
   for (const Router::ShardMove& move : moves) {
     EXPECT_EQ(move.to, 6);
     // Data streams from the shard's still-serving old primary.
@@ -46,6 +52,12 @@ TEST(ShardRouterTest, JoinPlansMovesOnlyToTheJoiner) {
     EXPECT_TRUE(router.migrating(move.shard));
   }
   EXPECT_EQ(router.pending_migrations(), static_cast<int>(moves.size()));
+  // Exactly the shards whose ring primary became the joiner move.
+  int joiner_owned = 0;
+  for (int s = 0; s < router.ring().shards(); ++s) {
+    if (router.Preference(s)[0] == 6) ++joiner_owned;
+  }
+  EXPECT_EQ(joiner_owned, static_cast<int>(moves.size()));
 }
 
 TEST(ShardRouterTest, ServesOldOwnerUntilCommit) {
@@ -68,19 +80,23 @@ TEST(ShardRouterTest, ServesOldOwnerUntilCommit) {
 
 TEST(ShardRouterTest, LeaveKeepsLeaverServingUntilCommit) {
   Router router(TestConfig(2), {0, 1, 2, 3});
+  int leaver_held = 0;
+  for (int s = 0; s < router.ring().shards(); ++s) {
+    if (ChainContains(router.ServingChain(s), 3)) ++leaver_held;
+  }
+  EXPECT_GT(leaver_held, 0);
   const std::vector<Router::ShardMove> moves = router.Leave(3);
-  EXPECT_FALSE(moves.empty());
+  // Exactly the shards node 3 held need one new holder each; every other
+  // chain is untouched (the consistent-hashing minimal-disruption
+  // property).
+  EXPECT_EQ(static_cast<int>(moves.size()), leaver_held);
   for (const Router::ShardMove& move : moves) {
     EXPECT_NE(move.to, 3);  // nothing streams to the leaver
-    // Graceful drain: until the shard commits, its serving chain may
-    // still contain (and be fronted by) the leaver.
+    // Graceful drain: until the shard commits, its serving chain still
+    // contains the leaver.
+    EXPECT_TRUE(ChainContains(router.ServingChain(move.shard), 3));
     EXPECT_TRUE(router.migrating(move.shard));
   }
-  int still_served_by_leaver = 0;
-  for (int s = 0; s < router.ring().shards(); ++s) {
-    if (ChainContains(router.ServingChain(s), 3)) ++still_served_by_leaver;
-  }
-  EXPECT_GT(still_served_by_leaver, 0);
   for (const Router::ShardMove& move : moves) {
     if (router.migrating(move.shard)) router.Commit(move.shard);
   }

@@ -136,12 +136,12 @@ TEST(FairShareTest, ZeroDemandCompletesWithoutSuspension) {
   EXPECT_EQ(server.active_jobs(), 0u);
 }
 
-TEST(FairShareTest, SetCapacityAffectsInFlightWork) {
+TEST(FairShareTest, SetRatesAffectsInFlightWork) {
   Scheduler sched;
   FairShareServer server(&sched, 10.0);
   double done_at = -1;
   Spawn(sched, ServeOne(server, 20.0, sched, &done_at));
-  sched.ScheduleAt(1.0, [&] { server.SetCapacity(20.0); });
+  sched.ScheduleAt(1.0, [&] { server.SetRates(20.0, 20.0); });
   sched.Run();
   // 10 units in [0,1), remaining 10 at 20/s -> t=1.5.
   EXPECT_NEAR(done_at, 1.5, 1e-9);
@@ -185,7 +185,6 @@ TEST(FairShareDeathTest, NonPositiveRatesAbortInEveryBuild) {
   EXPECT_DEATH(FairShareServer(&sched, std::nan("")),
                "capacity must be > 0");
   FairShareServer server(&sched, 10.0, 2.0);
-  EXPECT_DEATH(server.SetCapacity(0.0), "capacity must be > 0");
   EXPECT_DEATH(server.SetRates(0.0, 1.0), "capacity must be > 0");
   EXPECT_DEATH(server.SetRates(10.0, 0.0), "per_job_cap must be > 0");
   EXPECT_DEATH(server.SetRates(10.0, -1.0), "per_job_cap must be > 0");

@@ -11,11 +11,11 @@
 # format (docs/observability.md). The trace is also folded through
 # tools/flamegraph.py as a smoke test of the flame-graph pipeline.
 #
-# A third section exercises the causal-tracing path end to end:
-# bench_kv_queries_per_joule at --seed=77 exports a trace plus the
-# --trace-summary roll-up CSV, tools/trace_analyze.py runs over both, and
-# the output is diffed against the checked-in golden
-# (tests/data/trace_analyze_kv_seed77.txt) — the same golden ctest pins.
+# A third section validates the causal exports of
+# bench_kv_queries_per_joule at --seed=77: the trace passes the
+# schema/causal-id validation and the --trace-summary CSV has its header.
+# The trace_analyze.py output over both is pinned by ctest
+# (tools_trace_analyze_kv_seed77_golden).
 #
 # A fourth section runs bench_scale_macro --determinism at 100k simulated
 # connections (both workloads) at --threads=1 and 8 and requires
@@ -23,18 +23,19 @@
 #
 # A fifth section validates the sharded scale-out exports
 # (bench_shard_scaleout, docs/sharding.md): the seed-77 trace must pass
-# the schema/causal-id validation, contain shard_hop routing spans AND
-# migration spans (shard_move) from the churn cells, and reproduce the
-# trace_analyze.py golden (tests/data/trace_analyze_shard_seed77.txt);
-# --determinism output must be byte-identical at --threads=1 vs 8.
+# the schema/causal-id validation and contain shard_hop routing spans AND
+# migration spans (shard_move) from the churn cells; --determinism output
+# must be byte-identical at --threads=1 vs 8. Its trace_analyze.py output
+# is pinned by ctest (tools_trace_analyze_shard_seed77_golden).
 #
 # A sixth section validates the telemetry plane (docs/telemetry.md):
 # the kv bench with --telemetry/--alerts at --seed=77 must emit alert and
-# node-health instants on the trace, health.* metric columns, schema-valid
-# rollup + alert CSVs with the alerts matching a checked-in golden, and
-# both CSVs byte-identical at --threads=1 vs 8 (run unconditionally); the
-# telemetry-enabled trace is smoke-tested through flamegraph.py and
-# trace_analyze.py, which must ignore the new instant categories.
+# node-health instants on the trace, health.* metric columns and
+# schema-valid rollup + alert CSVs; the telemetry-enabled trace is
+# smoke-tested through flamegraph.py and trace_analyze.py, which must
+# ignore the new instant categories. The alerts golden and the
+# --threads=1 vs 8 comparison of both CSVs are ctest's
+# obs_alerts_kv_seed77_golden.
 #
 # A seventh section validates the open-loop SLO surface (docs/openloop.md):
 # the --slo-ms trace-summary schema (base header unchanged, under_slo
@@ -222,15 +223,13 @@ for name in "${BENCHES[@]}"; do
   check_bench "${name}"
 done
 
-# --- causal tracing + critical-path/joule profiler golden ---------------
+# --- causal tracing exports ---------------------------------------------
 # bench_kv_queries_per_joule at a pinned seed exports the causal trace and
-# the --trace-summary roll-up; trace_analyze.py over both must reproduce
-# the checked-in golden byte for byte (same pin as ctest's
-# tools_trace_analyze_kv_seed77_golden).
+# the --trace-summary roll-up.
 kv_bin="${BUILD_DIR}/bench/bench_kv_queries_per_joule"
 kv_trace="${WORK}/kv77.trace.json"
 kv_summary="${WORK}/kv77.summary.csv"
-echo "== bench_kv_queries_per_joule (causal golden, --seed=77) =="
+echo "== bench_kv_queries_per_joule (causal exports, --seed=77) =="
 "${kv_bin}" --replications=1 --threads=1 --seed=77 \
   --trace="${kv_trace}" --trace-summary="${kv_summary}" \
   > "${WORK}/kv77.stdout.txt"
@@ -239,12 +238,6 @@ head -n 1 "${kv_summary}" \
   | grep -qx 'series,trace_id,root,begin_s,latency_s,spans,complete,joules' \
   || { echo "error: bad trace-summary CSV header" >&2; exit 1; }
 echo "trace summary OK: $(($(wc -l < "${kv_summary}") - 1)) rows"
-python3 tools/trace_analyze.py "${kv_trace}" --summary "${kv_summary}" \
-  -o "${WORK}/kv77.analysis.txt"
-diff -u tests/data/trace_analyze_kv_seed77.txt "${WORK}/kv77.analysis.txt" \
-  || { echo "error: trace_analyze.py output drifted from golden" >&2; \
-       exit 1; }
-echo "trace_analyze OK: output matches tests/data/trace_analyze_kv_seed77.txt"
 
 if [[ "${CHECK_DETERMINISM:-0}" != "0" ]]; then
   echo "re-running causal exports at --threads=8 (same seed)..."
@@ -278,15 +271,13 @@ echo "determinism OK: 100k-connection stats + trace prefix byte-identical" \
      "at --threads=1 and 8 ($(wc -l < "${WORK}/macro_det_t1.txt") lines)"
 
 # --- sharded scale-out exports + migration spans + determinism ----------
-# bench_shard_scaleout at the pinned seed: validate the causal trace,
+# bench_shard_scaleout at the pinned seed: validate the causal trace and
 # require both the routing spans (shard_hop) and the live-rebalance spans
-# (shard_move, from the churn cells), and diff trace_analyze.py against
-# the checked-in golden (same pin as ctest's
-# tools_trace_analyze_shard_seed77_golden).
+# (shard_move, from the churn cells).
 shard_bin="${BUILD_DIR}/bench/bench_shard_scaleout"
 shard_trace="${WORK}/shard77.trace.json"
 shard_summary="${WORK}/shard77.summary.csv"
-echo "== bench_shard_scaleout (scale-out golden, --seed=77) =="
+echo "== bench_shard_scaleout (scale-out exports, --seed=77) =="
 "${shard_bin}" --replications=1 --threads=1 --seed=77 \
   --trace="${shard_trace}" --trace-summary="${shard_summary}" \
   > "${WORK}/shard77.stdout.txt"
@@ -296,13 +287,6 @@ for span in shard_hop shard_move migration migrate_batch cutover; do
     || { echo "error: shard trace has no ${span} spans" >&2; exit 1; }
 done
 echo "shard spans OK: routing + migration spans present"
-python3 tools/trace_analyze.py "${shard_trace}" \
-  --summary "${shard_summary}" -o "${WORK}/shard77.analysis.txt"
-diff -u tests/data/trace_analyze_shard_seed77.txt \
-  "${WORK}/shard77.analysis.txt" \
-  || { echo "error: shard trace_analyze.py output drifted from golden" >&2; \
-       exit 1; }
-echo "trace_analyze OK: matches tests/data/trace_analyze_shard_seed77.txt"
 
 # Determinism at any --threads is part of the sweep's contract (the ring
 # map, migration schedule, and every report number are pure functions of
@@ -334,12 +318,9 @@ fi
 # bench_kv_queries_per_joule with --telemetry/--alerts at the pinned seed:
 # the trace must carry alert + health instants, the metrics CSV the
 # health.* columns, the telemetry CSV the 4-field rollup schema, and the
-# alerts CSV the 7-field schema whose seed-77 content matches the
-# checked-in golden. Both new exports must be byte-identical across
-# worker-thread counts (this runs unconditionally — the alert instants
-# are the whole point of the determinism contract). The telemetry-enabled
-# trace is also pushed through flamegraph.py and trace_analyze.py as the
-# pipeline smoke test that the new instant categories are ignored.
+# alerts CSV the 7-field schema. The telemetry-enabled trace is also
+# pushed through flamegraph.py and trace_analyze.py as the pipeline smoke
+# test that the new instant categories are ignored.
 tel_csv="${WORK}/kv77.telemetry.csv"
 alerts_csv="${WORK}/kv77.alerts.csv"
 tel_trace="${WORK}/kv77_tel.trace.json"
@@ -380,10 +361,7 @@ if [[ -n "${bad}" ]]; then
   echo "${bad}" >&2
   exit 1
 fi
-diff -u tests/data/alerts_kv_seed77.csv "${alerts_csv}" \
-  || { echo "error: alerts CSV drifted from golden" >&2; exit 1; }
-echo "alerts OK: matches tests/data/alerts_kv_seed77.csv" \
-     "($(($(wc -l < "${alerts_csv}") - 1)) firings)"
+echo "alerts CSV OK: $(($(wc -l < "${alerts_csv}") - 1)) firings"
 
 # Pipeline smoke: the alert/health instants must not break or leak into
 # the span-based analyzers.
@@ -395,16 +373,6 @@ python3 tools/trace_analyze.py "${tel_trace}" \
 [[ -s "${WORK}/kv77_tel.analysis.txt" ]] \
   || { echo "error: trace_analyze.py choked on telemetry trace" >&2; exit 1; }
 echo "pipeline OK: flamegraph + trace_analyze ignore alert/health instants"
-
-echo "re-running telemetry exports at --threads=8 (same seed)..."
-"${kv_bin}" --replications=1 --threads=8 --seed=77 --slo-ms=8 \
-  --telemetry="${WORK}/kv77.telemetry_t8.csv" \
-  --alerts="${WORK}/kv77.alerts_t8.csv" > /dev/null
-cmp "${tel_csv}" "${WORK}/kv77.telemetry_t8.csv" \
-  || { echo "error: telemetry CSV differs across --threads" >&2; exit 1; }
-cmp "${alerts_csv}" "${WORK}/kv77.alerts_t8.csv" \
-  || { echo "error: alerts CSV differs across --threads" >&2; exit 1; }
-echo "determinism OK: telemetry + alerts byte-identical at --threads=1 and 8"
 
 # --- open-loop SLO surface: --slo-ms schema + sweep determinism ---------
 # The --slo-ms flag must append exactly one under_slo column (0/1) to the

@@ -18,9 +18,10 @@
 #      among them) only run here; boundary checks such as the scheduler's
 #      slot capacity use wimpy::Check and run in every build.
 #   4. tools/check_trace.sh — obs export validation: trace-event JSON
-#      schema + causal ids + flow arrows, metrics CSV shape, flamegraph
-#      folding, the trace_analyze.py seed-77 golden, and (with
-#      CHECK_DETERMINISM=1) byte-identical exports across --threads.
+#      schema + causal ids + flow arrows, span presence, metrics, rollup
+#      and alert CSV shape, flamegraph folding, and (with
+#      CHECK_DETERMINISM=1) byte-identical exports across --threads. The
+#      seed-77 trace_analyze.py and alerts goldens are ctests (step 3).
 #   5. Seed-77 bench stdout digests — tools/bench_stdout_digests.sh must
 #      reproduce tests/data/bench_stdout_seed77.sha256, so any drift in
 #      simulated output is caught here and re-baselined on purpose (the

@@ -17,12 +17,13 @@ sampled request/job's span tree from the causal ids the events carry
     vs shuffle time),
   * attributed joules per trace when a summary CSV is given.
 
-The walk mirrors src/obs/critical_path.cc exactly, including its
-tie-breaks (bottleneck child = latest effective end, ties toward the
-later begin then the larger span id), and all floats render with the
-same %.9g contract as the C++ exporters — so for a fixed --seed the
-output is byte-stable and a ctest golden pins the two implementations
-against each other.
+This is the project's only critical-path walk. Its tie-breaks
+(bottleneck child = latest effective end, ties toward the later begin
+then the larger span id) and the %.9g float contract of the C++
+exporters make the output a pure function of the export. ctest pins it
+three ways: tests/data/trace_analyze_ties.json exercises the walk's
+rules on a hand-written trace, and the kv and shard seed-77 goldens pin
+the whole export chain.
 
 Usage:
     trace_analyze.py TRACE.json [--summary SUMMARY.csv] [-o OUT]
@@ -108,8 +109,11 @@ def build_trees(events):
 
 
 def critical_path(spans, root):
-    """Mirror of obs::CriticalPath: [(span_index, begin, end)] tiling
-    [root.begin, root.end] in forward time order."""
+    """[(span_index, begin, end)] tiling [root.begin, root.end] in
+    forward time order. Walks backward from the root's end: at each point
+    the path descends into the child whose effective end (min(child end,
+    current time)) is largest; gaps with no child running are the
+    parent's own self time."""
     segments = []
 
     def walk(si, until):
