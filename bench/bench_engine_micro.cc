@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/stats.h"
 #include "hw/profiles.h"
 #include "kernels/dhrystone.h"
 #include "kernels/sysbench.h"
@@ -297,6 +298,22 @@ void BM_SketchMergeMany(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * shards);
 }
 BENCHMARK(BM_SketchMergeMany)->Arg(64);
+
+// Exact p99 (common/stats.h): range(0) Adds into a fresh tracker, then the
+// one Percentile(0.99) a report asks for. 100000 is a kv replication's
+// per-tracker sample count, 200000 roughly a shard one's.
+void BM_PercentileTrackerP99(benchmark::State& state) {
+  std::vector<double> samples(static_cast<std::size_t>(state.range(0)));
+  Rng rng(11);
+  for (double& x : samples) x = rng.Exponential(1000.0);  // ~1 ms latencies
+  for (auto _ : state) {
+    PercentileTracker tracker;
+    for (double x : samples) tracker.Add(x);
+    benchmark::DoNotOptimize(tracker.Percentile(0.99));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PercentileTrackerP99)->Arg(100000)->Arg(200000);
 
 // Shard ring construction (shard/ring.h): the bulk constructor's single
 // rebuild over `range` members — what a testbed pays once at setup. 64

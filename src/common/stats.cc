@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <compare>
+#include <cstddef>
+#include <iterator>
 
 namespace wimpy {
 
@@ -29,20 +32,72 @@ void OnlineStats::Merge(const OnlineStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
+// Sample i lives at blocks_[i >> kBlockShift][i & kBlockMask]; comparing
+// and stepping iterators is comparing and stepping i.
+class PercentileTracker::Iterator {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = double;
+  using difference_type = std::ptrdiff_t;
+  using pointer = double*;
+  using reference = double&;
+
+  Iterator() = default;
+  Iterator(const std::unique_ptr<double[]>* blocks, std::size_t i)
+      : blocks_(blocks), i_(static_cast<difference_type>(i)) {}
+
+  double& operator*() const {
+    const auto i = static_cast<std::size_t>(i_);
+    return blocks_[i >> kBlockShift][i & kBlockMask];
+  }
+  double& operator[](difference_type n) const { return *(*this + n); }
+
+  Iterator& operator++() { ++i_; return *this; }
+  Iterator& operator--() { --i_; return *this; }
+  Iterator operator++(int) { Iterator old = *this; ++i_; return old; }
+  Iterator operator--(int) { Iterator old = *this; --i_; return old; }
+  Iterator& operator+=(difference_type n) { i_ += n; return *this; }
+  Iterator& operator-=(difference_type n) { i_ -= n; return *this; }
+  friend Iterator operator+(Iterator it, difference_type n) { return it += n; }
+  friend Iterator operator+(difference_type n, Iterator it) { return it += n; }
+  friend Iterator operator-(Iterator it, difference_type n) { return it -= n; }
+  friend difference_type operator-(const Iterator& a, const Iterator& b) {
+    return a.i_ - b.i_;
+  }
+  friend bool operator==(const Iterator& a, const Iterator& b) {
+    return a.i_ == b.i_;
+  }
+  friend auto operator<=>(const Iterator& a, const Iterator& b) {
+    return a.i_ <=> b.i_;
+  }
+
+ private:
+  const std::unique_ptr<double[]>* blocks_ = nullptr;
+  difference_type i_ = 0;
+};
+
+void PercentileTracker::AddBlock() {
+  blocks_.push_back(std::make_unique_for_overwrite<double[]>(kBlockSize));
+}
+
 double PercentileTracker::Percentile(double q) const {
   // NaN, not 0: a zero p99 from an empty tracker would vacuously pass any
   // SLO gate. Callers that feed bench JSON must check empty() first.
-  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
+  const double pos = q * static_cast<double>(count_ - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // After nth_element, [lo] holds the lo-th order statistic and every
+  // element after it is >= it, so the (lo+1)-th is their minimum.
+  const Iterator begin(blocks_.data(), 0);
+  const Iterator end(blocks_.data(), count_);
+  const Iterator lo_it = begin + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(begin, lo_it, end);
+  const double v_lo = *lo_it;
+  const double v_hi = lo + 1 < count_ ? *std::min_element(lo_it + 1, end)
+                                      : v_lo;
+  return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
 void TimeWeightedAverage::Set(double t, double value) {

@@ -1,11 +1,17 @@
 #include "common/stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
+#include "common/random.h"
 #include "common/summary.h"
 
 namespace wimpy {
@@ -137,6 +143,97 @@ TEST(PercentileTrackerTest, AddAfterQueryResorts) {
   t.Add(20.0);
   EXPECT_DOUBLE_EQ(t.Median(), 10.0);
   EXPECT_DOUBLE_EQ(t.Percentile(0.0), 0.0);
+}
+
+TEST(PercentileTrackerDeathTest, NaNSampleAborts) {
+  PercentileTracker t;
+  t.Add(1.0);
+  EXPECT_DEATH(t.Add(std::numeric_limits<double>::quiet_NaN()),
+               "NaN sample");
+}
+
+// Sort-then-interpolate on sorted samples: the reference formula that
+// PercentileTracker's selection must match bit for bit.
+double InterpolateSorted(const std::vector<double>& sorted, double q) {
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+constexpr double kQuantiles[] = {0.0, 0.5, 0.9, 0.99, 0.999, 1.0, -1.0, 2.0};
+
+// Continuous latencies; heavy duplicates (four distinct values); mixed
+// signs; and duplicates with both infinities among them.
+double DrawSample(int kind, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (kind) {
+    case 0: return rng.Exponential(1000.0);
+    case 1: return static_cast<double>(rng.UniformInt(1, 4)) * 0.25;
+    case 2: return rng.Normal(0.0, 5.0);
+    default: {
+      const std::int64_t k = rng.UniformInt(0, 9);
+      return k == 0 ? -kInf : k == 9 ? kInf : static_cast<double>(k % 3);
+    }
+  }
+}
+
+void ExpectMatchesSortedReference(const PercentileTracker& t,
+                                  const std::vector<double>& sorted,
+                                  double q) {
+  const double want = InterpolateSorted(sorted, q);
+  const double got = t.Percentile(q);
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << "n=" << sorted.size() << " q=" << q << " got " << got << " want "
+      << want;
+}
+
+// Adds n samples of `kind` to a fresh tracker, then queries every quantile
+// in turn on it.
+void ExpectFreshTrackerMatches(int kind, std::size_t n, Rng& rng) {
+  std::vector<double> samples(n);
+  PercentileTracker t;
+  for (double& x : samples) {
+    x = DrawSample(kind, rng);
+    t.Add(x);
+  }
+  std::sort(samples.begin(), samples.end());
+  for (double q : kQuantiles) {
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesSortedReference(t, samples, q));
+  }
+}
+
+// Every size 1..2000 on a fresh tracker, and one tracker grown through
+// the same sizes and queried after every Add, so its queries start from
+// data earlier selections reordered.
+TEST(PercentileTrackerTest, SelectionMatchesSortBitForBit) {
+  for (int kind = 0; kind < 4; ++kind) {
+    Rng rng(1234 + kind);
+    PercentileTracker grown;
+    std::vector<double> sorted;
+    for (std::size_t n = 1; n <= 2000; ++n) {
+      const double x = DrawSample(kind, rng);
+      grown.Add(x);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), x), x);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesSortedReference(
+          grown, sorted, kQuantiles[n % std::size(kQuantiles)]));
+      ASSERT_NO_FATAL_FAILURE(ExpectFreshTrackerMatches(kind, n, rng));
+    }
+  }
+}
+
+// Sizes around the 4096-sample storage blocks' edges, and 100,000 (a kv
+// replication's tracker).
+TEST(PercentileTrackerTest, SelectionMatchesSortBitForBitAcrossBlocks) {
+  for (int kind = 0; kind < 4; ++kind) {
+    Rng rng(99 + kind);
+    for (std::size_t n : {4095, 4096, 4097, 8193, 100000}) {
+      ASSERT_NO_FATAL_FAILURE(ExpectFreshTrackerMatches(kind, n, rng));
+    }
+  }
 }
 
 TEST(TimeWeightedAverageTest, PiecewiseConstantIntegral) {

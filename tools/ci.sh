@@ -12,7 +12,9 @@
 #      steady-state request path (coroutine frame pool, ring buffers,
 #      interned-id fabric tables — docs/scale.md). The frame pool disables
 #      itself under ASan so every coroutine frame goes through the real
-#      allocator and gets poisoned/unpoisoned individually.
+#      allocator and gets poisoned/unpoisoned individually. It also runs
+#      common_stats_test, whose PercentileTracker selection indexes raw
+#      sample blocks through its own iterator.
 #   3. Debug build + full ctest — every tier-1 and bench build defines
 #      NDEBUG, so the library's asserts (the scheduler's clock invariants
 #      among them) only run here; boundary checks such as the scheduler's
@@ -56,7 +58,8 @@ ASAN_SMOKE=(sim_scheduler_test sim_scheduler_stress_test
             kv_failover_test load_openloop_test obs_energy_test
             obs_causal_test obs_telemetry_test shard_experiment_test
             shard_router_test web_server_unit_test obs_metrics_test
-            cluster_test mapreduce_job_test sim_event_trace_test)
+            cluster_test mapreduce_job_test sim_event_trace_test
+            common_stats_test)
 ASAN_TESTS="${ASAN_TESTS:-^($(IFS='|'; echo "${ASAN_SMOKE[*]}"))\$}"
 DEBUG_BUILD_DIR="${DEBUG_BUILD_DIR:-build-debug}"
 
