@@ -50,7 +50,7 @@ CellResult RunDuty(const hw::HardwareProfile& profile,
   obs::MetricsRegistry registry;
   if (want_metrics) {
     node.PublishMetrics(&registry, "node");
-    registry.Start(&sched, Seconds(1));
+    registry.Start(&sched);
   }
   if (want_trace) {
     tracer.BeginSpanAt(0, "duty", obs::Category::kApp, /*track=*/0,
@@ -100,7 +100,7 @@ CellResult RunEdisonEqualWork(bool want_trace, bool want_metrics) {
   obs::MetricsRegistry registry;
   if (want_metrics) {
     node.PublishMetrics(&registry, "node");
-    registry.Start(&sched, Seconds(1));
+    registry.Start(&sched);
   }
   if (want_trace) {
     tracer.BeginSpanAt(0, "equal_work", obs::Category::kApp, /*track=*/0);

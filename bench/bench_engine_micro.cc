@@ -254,29 +254,6 @@ void BM_RollupRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_RollupRecord)->Arg(100000);
 
-// The same loop with the plane compiled in but disabled: the contract is
-// a single branch per call (docs/telemetry.md). This variant is the one
-// tools/ab.sh gates at 2% against the base commit — an
-// enabled-plane slowdown is a tuning problem, a disabled-plane slowdown
-// is a tax on every run.
-void BM_RollupRecordDisabled(benchmark::State& state) {
-  obs::Telemetry telemetry;
-  obs::Histogram lat = telemetry.AddHistogram("lat");
-  telemetry.set_enabled(false);
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (int i = 0; i < n; ++i) {
-      lat.Record(1e-4 * (1 + i % 997));
-      // In a real run the enabled flag is re-read on every call, behind
-      // other stores; without the clobber the optimiser hoists the check
-      // out of the loop and deletes the loop, measuring nothing.
-      benchmark::ClobberMemory();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RollupRecordDisabled)->Arg(100000);
-
 // Sketch merge cost: folding `range` shard sketches into a fresh
 // accumulator — the RunSweep index-order merge and every windowed
 // quantile Query pay this per closed bucket.

@@ -22,8 +22,6 @@ namespace {
 using namespace wimpy;
 
 constexpr double kTargetRps = 6000;
-constexpr double kHistMaxS = 8.0;
-constexpr std::size_t kHistBuckets = 32;
 
 struct Cell {
   bool edison = true;
@@ -34,7 +32,8 @@ struct CellResult {
   double achieved_rps = 0;
   double error_rate = 0;
   double mean_delay_ms = 0;
-  LinearHistogram hist{0.0, kHistMaxS, kHistBuckets};
+  LinearHistogram hist{0.0, web::kDelayHistogramMaxS,
+                       web::kDelayHistogramBuckets};
   bench::ObsResult obs;
 };
 
@@ -46,8 +45,7 @@ CellResult RunCell(const Cell& cell, Rng& root, const BenchArgs& args) {
   capture.Wire(cfg);
   web::WebExperiment exp(std::move(cfg));
   const web::OpenLoopReport r =
-      exp.MeasureOpenLoop(web::HeavyMix(), kTargetRps,
-                          bench::MeasureWindow(), kHistMaxS, kHistBuckets);
+      exp.MeasureOpenLoop(web::HeavyMix(), kTargetRps, bench::MeasureWindow());
   CellResult res;
   res.target_rps = r.target_rps;
   res.achieved_rps = r.achieved_rps;
@@ -89,7 +87,8 @@ int main(int argc, char** argv) {
         FormatMeanCI(errors, 1).c_str(), FormatMeanCI(delay, 0).c_str());
     // One distribution over all replications: histograms merge exactly
     // because every replication uses identical bucket edges.
-    LinearHistogram merged{0.0, kHistMaxS, kHistBuckets};
+    LinearHistogram merged{0.0, web::kDelayHistogramMaxS,
+                           web::kDelayHistogramBuckets};
     for (const CellResult& r : reps) merged.Merge(r.hist);
     std::fputs(merged.ToAscii(46).c_str(), stdout);
     std::printf("\n");

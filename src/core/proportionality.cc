@@ -59,7 +59,7 @@ ProportionalityReport MeasureProportionality(
     obs::MetricsRegistry registry;
     if (capture_metrics) {
       node.PublishMetrics(&registry, "node");
-      registry.Start(&sched, Seconds(1));
+      registry.Start(&sched);
     }
     if (capture_trace) {
       tracer.BeginSpanAt(0, "load_point", obs::Category::kApp,

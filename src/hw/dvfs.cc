@@ -6,6 +6,15 @@
 
 namespace wimpy::hw {
 
+namespace {
+// The ondemand governor's sampling period and thresholds.
+constexpr Duration kSamplePeriod = Milliseconds(100);
+// Utilisation that forces the top state.
+constexpr double kUpThreshold = 0.80;
+// Below this utilisation, step one state slower.
+constexpr double kDownThreshold = 0.30;
+}  // namespace
+
 DvfsConfig DefaultDvfsConfig(GovernorPolicy policy) {
   DvfsConfig config;
   config.policy = policy;
@@ -66,13 +75,13 @@ void DvfsGovernor::Sample() {
   pending_ = 0;
   if (!running_) return;
   const double util = node_->cpu().busy_fraction();
-  if (util >= config_.up_threshold) {
+  if (util >= kUpThreshold) {
     // Race to idle: jump straight to the top state.
     ApplyState(0);
-  } else if (util < config_.down_threshold) {
+  } else if (util < kDownThreshold) {
     ApplyState(state_ + 1);
   }
-  pending_ = node_->scheduler().ScheduleAfter(config_.sample_period,
+  pending_ = node_->scheduler().ScheduleAfter(kSamplePeriod,
                                               [this] { Sample(); });
 }
 

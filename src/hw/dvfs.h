@@ -37,9 +37,6 @@ enum class GovernorPolicy {
 struct DvfsConfig {
   std::vector<PState> pstates;  // ordered fastest -> slowest
   GovernorPolicy policy = GovernorPolicy::kOndemand;
-  Duration sample_period = Milliseconds(100);
-  double up_threshold = 0.80;    // utilisation that forces the top state
-  double down_threshold = 0.30;  // below this, step one state slower
 };
 
 // A typical 5-state ladder: 100/85/70/55/40 % frequency with cubic power

@@ -20,15 +20,9 @@
 namespace wimpy::kv {
 
 struct KvConfig {
-  Bytes value_size_mean = 1024;
-  Bytes value_size_stddev = 256;
   // Fraction of gets served from the RAM cache (FAWN's index always
   // resides in RAM; small stores cache hot values too).
   double ram_hit_ratio = 0.70;
-  double get_cpu_minstr = 0.06;  // hash + index probe + reply build
-  double put_cpu_minstr = 0.10;  // hash + log append bookkeeping
-  // Fraction of node RAM reserved for index + cache at startup.
-  double ram_footprint_fraction = 0.5;
 };
 
 // One storage node.

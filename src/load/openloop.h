@@ -12,12 +12,11 @@
 //     FIFO of at most `queue_limit` entries; beyond that it is shed. The
 //     gate never drops the intended timestamp: a queued request that
 //     finally dispatches still measures from its arrival.
-//   * `OpenLoopRecorder` — windowed counters plus two latency
-//     distributions per request: service (dispatch→completion, what a
-//     closed-loop generator would report) and intended
-//     (arrival→completion, coordinated-omission-free). SLO accounting is
-//     against intended latency, and sheds count against the offered
-//     denominator — overload cannot flatter the tail by not measuring.
+//   * `OpenLoopRecorder` — windowed counters plus the intended latency
+//     (arrival→completion, coordinated-omission-free) of every OK
+//     request. SLO accounting is against intended latency, and sheds
+//     count against the offered denominator — overload cannot flatter
+//     the tail by not measuring.
 #ifndef WIMPY_LOAD_OPENLOOP_H_
 #define WIMPY_LOAD_OPENLOOP_H_
 
@@ -155,8 +154,7 @@ class OpenLoopRecorder {
     if (InWindow(intended)) ++shed_;
   }
 
-  void OnComplete(SimTime intended, SimTime dispatched, SimTime finished,
-                  bool ok) {
+  void OnComplete(SimTime intended, SimTime finished, bool ok) {
     const Duration honest = finished - intended;
     const bool under_slo = ok && slo_ > 0.0 && honest <= slo_;
     if (stream_.on_complete) {
@@ -169,12 +167,8 @@ class OpenLoopRecorder {
       return;
     }
     ++ok_;
-    const Duration service = finished - dispatched;
-    service_latency_.Add(service);
-    service_percentiles_.Add(service);
     intended_latency_.Add(honest);
     intended_percentiles_.Add(honest);
-    queue_delay_.Add(dispatched - intended);
     if (under_slo) ++slo_good_;
   }
 
@@ -191,12 +185,7 @@ class OpenLoopRecorder {
   // Everything the window asked for: completions + errors + sheds.
   std::int64_t offered() const { return completed_ + shed_; }
 
-  const OnlineStats& service_latency() const { return service_latency_; }
   const OnlineStats& intended_latency() const { return intended_latency_; }
-  const OnlineStats& queue_delay() const { return queue_delay_; }
-  const PercentileTracker& service_percentiles() const {
-    return service_percentiles_;
-  }
   const PercentileTracker& intended_percentiles() const {
     return intended_percentiles_;
   }
@@ -227,10 +216,7 @@ class OpenLoopRecorder {
   std::int64_t errors_ = 0;
   std::int64_t shed_ = 0;
   std::int64_t slo_good_ = 0;
-  OnlineStats service_latency_;
   OnlineStats intended_latency_;
-  OnlineStats queue_delay_;
-  PercentileTracker service_percentiles_;
   PercentileTracker intended_percentiles_;
   SloStreamHooks stream_;
 };

@@ -14,16 +14,22 @@ void Check(bool ok, const char* what) {
   wimpy::Check(ok, "mapreduce::MapReduceJob", what);
 }
 
+// Framework-level costs, independent of the particular job.
+// JVM + task bootstrap per container, million instructions.
+constexpr double kJvmStartMinstr = 8000;
+// AM startup and per-input-file split computation.
+constexpr Duration kAmInitBase = Seconds(4);
+constexpr Duration kAmInitPerFile = Seconds(0.05);
+
 }  // namespace
 
 MapReduceJob::MapReduceJob(net::Fabric* fabric, Hdfs* hdfs, Yarn* yarn,
-                           JobSpec spec, FrameworkCosts costs,
-                           std::string platform_profile, std::uint64_t seed)
+                           JobSpec spec, std::string platform_profile,
+                           std::uint64_t seed)
     : fabric_(fabric),
       hdfs_(hdfs),
       yarn_(yarn),
       spec_(std::move(spec)),
-      costs_(costs),
       efficiency_(spec_.EfficiencyFor(platform_profile)),
       rng_(seed) {
   Check(efficiency_ > 0, "platform efficiency must be > 0");
@@ -120,8 +126,8 @@ sim::Process MapReduceJob::Driver() {
   // resource manager on the Dell master — keeping every slave's container
   // memory for tasks reproduces the paper's stated concurrency (e.g. all
   // 70 pi containers running at once on 35 Edisons).
-  co_await sim::Delay(sched, costs_.am_init_base +
-                                 costs_.am_init_per_file *
+  co_await sim::Delay(sched, kAmInitBase +
+                                 kAmInitPerFile *
                                      static_cast<double>(spec_.input_files));
 
   splits_ = ComputeSplits();
@@ -191,7 +197,7 @@ sim::Process MapReduceJob::MapTask(Split split, int task_index) {
   }
 
   // JVM + task bootstrap.
-  co_await node->cpu().Execute(Derated(costs_.jvm_start_minstr));
+  co_await node->cpu().Execute(Derated(kJvmStartMinstr));
 
   // Read the split from HDFS.
   for (const auto& block : split.blocks) {
@@ -312,7 +318,7 @@ sim::Process MapReduceJob::ReduceTask(int reduce_index) {
       co_await yarn_->Allocate(spec_.reduce_container_mem, {});
   hw::ServerNode* node = container.node;
 
-  co_await node->cpu().Execute(Derated(costs_.jvm_start_minstr));
+  co_await node->cpu().Execute(Derated(kJvmStartMinstr));
 
   // Shuffle: fetch this reducer's partition from every map output as they
   // become available — the "shuffle" phase, a child span nested inside

@@ -30,15 +30,6 @@
 
 namespace wimpy::mapreduce {
 
-// Framework-level cost constants (independent of the particular job).
-struct FrameworkCosts {
-  // JVM + task bootstrap per container, million instructions.
-  double jvm_start_minstr = 8000;
-  // AM startup and per-input-file split computation.
-  Duration am_init_base = Seconds(4);
-  Duration am_init_per_file = Seconds(0.05);
-};
-
 struct JobSpec {
   std::string name;
 
@@ -110,8 +101,7 @@ struct JobResult {
 class MapReduceJob {
  public:
   MapReduceJob(net::Fabric* fabric, Hdfs* hdfs, Yarn* yarn, JobSpec spec,
-               FrameworkCosts costs, std::string platform_profile,
-               std::uint64_t seed);
+               std::string platform_profile, std::uint64_t seed);
 
   MapReduceJob(const MapReduceJob&) = delete;
   MapReduceJob& operator=(const MapReduceJob&) = delete;
@@ -162,7 +152,6 @@ class MapReduceJob {
   Hdfs* hdfs_;
   Yarn* yarn_;
   JobSpec spec_;
-  FrameworkCosts costs_;
   double efficiency_;
   Rng rng_;
   obs::TraceHandle trace_;

@@ -91,7 +91,7 @@ void MrTestbed::LoadInput(const std::string& prefix, int files,
 }
 
 MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
-  MapReduceJob job(&fabric_, hdfs_.get(), yarn_.get(), spec, config_.costs,
+  MapReduceJob job(&fabric_, hdfs_.get(), yarn_.get(), spec,
                    config_.slave_profile.name, job_seed_++);
 
   // Root of the job's causal trace tree: a span on track 0 named after
@@ -114,9 +114,9 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
                     [&job] { return job.ReduceProgressPct(); });
 
   const Joules joules_before = cluster_.CumulativeJoules({"mr-slave"});
-  timeline.Start(&sched_, Seconds(1));
+  timeline.Start(&sched_);
   if (config_.metrics != nullptr) {
-    config_.metrics->Start(&sched_, Seconds(1));
+    config_.metrics->Start(&sched_);
   }
   sim::ProcessRef ref = job.Start();
 

@@ -30,7 +30,6 @@ struct MrClusterConfig {
   std::string slave_group = "edison-room";
   HdfsConfig hdfs;
   YarnConfig yarn;
-  FrameworkCosts costs;
   // OS + datanode + nodemanager resident memory per slave (360 MB Edison,
   // 4 GB Dell per §5.2).
   Bytes slave_baseline_memory = MB(360);

@@ -5,6 +5,11 @@
 
 namespace wimpy::net {
 
+namespace {
+// First SYN retransmission timeout; each retry doubles it.
+constexpr Duration kSynRetryBase = Seconds(1.0);
+}  // namespace
+
 TcpHost::TcpHost(Fabric* fabric, int node_id, const TcpConfig& config)
     : fabric_(fabric), node_id_(node_id), config_(config) {}
 
@@ -98,7 +103,7 @@ sim::Task<ConnectResult> TcpConnection::Connect(
   }
   port_held_ = true;
 
-  Duration backoff = client_->config().syn_retry_base;
+  Duration backoff = kSynRetryBase;
   for (int attempt = 0;; ++attempt) {
     // SYN travels to the server; if the backlog has room the handshake
     // completes after one RTT.

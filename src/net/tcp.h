@@ -35,8 +35,8 @@ struct TcpConfig {
   int max_connections = 4096;
   // Pending-connection (SYN/accept) queue depth.
   int listen_backlog = 512;
-  // SYN retransmission schedule: base, then doubling (1 s, 2 s, 4 s...).
-  Duration syn_retry_base = Seconds(1.0);
+  // SYN retransmissions before giving up; the schedule starts at 1 s and
+  // doubles (1 s, 2 s, 4 s...).
   int syn_max_retries = 3;
   // Closed sockets linger in TIME_WAIT, still occupying a connection slot.
   // High connection churn against a bounded fd pool is the Dell cluster's

@@ -15,6 +15,10 @@ void Check(bool ok, const char* what) {
   wimpy::Check(ok, "net::HierarchicalTopology", what);
 }
 
+// One-way latency of a ToR uplink and of a pod's link to the core.
+constexpr Duration kRackUplinkLatency = Microseconds(5);
+constexpr Duration kCoreLinkLatency = Microseconds(20);
+
 }  // namespace
 
 HierarchicalTopology::HierarchicalTopology(
@@ -52,13 +56,12 @@ HierarchicalTopology::HierarchicalTopology(
   // switch, thinned by the rack oversubscription ratio.
   for (int r = 0; r < config_.racks; ++r) {
     fabric_->SetGroupLink(RackGroup(r), AggGroup(PodOfRack(r)),
-                          rack_uplink_bw_, config_.rack_uplink_latency);
+                          rack_uplink_bw_, kRackUplinkLatency);
   }
   // Aggregation layer: each pod's uplink to the core, thinned again.
   for (int p = 0; p < pods; ++p) {
     fabric_->SetGroupLink(AggGroup(p), CoreGroup(),
-                          pod_uplink_bandwidth(p),
-                          config_.core_link_latency);
+                          pod_uplink_bandwidth(p), kCoreLinkLatency);
   }
 
   // Routes: same-pod rack pairs bounce off the aggregation switch;

@@ -37,8 +37,6 @@ struct HierarchicalTopologyConfig {
   double rack_oversubscription = 4.0;
   // Pod uplink = (sum of the pod's rack uplinks) / core_oversubscription.
   double core_oversubscription = 1.0;
-  Duration rack_uplink_latency = Microseconds(5);
-  Duration core_link_latency = Microseconds(20);
 };
 
 class HierarchicalTopology {

@@ -54,11 +54,10 @@ void MetricsRegistry::AddCounter(std::string name,
   Add(std::move(name), std::move(probe));
 }
 
-void MetricsRegistry::Start(sim::Scheduler* sched, Duration period) {
+void MetricsRegistry::Start(sim::Scheduler* sched) {
   if (detached_) DieDetached("Start");
   Stop();
   sched_ = sched;
-  period_ = period > 0 ? period : 1.0;
   running_ = true;
   Tick();
 }
@@ -89,7 +88,7 @@ void MetricsRegistry::SampleNow() {
 void MetricsRegistry::Tick() {
   if (!running_) return;
   SampleNow();
-  pending_ = sched_->ScheduleAfter(period_, [this] {
+  pending_ = sched_->ScheduleAfter(kMetricsPeriod, [this] {
     pending_ = 0;
     Tick();
   });

@@ -3,7 +3,7 @@
 //
 // A `MetricsRegistry` owns a set of named probes — closures reading live
 // simulation state (per-node utilisation, queue depths, per-component
-// power/energy) — and samples every probe at a fixed simulated period,
+// power/energy) — and samples every probe every kMetricsPeriod (1 s),
 // appending one row per tick. Components publish probes through their
 // `PublishMetrics(registry, prefix)` members (hw::ServerNode,
 // net::TcpHost/Fabric, mapreduce::Yarn/Hdfs, the web testbed).
@@ -33,6 +33,9 @@
 #include "sim/scheduler.h"
 
 namespace wimpy::obs {
+
+// Simulated time between two samples of a running registry.
+inline constexpr Duration kMetricsPeriod = 1.0;
 
 // The extracted time series: what a replication returns from a sweep.
 // `rows[i]` aligns with `times[i]`; row width equals `names.size()`.
@@ -64,10 +67,10 @@ class MetricsRegistry {
   void AddCounter(std::string name, std::function<double()> probe);
 
   // Begins periodic sampling: one sample immediately, then every
-  // `period` of simulated time until Stop(). The pending tick is a
+  // kMetricsPeriod of simulated time until Stop(). The pending tick is a
   // cancellable scheduler event, so a stopped registry never prevents
   // the event queue from draining.
-  void Start(sim::Scheduler* sched, Duration period);
+  void Start(sim::Scheduler* sched);
   void Stop();
 
   // Takes one sample at the scheduler's current time, outside the
@@ -103,7 +106,6 @@ class MetricsRegistry {
 
   std::vector<Probe> probes_;
   sim::Scheduler* sched_ = nullptr;
-  Duration period_ = 1.0;
   bool detached_ = false;
   bool running_ = false;
   sim::EventId pending_ = 0;

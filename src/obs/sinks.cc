@@ -86,7 +86,7 @@ void RunSinks::StartTelemetry() {
 }
 
 void RunSinks::StartMetrics() {
-  if (metrics_ != nullptr) metrics_->Start(sched_, Seconds(1));
+  if (metrics_ != nullptr) metrics_->Start(sched_);
 }
 
 void RunSinks::FinishMetrics() {

@@ -14,11 +14,8 @@ double Clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 // --- Rollup ---------------------------------------------------------------
 
-Rollup::Rollup(std::string name, Kind kind, Duration slide, int ring_buckets)
-    : name_(std::move(name)),
-      kind_(kind),
-      slide_(slide),
-      ring_cap_(static_cast<std::size_t>(ring_buckets < 1 ? 1 : ring_buckets)) {}
+Rollup::Rollup(std::string name, Kind kind)
+    : name_(std::move(name)), kind_(kind) {}
 
 void Rollup::Observe(double value) {
   if (open_.count == 0) {
@@ -42,7 +39,7 @@ void Rollup::Close() {
   open_ = Bucket{};
   if (kind_ == Kind::kHistogram) {
     ring_sketch_.push_back(std::move(open_sketch_));
-    if (ring_sketch_.size() > ring_cap_) {
+    if (ring_sketch_.size() > kRollupRingBuckets) {
       // Recycle the evicted sketch's count array into the fresh open
       // bucket: steady-state tumbling allocates nothing.
       HdrSketch recycled = std::move(ring_sketch_.front());
@@ -53,18 +50,18 @@ void Rollup::Close() {
       open_sketch_ = HdrSketch{};
     }
   }
-  if (ring_.size() > ring_cap_) ring_.pop_front();
+  if (ring_.size() > kRollupRingBuckets) ring_.pop_front();
   ++closed_total_;
 }
 
 RollupResult Rollup::Query(Duration window) const {
   RollupResult r;
   r.has_sketch = kind_ == Kind::kHistogram;
-  long k = slide_ > 0.0 ? std::lround(window / slide_) : 1;
+  long k = std::lround(window / kTelemetrySlide);
   if (k < 1) k = 1;
   const std::size_t n =
       std::min(static_cast<std::size_t>(k), ring_.size());
-  r.window = static_cast<double>(n) * slide_;
+  r.window = static_cast<double>(n) * kTelemetrySlide;
   if (n == 0) return r;
   HdrSketch merged;
   bool first = true;
@@ -82,7 +79,7 @@ RollupResult Rollup::Query(Duration window) const {
     }
     r.count += b.count;
     r.sum += b.sum;
-    r.integral += (b.sum / static_cast<double>(b.count)) * slide_;
+    r.integral += (b.sum / static_cast<double>(b.count)) * kTelemetrySlide;
   }
   if (r.window > 0.0) r.rate = static_cast<double>(r.count) / r.window;
   if (r.count > 0) r.mean = r.sum / static_cast<double>(r.count);
@@ -115,11 +112,6 @@ double Counter::total() const {
 
 // --- Telemetry ------------------------------------------------------------
 
-Telemetry::Telemetry(TelemetryConfig config) : config_(config) {
-  if (config_.slide <= 0.0) config_.slide = 1.0;
-  if (config_.ring_buckets < 1) config_.ring_buckets = 1;
-}
-
 Telemetry::~Telemetry() {
   running_ = false;
   if (pending_ != 0 && sched_ != nullptr) {
@@ -134,19 +126,18 @@ Rollup* Telemetry::AddInstrument(std::string name, Rollup::Kind kind) {
   Check(by_name_.find(name) == by_name_.end(), "obs::Telemetry",
         "duplicate instrument name");
   instruments_.push_back(std::unique_ptr<Rollup>(
-      new Rollup(std::move(name), kind, config_.slide, config_.ring_buckets)));
+      new Rollup(std::move(name), kind)));
   Rollup* rollup = instruments_.back().get();
   by_name_.emplace(rollup->name_, rollup);
   return rollup;
 }
 
 Counter Telemetry::AddCounter(std::string name) {
-  return Counter(this, AddInstrument(std::move(name), Rollup::Kind::kCounter));
+  return Counter(AddInstrument(std::move(name), Rollup::Kind::kCounter));
 }
 
 Histogram Telemetry::AddHistogram(std::string name) {
-  return Histogram(this,
-                   AddInstrument(std::move(name), Rollup::Kind::kHistogram));
+  return Histogram(AddInstrument(std::move(name), Rollup::Kind::kHistogram));
 }
 
 void Telemetry::AddProbe(std::string name, std::function<double()> probe) {
@@ -172,7 +163,7 @@ void Telemetry::Start(sim::Scheduler* sched, Tracer* tracer) {
   tracer_ = tracer;
   running_ = true;
   open_start_ = sched_->now();
-  pending_ = sched_->ScheduleAfter(config_.slide, [this] {
+  pending_ = sched_->ScheduleAfter(kTelemetrySlide, [this] {
     pending_ = 0;
     Tick();
   });
@@ -184,8 +175,7 @@ void Telemetry::Stop() {
   // than the tick scheduled for the same instant, so it runs first and
   // cancels that tick below. If a full bucket is due exactly now, close
   // it here so the run's last bucket is not lost.
-  if (enabled_ && sched_ != nullptr &&
-      sched_->now() == open_start_ + config_.slide) {
+  if (sched_ != nullptr && sched_->now() == open_start_ + kTelemetrySlide) {
     CloseBuckets(sched_->now());
   }
   running_ = false;
@@ -197,12 +187,8 @@ void Telemetry::Stop() {
 
 void Telemetry::Tick() {
   if (!running_) return;
-  if (enabled_) {
-    CloseBuckets(sched_->now());
-  } else {
-    open_start_ = sched_->now();
-  }
-  pending_ = sched_->ScheduleAfter(config_.slide, [this] {
+  CloseBuckets(sched_->now());
+  pending_ = sched_->ScheduleAfter(kTelemetrySlide, [this] {
     pending_ = 0;
     Tick();
   });
@@ -325,17 +311,16 @@ double NodeHealth::ScoreOf(const Node& node) const {
   double penalty = 0.0;
   const auto term = [&](const std::string& metric, double weight, Agg agg,
                         double cap) {
-    if (metric.empty() || weight <= 0.0 || cap <= 0.0) return;
+    if (metric.empty() || cap <= 0.0) return;
     const double value = telemetry_->QueryAgg(metric, agg, config_.window);
     weight_sum += weight;
     penalty += weight * Clamp01(value / cap);
   };
-  term(node.inputs.utilization, config_.w_util, Agg::kMean, 1.0);
-  term(node.inputs.power, config_.w_power, Agg::kMean, config_.power_cap_w);
-  term(node.inputs.queue_depth, config_.w_queue, Agg::kMean,
-       config_.queue_cap);
-  term(node.inputs.shed, config_.w_shed, Agg::kRate, config_.shed_rate_cap);
-  term(node.inputs.lag, config_.w_lag, Agg::kMean, config_.lag_cap);
+  term(node.inputs.utilization, kUtilWeight, Agg::kMean, 1.0);
+  term(node.inputs.power, kPowerWeight, Agg::kMean, config_.power_cap_w);
+  term(node.inputs.queue_depth, kQueueWeight, Agg::kMean, kQueueCap);
+  term(node.inputs.shed, kShedWeight, Agg::kRate, config_.shed_rate_cap);
+  term(node.inputs.lag, kLagWeight, Agg::kMean, config_.lag_cap);
   if (weight_sum <= 0.0) return 1.0;
   return Clamp01(1.0 - penalty / weight_sum);
 }

@@ -19,13 +19,13 @@
 // replication and merge the extracted series/alert logs in index order,
 // so exports are byte-identical at any `--threads`.
 //
-// Overhead contract: a null `Telemetry*` in a config means no calls at
-// all; a disabled one (`set_enabled(false)`) returns from `Add`/`Record`
-// after a single branch and never allocates (pinned by
-// BM_RollupRecordDisabled against the bench baseline).
+// Overhead contract: the null `Telemetry*` in a config is the one off
+// switch, and it means no calls at all; a default-constructed `Counter`
+// or `Histogram` handle is a no-op.
 #ifndef WIMPY_OBS_TELEMETRY_H_
 #define WIMPY_OBS_TELEMETRY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -45,6 +45,12 @@
 namespace wimpy::obs {
 
 class Telemetry;
+
+// Width of one rollup bucket and the telemetry tick period.
+inline constexpr Duration kTelemetrySlide = 1.0;
+// Closed buckets each rollup keeps: the deepest queryable window is
+// kTelemetrySlide times this.
+inline constexpr std::size_t kRollupRingBuckets = 120;
 
 // Scalar aggregations over a window; what alert rules reference.
 enum class Agg : std::uint8_t {
@@ -78,10 +84,10 @@ struct RollupResult {
 };
 
 // One instrument's windowed state: an accumulating open bucket plus a
-// ring of up to `ring_buckets` closed ones, tumbled every `slide` by the
-// owning Telemetry's tick. Histogram rollups carry an HdrSketch per
-// bucket; closed sketches are recycled through the ring, so steady-state
-// tumbling allocates nothing.
+// ring of up to kRollupRingBuckets closed ones, tumbled every
+// kTelemetrySlide by the owning Telemetry's tick. Histogram rollups carry
+// an HdrSketch per bucket; closed sketches are recycled through the ring,
+// so steady-state tumbling allocates nothing.
 class Rollup {
  public:
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -108,15 +114,13 @@ class Rollup {
     double max = 0.0;
   };
 
-  Rollup(std::string name, Kind kind, Duration slide, int ring_buckets);
+  Rollup(std::string name, Kind kind);
 
   void Observe(double value);           // counter delta / histogram sample
   void Close();                         // tumble open bucket into the ring
 
   std::string name_;
   Kind kind_;
-  Duration slide_;
-  std::size_t ring_cap_;
   std::function<double()> probe_;       // gauges only
   double total_ = 0.0;                  // counters: cumulative sum
   Bucket open_;
@@ -131,29 +135,29 @@ class Rollup {
 class Counter {
  public:
   Counter() = default;
-  void Add(double delta = 1.0);
+  void Add(double delta = 1.0) {
+    if (rollup_ != nullptr) rollup_->Observe(delta);
+  }
   double total() const;
   bool valid() const { return rollup_ != nullptr; }
 
  private:
   friend class Telemetry;
-  Counter(Telemetry* telemetry, Rollup* rollup)
-      : telemetry_(telemetry), rollup_(rollup) {}
-  Telemetry* telemetry_ = nullptr;
+  explicit Counter(Rollup* rollup) : rollup_(rollup) {}
   Rollup* rollup_ = nullptr;
 };
 
 class Histogram {
  public:
   Histogram() = default;
-  void Record(double value);
+  void Record(double value) {
+    if (rollup_ != nullptr) rollup_->Observe(value);
+  }
   bool valid() const { return rollup_ != nullptr; }
 
  private:
   friend class Telemetry;
-  Histogram(Telemetry* telemetry, Rollup* rollup)
-      : telemetry_(telemetry), rollup_(rollup) {}
-  Telemetry* telemetry_ = nullptr;
+  explicit Histogram(Rollup* rollup) : rollup_(rollup) {}
   Rollup* rollup_ = nullptr;
 };
 
@@ -215,22 +219,13 @@ struct TelemetrySeries {
   std::vector<TelemetryRow> rows;
 };
 
-struct TelemetryConfig {
-  Duration slide = 1.0;    // bucket width and tick period
-  int ring_buckets = 120;  // deepest queryable window = slide * this
-};
-
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryConfig config = TelemetryConfig{});
+  Telemetry() = default;
   ~Telemetry();
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  const TelemetryConfig& config() const { return config_; }
 
   // --- instruments (register before Start) ------------------------------
   // Names are unique; registering a duplicate is a programming error.
@@ -246,10 +241,10 @@ class Telemetry {
   void AddBurnRateRule(BurnRateRule rule);
 
   // --- clock ------------------------------------------------------------
-  // Ticks every `slide` from now: each tick samples gauges, tumbles every
-  // rollup, appends export rows, evaluates rules (alerts go to the alert
-  // log and, when `tracer` is non-null, onto the trace as kAlert
-  // instants), then runs tick hooks. Stop() cancels the pending tick; if
+  // Ticks every kTelemetrySlide from now: each tick samples gauges,
+  // tumbles every rollup, appends export rows, evaluates rules (alerts go
+  // to the alert log and, when `tracer` is non-null, onto the trace as
+  // kAlert instants), then runs tick hooks. Stop() cancels the pending tick; if
   // a full bucket is due exactly now (the window-end ScheduleAt runs
   // before the tick scheduled for the same instant), it is closed first
   // so the last bucket is never lost.
@@ -292,8 +287,6 @@ class Telemetry {
     bool firing = false;
   };
 
-  TelemetryConfig config_;
-  bool enabled_ = true;
   std::vector<std::unique_ptr<Rollup>> instruments_;  // registration order
   std::map<std::string, Rollup*, std::less<>> by_name_;
   std::vector<ThresholdState> threshold_rules_;
@@ -308,16 +301,6 @@ class Telemetry {
   std::vector<Alert> alerts_;
   TelemetrySeries series_;
 };
-
-inline void Counter::Add(double delta) {
-  if (telemetry_ == nullptr || !telemetry_->enabled()) return;
-  rollup_->Observe(delta);
-}
-
-inline void Histogram::Record(double value) {
-  if (telemetry_ == nullptr || !telemetry_->enabled()) return;
-  rollup_->Observe(value);
-}
 
 // --- node health ----------------------------------------------------------
 
@@ -335,16 +318,9 @@ struct NodeHealthInputs {
 struct NodeHealthConfig {
   Duration window = 8.0;
   // Caps map raw aggregates to a [0, 1] penalty (value/cap, clamped).
-  double queue_cap = 64.0;
   double shed_rate_cap = 100.0;  // sheds/s that saturate the shed term
   double power_cap_w = 0.0;      // <= 0 drops the power term
   double lag_cap = 8.0;
-  // Term weights, renormalised over the terms a node actually has.
-  double w_util = 0.25;
-  double w_power = 0.10;
-  double w_queue = 0.25;
-  double w_shed = 0.30;
-  double w_lag = 0.10;
 };
 
 // Composite per-node health in [0, 1] (1 = healthy): one minus the
@@ -354,6 +330,15 @@ struct NodeHealthConfig {
 // trace as per-tick kHealth instants via `EmitTraceInstants`.
 class NodeHealth {
  public:
+  // Queue depth that saturates the queue term.
+  static constexpr double kQueueCap = 64.0;
+  // Term weights, renormalised over the terms a node actually has.
+  static constexpr double kUtilWeight = 0.25;
+  static constexpr double kPowerWeight = 0.10;
+  static constexpr double kQueueWeight = 0.25;
+  static constexpr double kShedWeight = 0.30;
+  static constexpr double kLagWeight = 0.10;
+
   explicit NodeHealth(Telemetry* telemetry,
                       NodeHealthConfig config = NodeHealthConfig{});
 

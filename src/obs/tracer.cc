@@ -56,7 +56,6 @@ void Tracer::DetachEngineHook() {
 
 void Tracer::EngineTrampoline(void* ctx, SimTime t, std::uint64_t seq) {
   Tracer* self = static_cast<Tracer*>(ctx);
-  if (!self->enabled_) return;
   // Engine hook events keep the scheduler's own sequence number instead
   // of consuming a tracer-local one (kEngine records stay diffable
   // against the engine's executed-event stream).

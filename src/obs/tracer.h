@@ -16,10 +16,9 @@
 // as `sim::RunSweep` results).
 //
 // Overhead contract:
-//  * Call sites hold a `Tracer*` that is null by default; an
-//    uninstrumented run performs no calls at all.
-//  * A disabled tracer (`set_enabled(false)`) returns from every record
-//    call after a single predictable branch and never allocates.
+//  * Call sites hold a `Tracer*` that is null by default. The null
+//    pointer is the one off switch: an uninstrumented run performs no
+//    calls at all, and every Tracer records what it is given.
 //  * The engine hook costs the scheduler one null-check per executed
 //    event when no tracer is attached. tools/ab.sh fails a change whose
 //    bench_engine_micro BM_SchedulerEventThroughput/100000 loses more
@@ -94,14 +93,11 @@ struct TraceLog {
 
 class Tracer {
  public:
-  explicit Tracer(bool enabled = true) : enabled_(enabled) {}
+  Tracer() = default;
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   // --- causal identity --------------------------------------------------
   // Fresh ids for a new request/job tree or a new span within one.
@@ -121,7 +117,6 @@ class Tracer {
   // (e.g. the reference scheduler in tests) can share one tracer.
   void InstantAt(SimTime t, const char* name, Category category,
                  std::int32_t track, std::int64_t arg = 0) {
-    if (!enabled_) return;
     Record(t, name, category, track, arg, 'i', TraceContext{});
   }
   // Causal instant: belongs to `ctx.trace_id`, nested under
@@ -129,7 +124,6 @@ class Tracer {
   void InstantAt(SimTime t, const char* name, Category category,
                  std::int32_t track, const TraceContext& ctx,
                  std::int64_t arg = 0) {
-    if (!enabled_) return;
     Record(t, name, category, track, arg, 'i', ctx);
   }
   void BeginSpanAt(SimTime t, const char* name, Category category,
@@ -139,7 +133,6 @@ class Tracer {
   void BeginSpanAt(SimTime t, const char* name, Category category,
                    std::int32_t track, const TraceContext& ctx,
                    std::int64_t arg = 0) {
-    if (!enabled_) return;
     ++open_spans_[track];
     Record(t, name, category, track, arg, 'B', ctx);
   }
@@ -150,7 +143,6 @@ class Tracer {
   void EndSpanAt(SimTime t, const char* name, Category category,
                  std::int32_t track, const TraceContext& ctx,
                  std::int64_t arg = 0) {
-    if (!enabled_) return;
     auto it = open_spans_.find(track);
     if (it != open_spans_.end() && --it->second <= 0) {
       // Erase balanced tracks so long runs with millions of sampled
@@ -189,7 +181,7 @@ class Tracer {
   std::size_t size() const { return count_; }
 
   // Moves the recorded stream out (e.g. into a sweep result), leaving the
-  // tracer empty but still attached/enabled. Arena chunks are recycled
+  // tracer empty but still attached. Arena chunks are recycled
   // into the freelist, so a tracer that records/takes in a loop reaches a
   // steady state with zero allocations per cycle.
   TraceLog TakeLog();
@@ -231,7 +223,6 @@ class Tracer {
     ++count_;
   }
 
-  bool enabled_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_trace_id_ = 1;
   std::uint64_t next_span_id_ = 1;

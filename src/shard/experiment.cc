@@ -22,6 +22,10 @@ namespace wimpy::shard {
 
 namespace {
 
+// Stored value sizes: lognormal, mean 1 KiB, standard deviation 256 B.
+constexpr double kValueSizeMean = 1024;
+constexpr double kValueSizeStddev = 256;
+
 net::HierarchicalTopologyConfig TopologyConfig(
     const ShardExperimentConfig& config) {
   net::HierarchicalTopologyConfig topo;
@@ -205,10 +209,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
   if (serving < 0) query_span.Instant("route_failed");
   const int client = tb.client_ids[rng.NextBelow(tb.client_ids.size())];
   const Bytes value = DrawnBytes(
-      rng.LogNormalMeanStd(
-          static_cast<double>(config.store.value_size_mean),
-          static_cast<double>(config.store.value_size_stddev)),
-      64);
+      rng.LogNormalMeanStd(kValueSizeMean, kValueSizeStddev), 64);
   const bool ok = serving >= 0;
   if (ok) {
     kv::KvNode* store = tb.stores[static_cast<std::size_t>(serving)].get();
@@ -274,7 +275,7 @@ sim::Process OneQuery(ShardTestbed& tb, const ShardExperimentConfig& config,
     }
   }
   // Honest accounting: windowed by intended arrival, latency from it too.
-  recorder.OnComplete(intended, started, finished, ok);
+  recorder.OnComplete(intended, finished, ok);
   // A completion frees a dispatch slot; the queue head (if any) inherits
   // it and still measures from its own intended arrival.
   if (auto next = gate.OnComplete()) {

@@ -15,6 +15,18 @@ namespace {
 // rebalance timeline renders as its own lane group in Perfetto.
 constexpr std::int32_t kMigrationTrackBase = 1 << 30;
 
+// Catch-up bytes shipped per dirty write recorded during the copy.
+constexpr Bytes kWriteDeltaBytes = 1024;
+// Catch-up rounds before forcing the cutover (each round streams the
+// deltas the previous one admitted; convergence is geometric as long as
+// the stream outruns the write rate).
+constexpr int kMaxCatchupRounds = 4;
+// Shards migrated concurrently: few enough to keep rebalancing off the
+// critical path.
+constexpr int kConcurrentShards = 2;
+// Copy CPU on source and sink, million instructions per MiB streamed.
+constexpr double kCopyCpuMinstrPerMb = 2.0;
+
 }  // namespace
 
 Migrator::Migrator(cluster::Cluster* cluster, Router* router,
@@ -22,7 +34,7 @@ Migrator::Migrator(cluster::Cluster* cluster, Router* router,
     : cluster_(cluster),
       router_(router),
       config_(config),
-      slots_(&cluster->scheduler(), std::max(1, config.concurrent_shards)) {
+      slots_(&cluster->scheduler(), kConcurrentShards) {
   // batch_bytes = 0 would make StreamBytes loop forever.
   Check(config_.shard_bytes > 0, "shard::Migrator",
         "shard_bytes must be > 0");
@@ -35,8 +47,7 @@ sim::Task<void> Migrator::StreamBytes(int from, int to, Bytes bytes,
                                       const char* name,
                                       MigrationStats* stats) {
   net::Fabric& fabric = cluster_->fabric();
-  const double minstr_per_byte =
-      config_.copy_cpu_minstr_per_mb / (1024.0 * 1024.0);
+  const double minstr_per_byte = kCopyCpuMinstrPerMb / (1024.0 * 1024.0);
   Bytes remaining = bytes;
   while (remaining > 0) {
     const Bytes batch = std::min<Bytes>(config_.batch_bytes, remaining);
@@ -70,10 +81,10 @@ sim::Process Migrator::MoveShard(ShardPlan plan, obs::TraceHandle parent,
         stats->bulk_bytes += config_.shard_bytes;
       }
       // Catch-up: writes that landed on the old owner while we copied.
-      for (int round = 0; round < config_.max_catchup_rounds; ++round) {
+      for (int round = 0; round < kMaxCatchupRounds; ++round) {
         const std::int64_t dirty = router_->TakeDirty(plan.shard);
         if (dirty == 0) break;
-        const Bytes delta = dirty * config_.write_delta_bytes;
+        const Bytes delta = dirty * kWriteDeltaBytes;
         ++stats->catchup_rounds;
         for (int target : plan.targets) {
           co_await StreamBytes(plan.from, target, delta, move.handle(),

@@ -41,16 +41,6 @@ struct MigratorConfig {
   Bytes shard_bytes = 4 * 1024 * 1024;
   // Fabric transfer granularity for the bulk copy.
   Bytes batch_bytes = 256 * 1024;
-  // Catch-up bytes shipped per dirty write recorded during the copy.
-  Bytes write_delta_bytes = 1024;
-  // Catch-up rounds before forcing the cutover (each round streams the
-  // deltas the previous one admitted; convergence is geometric as long
-  // as the stream outruns the write rate).
-  int max_catchup_rounds = 4;
-  // Shards migrated concurrently (the off-critical-path knob).
-  int concurrent_shards = 2;
-  // Copy CPU on source and sink, million instructions per MiB streamed.
-  double copy_cpu_minstr_per_mb = 2.0;
 };
 
 struct MigrationStats {

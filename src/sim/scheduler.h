@@ -131,9 +131,9 @@ class Scheduler {
   // docs/observability.md). Called after the clock lands on the event's
   // time and immediately before its closure or coroutine runs, with the
   // event's execution time and global sequence number. Null by default;
-  // the disabled path costs one predictable branch per executed event
-  // (pinned <= 2% by bench_engine_micro's BM_SchedulerEventThroughput
-  // against BENCH_engine.json). Pass (nullptr, nullptr) to detach.
+  // the unhooked path costs one predictable branch per executed event
+  // (tools/ab.sh bounds bench_engine_micro's BM_SchedulerEventThroughput
+  // at 2% against the base commit). Pass (nullptr, nullptr) to detach.
   using ExecuteHook = void (*)(void* ctx, SimTime time, std::uint64_t seq);
   void SetExecuteHook(ExecuteHook hook, void* ctx) {
     exec_hook_ = hook;

@@ -17,26 +17,10 @@
 
 namespace wimpy::web {
 
-// Tunable service costs. Defaults are calibrated in web/service.cc; they
-// are exposed so ablation benches can perturb them.
-struct BackendCosts {
-  // memcached GET handling, million instructions.
-  double cache_lookup_minstr = 0.30;
-  // MySQL query execution (parse/plan/row fetch), million instructions.
-  double db_query_minstr = 3.0;
-  // Fraction of DB queries whose row is not in the buffer pool and pays a
-  // random storage read.
-  double db_miss_storage_fraction = 0.15;
-  // Steady-state memcached memory footprint as a fraction of node RAM
-  // (paper: 54% on Edison cache nodes, 40% on Dell).
-  double cache_memory_fraction = 0.5;
-};
-
 // One memcached instance.
 class CacheServer {
  public:
-  CacheServer(hw::ServerNode* node, net::Fabric* fabric,
-              const BackendCosts& costs);
+  CacheServer(hw::ServerNode* node, net::Fabric* fabric);
 
   // Serves a GET issued by `requester_node`: request hop, CPU, value copy
   // through the memory bus, reply hop carrying `reply_bytes`.
@@ -51,7 +35,6 @@ class CacheServer {
  private:
   hw::ServerNode* node_;
   net::Fabric* fabric_;
-  BackendCosts costs_;
   bool warmed_ = false;
   std::int64_t hits_served_ = 0;
 };
@@ -61,7 +44,7 @@ class CacheServer {
 class DatabaseServer {
  public:
   DatabaseServer(hw::ServerNode* node, net::Fabric* fabric,
-                 const BackendCosts& costs, std::uint64_t seed);
+                 std::uint64_t seed);
 
   // Serves a query from `requester_node` returning `reply_bytes`.
   sim::Task<void> Query(int requester_node, Bytes reply_bytes);
@@ -72,7 +55,6 @@ class DatabaseServer {
  private:
   hw::ServerNode* node_;
   net::Fabric* fabric_;
-  BackendCosts costs_;
   Rng rng_;
   std::int64_t queries_served_ = 0;
 };

@@ -43,7 +43,6 @@ struct WebTestbedConfig {
   int cache_servers = 11;
   std::string middle_group = "edison-room";
   WebServerConfig web_config;
-  BackendCosts backend_costs;
   int client_machines = 8;
   std::uint64_t seed = 20160901;
   // Optional observability sinks (docs/observability.md); borrowed, may
@@ -111,12 +110,18 @@ struct LevelReport {
   Duration p99_conn_intended = 0;
 };
 
+// Bucket geometry of OpenLoopReport::delay_histogram: equal buckets over
+// [0, 8) s, the delay axis of Figures 10/11.
+inline constexpr double kDelayHistogramMaxS = 8.0;
+inline constexpr std::size_t kDelayHistogramBuckets = 32;
+
 // Result of an open-loop delay-distribution run.
 struct OpenLoopReport {
   double target_rps = 0;
   double achieved_rps = 0;
   double error_rate = 0;
-  LinearHistogram delay_histogram;
+  LinearHistogram delay_histogram{0.0, kDelayHistogramMaxS,
+                                  kDelayHistogramBuckets};
   OnlineStats db_delay;
   OnlineStats cache_delay;
   OnlineStats total_delay;     // server-side, excludes reconnect delay
@@ -157,17 +162,13 @@ class WebExperiment {
   // two-argument form keeps the legacy shape (Poisson, unbounded gate, no
   // SLO) and is draw-for-draw identical to the pre-load-engine generator.
   OpenLoopReport MeasureOpenLoop(const WorkloadMix& mix, double target_rps,
-                                 Duration measure = Seconds(30),
-                                 double histogram_max_s = 8.0,
-                                 std::size_t histogram_buckets = 32);
+                                 Duration measure = Seconds(30));
   // Full open-loop engine: arrival model/burstiness from
   // `load_config.arrival` (its rate field is the offered rps), client-side
   // admission gate, and SLO-conditioned reporting (docs/openloop.md).
   OpenLoopReport MeasureOpenLoop(const WorkloadMix& mix,
                                  const load::OpenLoopConfig& load_config,
-                                 Duration measure = Seconds(30),
-                                 double histogram_max_s = 8.0,
-                                 std::size_t histogram_buckets = 32);
+                                 Duration measure = Seconds(30));
 
   // Fault-injection run: `failed_servers` web servers crash at the middle
   // of the measurement window; throughput/error/delay are reported for

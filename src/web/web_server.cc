@@ -11,6 +11,13 @@ namespace wimpy::web {
 
 namespace {
 constexpr Bytes kErrorReplyBytes = 320;  // terse 500 page
+// PHP request execution, million instructions (before efficiency).
+// Calibrated so the full 24-Edison tier peaks at ~7.3k req/s — above the
+// tuned offered load at 1024 conn/s, below it at 2048, where the paper's
+// server errors begin.
+constexpr double kRequestBaseMinstr = 3.45;
+// Reply assembly cost per KB of reply.
+constexpr double kAssemblyMinstrPerKb = 0.05;
 
 // Always-on, like shard::Ring's checks: a ring that does not map onto
 // `caches` would index past the vector in every build type.
@@ -102,7 +109,7 @@ sim::Task<WebServer::ReplyOp> WebServer::Serve(
     co_await worker.Acquired();
 
     // PHP request parsing + script execution.
-    co_await node_->cpu().Execute(Derated(config_.request_base_minstr));
+    co_await node_->cpu().Execute(Derated(kRequestBaseMinstr));
 
     // Content fetch: cache tier on a hit, database tier on a miss.
     if (spec.cache_hit && !caches_.empty()) {
@@ -117,8 +124,7 @@ sim::Task<WebServer::ReplyOp> WebServer::Serve(
 
     // Reply assembly scales with the content size.
     const double kb = static_cast<double>(spec.reply_bytes) / 1000.0;
-    co_await node_->cpu().Execute(
-        Derated(config_.assembly_minstr_per_kb * kb));
+    co_await node_->cpu().Execute(Derated(kAssemblyMinstrPerKb * kb));
     result.ok = true;
     result.reply_bytes = spec.reply_bytes;
     // The worker is free once the content is handed to the event loop,

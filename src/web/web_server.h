@@ -41,13 +41,6 @@ struct WebServerConfig {
   int php_workers = 8;
   // Pending requests beyond workers*queue_factor are answered 500.
   int queue_factor = 16;
-  // PHP request execution, million instructions (before efficiency).
-  // Calibrated so the full 24-Edison tier peaks at ~7.3k req/s — above
-  // the tuned offered load at 1024 conn/s, below it at 2048, where the
-  // paper's server errors begin.
-  double request_base_minstr = 3.45;
-  // Reply assembly cost per KB of reply.
-  double assembly_minstr_per_kb = 0.05;
   // Serial accept-loop work per new connection.
   double accept_minstr = 0.40;
   // Fraction of the node's Dhrystone rate achieved on this workload.

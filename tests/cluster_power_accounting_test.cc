@@ -60,7 +60,7 @@ TEST_F(PowerAccountingTest, SamplerDoesNotPerturbEnergy) {
   sim::Spawn(sched_, Burn(nodes[0], 8.0));
   obs::MetricsRegistry sampler;
   cluster_.PublishMetrics(&sampler, {"w"}, "w");
-  sampler.Start(&sched_, 0.25);
+  sampler.Start(&sched_);
   sched_.Run(/*until=*/16.0);
   sampler.Stop();
   sched_.Run();
@@ -71,7 +71,7 @@ TEST_F(PowerAccountingTest, SamplerDoesNotPerturbEnergy) {
       2 * p.idle * 16.0 +
       (p.busy - p.idle) * p.cpu_weight * core_frac * 8.0;
   EXPECT_NEAR(cluster_.CumulativeJoules(), expected, expected * 1e-9);
-  EXPECT_GE(sampler.series().times.size(), 60u);
+  EXPECT_GE(sampler.series().times.size(), 16u);
 }
 
 TEST_F(PowerAccountingTest, WattsMatchDerivativeOfJoules) {

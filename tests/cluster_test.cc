@@ -73,7 +73,7 @@ TEST_F(ClusterTest, PublishedMetricsRecordTimeline) {
   cluster_.PublishMetrics(&registry, {"w"}, "w");
   double progress = 0;
   registry.AddGauge("progress", [&] { return progress; });
-  registry.Start(&sched_, 1.0);
+  registry.Start(&sched_);
   sim::Spawn(sched_, BurnCpu(nodes[0], 5.0));  // busy [0, 5] on one core
   sched_.ScheduleAt(3.0, [&] { progress = 50.0; });
   // A running registry keeps the event queue non-empty forever; bound the
@@ -105,7 +105,7 @@ TEST_F(ClusterTest, PublishedMetricsAverageRolesAndSumTheirPower) {
   sim::Spawn(sched_, BurnCpu(a[0], 5.0));
   sched_.Run(/*until=*/1.0);
   const Watts busy_watts = cluster_.TotalWatts({"a", "b"});
-  registry.Start(&sched_, 1.0);
+  registry.Start(&sched_);
   registry.Stop();
   sched_.Run();
   // Role a: one of two cores busy (50%); role b idle (0%). The gauge is
@@ -118,7 +118,7 @@ TEST_F(ClusterTest, PublishedMetricsStopWithTheRegistry) {
   cluster_.AddNodes(hw::EdisonProfile(), 1, "w", "edison-room");
   obs::MetricsRegistry registry;
   cluster_.PublishMetrics(&registry, {"w"}, "w");
-  registry.Start(&sched_, 1.0);
+  registry.Start(&sched_);
   sched_.ScheduleAt(3.5, [&] { registry.Stop(); });
   sched_.ScheduleAt(10.0, [] {});
   sched_.Run();

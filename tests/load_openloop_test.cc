@@ -188,25 +188,23 @@ TEST(AdmissionGateTest, ShedVsQueueConservation) {
 }
 
 // The recorder's reason to exist: under overload, service latency
-// (dispatch -> completion) looks flat while intended latency
-// (arrival -> completion) grows with the backlog. Synthetic overload:
-// arrivals every 1 ms, service takes exactly 2 ms, one server.
+// (dispatch -> completion) stays flat at the service time while intended
+// latency (arrival -> completion) grows with the backlog. Synthetic
+// overload: arrivals every 1 ms, service takes exactly 2 ms, one server.
 TEST(OpenLoopRecorderTest, IntendedTailDominatesServiceTailUnderOverload) {
   OpenLoopRecorder recorder(0.0, 10.0, /*slo=*/Milliseconds(20));
+  const Duration service = 0.002;
   double server_free = 0.0;
   for (int i = 0; i < 1000; ++i) {
     const SimTime intended = i * 0.001;
-    const SimTime dispatched = std::max(server_free, intended);
-    const SimTime finished = dispatched + 0.002;
+    const SimTime finished = std::max(server_free, intended) + service;
     server_free = finished;
-    recorder.OnComplete(intended, dispatched, finished, true);
+    recorder.OnComplete(intended, finished, true);
   }
-  const double service_p99 = recorder.service_percentiles().Percentile(0.99);
   const double intended_p99 =
       recorder.intended_percentiles().Percentile(0.99);
-  EXPECT_NEAR(service_p99, 0.002, 1e-12);
   // Backlog grows ~1 ms per arrival: the honest p99 is ~1 s by the end.
-  EXPECT_GT(intended_p99, 100 * service_p99);
+  EXPECT_GT(intended_p99, 100 * service);
   // SLO accounting is against intended latency: only the first handful
   // of requests finish within 20 ms of their arrival.
   EXPECT_LT(recorder.SloGoodFraction(), 0.05);
@@ -216,11 +214,11 @@ TEST(OpenLoopRecorderTest, IntendedTailDominatesServiceTailUnderOverload) {
 TEST(OpenLoopRecorderTest, WindowingByIntendedArrivalAndSheds) {
   OpenLoopRecorder recorder(1.0, 2.0, /*slo=*/0.1);
   // Intended before the window: ignored even though it finishes inside.
-  recorder.OnComplete(0.5, 0.5, 1.5, true);
+  recorder.OnComplete(0.5, 1.5, true);
   // Intended inside, finishes after the window edge: still counted.
-  recorder.OnComplete(1.9, 1.9, 2.5, true);
+  recorder.OnComplete(1.9, 2.5, true);
   // Error completion: counted offered, never SLO-good.
-  recorder.OnComplete(1.5, 1.5, 1.55, false);
+  recorder.OnComplete(1.5, 1.55, false);
   recorder.OnShed(1.2);
   recorder.OnShed(2.7);  // outside the window: ignored
   EXPECT_EQ(recorder.completed(), 2);
@@ -233,7 +231,7 @@ TEST(OpenLoopRecorderTest, WindowingByIntendedArrivalAndSheds) {
   EXPECT_EQ(recorder.SloGoodputPerJoule(50.0), 0.0);
 
   OpenLoopRecorder good(0.0, 1.0, 0.1);
-  good.OnComplete(0.5, 0.5, 0.55, true);
+  good.OnComplete(0.5, 0.55, true);
   EXPECT_EQ(good.slo_good(), 1);
   EXPECT_EQ(good.SloGoodFraction(), 1.0);
   EXPECT_NEAR(good.SloGoodputPerJoule(50.0), 1.0 / 50.0, 1e-15);
@@ -252,9 +250,8 @@ sim::Process FixedDelayRequest(sim::Scheduler& sched, OpenLoopGate& gate,
                                OpenLoopRecorder& recorder, SimTime intended,
                                Rng rng, std::vector<SeenArrival>* seen) {
   seen->push_back({intended, rng.Next()});
-  const SimTime started = sched.now();
   co_await sim::Delay(sched, Milliseconds(5));
-  recorder.OnComplete(intended, started, sched.now(), /*ok=*/true);
+  recorder.OnComplete(intended, sched.now(), /*ok=*/true);
   if (auto next = gate.OnComplete()) {
     sim::Spawn(sched, FixedDelayRequest(sched, gate, recorder,
                                         next->intended,

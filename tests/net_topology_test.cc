@@ -173,7 +173,7 @@ TEST(TopologyMetricsTest, OneRackTreeLinksTheRoomStraightToTheRack) {
   topo.AttachToCore("client-room", Gbps(10), Milliseconds(0.02));
   obs::MetricsRegistry registry;
   fabric.PublishMetrics(&registry, "net");
-  registry.Start(&sched, Seconds(1));  // one sample names the probes
+  registry.Start(&sched);  // one sample names the probes
   registry.Stop();
   ASSERT_EQ(registry.probe_count(), 1u);
   EXPECT_EQ(registry.series().names[0], "net.link.client-room-rack0");

@@ -306,8 +306,8 @@ WebCallRun RunWebCall(SimTime window_begin = 0, SimTime window_end = 0) {
   fabric.AddNode(&client_node, "client-room");
   fabric.SetGroupLink("client-room", "edison-room", Gbps(1),
                       Milliseconds(0.05));
-  web::CacheServer cache(&cache_node, &fabric, web::BackendCosts{});
-  web::DatabaseServer db(&db_node, &fabric, web::BackendCosts{}, 7);
+  web::CacheServer cache(&cache_node, &fabric);
+  web::DatabaseServer db(&db_node, &fabric, 7);
   const shard::Ring ring(shard::RingConfig{}, {0});
   web::WebServer server(&web_node, &fabric, {&cache}, ring, {&db},
                         web::EdisonWebConfig(), 11);

@@ -33,7 +33,7 @@ TEST(MetricsRegistryTest, SamplesOnTheSimulatedClock) {
 
   sched.ScheduleAt(2.5, [&] { level = 3; total += 10; });
   sched.ScheduleAt(4.25, [&] { total += 5; });
-  registry.Start(&sched, Seconds(1));  // samples at t=0 immediately
+  registry.Start(&sched);  // samples at t=0 immediately
   EXPECT_TRUE(registry.running());
   sched.ScheduleAt(5.5, [&registry] { registry.Stop(); });
   sched.Run();
@@ -58,7 +58,7 @@ TEST(MetricsRegistryTest, TakeSeriesKeepsProbesRegistered) {
   sim::Scheduler sched;
   MetricsRegistry registry;
   registry.AddGauge("g", [] { return 1.0; });
-  registry.Start(&sched, Seconds(1));
+  registry.Start(&sched);
   registry.Stop();
   const MetricsSeries first = registry.TakeSeries();
   ASSERT_EQ(first.rows.size(), 1u);  // the immediate Start() sample
@@ -82,13 +82,13 @@ TEST(MetricsRegistryDeathTest, SamplingAfterDetachAborts) {
   {
     double level = 7;
     registry.AddGauge("level", [&level] { return level; });
-    registry.Start(&sched, Seconds(1));
+    registry.Start(&sched);
     registry.Stop();
     registry.SampleNow();  // fine: `level` is still alive here
     registry.Detach();     // `level` dies with this scope
   }
   EXPECT_DEATH(registry.SampleNow(), "detached registry");
-  EXPECT_DEATH(registry.Start(&sched, Seconds(1)), "detached registry");
+  EXPECT_DEATH(registry.Start(&sched), "detached registry");
 }
 
 // A column registered after the first sample would leave the earlier rows
@@ -99,7 +99,7 @@ TEST(MetricsRegistryDeathTest, AddAfterFirstSampleAborts) {
   MetricsRegistry registry;
   registry.AddGauge("early", [] { return 1.0; });
   registry.AddCounter("also_early", [] { return 2.0; });
-  registry.Start(&sched, Seconds(1));  // samples at t=0 immediately
+  registry.Start(&sched);  // samples at t=0 immediately
   registry.Stop();
   EXPECT_DEATH(registry.AddGauge("late", [] { return 3.0; }),
                "obs::MetricsRegistry: probe registered after the first "
@@ -117,7 +117,7 @@ TEST(MetricsRegistryTest, DetachStopsTheSamplingClock) {
   sim::Scheduler sched;
   MetricsRegistry registry;
   registry.AddGauge("g", [] { return 1.0; });
-  registry.Start(&sched, Seconds(1));
+  registry.Start(&sched);
   registry.Detach();
   EXPECT_FALSE(registry.running());
   EXPECT_EQ(sched.pending_events(), 0u);  // pending tick was cancelled
@@ -159,7 +159,7 @@ MetricsSeries MetricsReplication(int bumps, Rng& root) {
       level += rng.Uniform(0.0, 1.0);
     });
   }
-  registry.Start(&sched, Seconds(1));
+  registry.Start(&sched);
   sched.ScheduleAt(bumps * 0.9, [&registry] { registry.Stop(); });
   sched.Run();
   registry.SampleNow();

@@ -1,8 +1,8 @@
 // Online telemetry plane (obs/telemetry.h; docs/telemetry.md): windowed
 // rollups on the simulated clock, the live-query == exported-CSV
 // recomputation contract, threshold and multi-window burn-rate alert
-// rules, thread-count determinism of the exports, the disabled-plane
-// no-op path, the SLO stream glue, and the node-health score.
+// rules, thread-count determinism of the exports, the SLO stream glue,
+// and the node-health score.
 #include "obs/telemetry.h"
 
 #include <algorithm>
@@ -155,7 +155,7 @@ TEST(TelemetryTest, LiveQueryMatchesExportRecomputation) {
   }
   ASSERT_EQ(grid.size(), 10u);
 
-  const Duration slide = telemetry.config().slide;
+  const Duration slide = kTelemetrySlide;
   for (Duration window : {1.0, 2.0, 5.0, 7.0, 100.0}) {
     ExpectSameResult(
         telemetry.Query("req.total", window),
@@ -353,35 +353,6 @@ TEST(TelemetryTest, ExportsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("slo.lat.count"), std::string::npos);
 }
 
-TEST(TelemetryTest, DisabledPlaneIsANoOp) {
-  sim::Scheduler sched;
-  Telemetry telemetry;
-  Counter c = telemetry.AddCounter("c");
-  Histogram h = telemetry.AddHistogram("h");
-  telemetry.AddProbe("g", [] { return 1.0; });
-  ThresholdRule rule;
-  rule.name = "r";
-  rule.metric = "c";
-  rule.agg = Agg::kRate;
-  rule.threshold = 0.0;
-  telemetry.AddThresholdRule(rule);
-  telemetry.set_enabled(false);
-  for (int i = 0; i < 100; ++i) {
-    sched.ScheduleAt(0.01 * (i + 1), [&c, &h] {
-      c.Add();
-      h.Record(0.001);
-    });
-  }
-  sched.ScheduleAt(4.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched);
-  sched.Run();
-  EXPECT_EQ(telemetry.ticks(), 0u);
-  EXPECT_TRUE(telemetry.series().rows.empty());
-  EXPECT_TRUE(telemetry.alerts().empty());
-  EXPECT_EQ(c.total(), 0.0);
-  EXPECT_EQ(telemetry.Query("c", 10.0).count, 0u);
-}
-
 // by_name_ keeps the first of two equal names, so a second instrument by
 // that name would be recorded into but never queried or exported. It is
 // rejected in every build type, whatever the two instruments' kinds.
@@ -406,12 +377,11 @@ TEST(TelemetryTest, SloStreamFeedsInstruments) {
   recorder.set_stream(SloStreamInto(&telemetry, "slo"));
   sched.ScheduleAt(0.5, [&recorder] {
     // ok, under SLO
-    recorder.OnComplete(/*intended=*/0.4, /*dispatched=*/0.45,
-                        /*finished=*/0.403, true);
+    recorder.OnComplete(/*intended=*/0.4, /*finished=*/0.403, true);
     // ok, over SLO
-    recorder.OnComplete(0.4, 0.45, 0.42, true);
+    recorder.OnComplete(0.4, 0.42, true);
     // error
-    recorder.OnComplete(0.4, 0.45, 0.41, false);
+    recorder.OnComplete(0.4, 0.41, false);
     // shed
     recorder.OnShed(0.45);
   });
@@ -461,8 +431,9 @@ TEST(TelemetryTest, NodeHealthScoresAndRenormalizesWeights) {
   EXPECT_EQ(util_mean, 0.5);
   EXPECT_EQ(shed_rate, 2.0);
   const double expected =
-      1.0 - (config.w_util * 0.5 + config.w_shed * (2.0 / 10.0)) /
-                (config.w_util + config.w_shed);
+      1.0 - (NodeHealth::kUtilWeight * 0.5 +
+             NodeHealth::kShedWeight * (2.0 / 10.0)) /
+                (NodeHealth::kUtilWeight + NodeHealth::kShedWeight);
   EXPECT_NEAR(health.Score(0), expected, 1e-12);
   EXPECT_EQ(health.Score(1), 1.0);
   EXPECT_EQ(health.Score(99), 1.0);  // unknown node

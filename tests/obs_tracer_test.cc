@@ -1,7 +1,7 @@
-// obs::Tracer unit and contract tests (docs/observability.md): the
-// disabled no-op path, span nesting, the scheduler engine hook, the
-// byte-identical-at-any---threads determinism guarantee, and a
-// line-oriented schema check of the Chrome trace-event JSON exporter.
+// obs::Tracer unit and contract tests (docs/observability.md): span
+// nesting, the scheduler engine hook, the byte-identical-at-any---threads
+// determinism guarantee, and a line-oriented schema check of the Chrome
+// trace-event JSON exporter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,20 +21,6 @@
 
 namespace wimpy::obs {
 namespace {
-
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer tracer(/*enabled=*/false);
-  tracer.InstantAt(1.0, "a", Category::kApp, 0, 7);
-  tracer.BeginSpanAt(2.0, "b", Category::kRequest, 3);
-  tracer.EndSpanAt(3.0, "b", Category::kRequest, 3);
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.open_spans(3), 0);
-
-  // Re-enabling resumes recording on the same instance.
-  tracer.set_enabled(true);
-  tracer.InstantAt(4.0, "c", Category::kApp, 0);
-  EXPECT_EQ(tracer.size(), 1u);
-}
 
 TEST(TracerTest, SpanNestingIsTrackedPerTrack) {
   Tracer tracer;

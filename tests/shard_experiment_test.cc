@@ -10,6 +10,7 @@
 #include <string>
 
 #include "obs/energy.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 
@@ -85,10 +86,42 @@ TEST(ShardExperimentTest, RunsAreDeterministic) {
   EXPECT_EQ(ra.executed_events, rb.executed_events);
 }
 
+// Every report field a sink could perturb: all but executed_events.
+void ExpectSameSimulatedOutputs(const ShardReport& a, const ShardReport& b) {
+  EXPECT_EQ(a.target_qps, b.target_qps);
+  EXPECT_EQ(a.achieved_qps, b.achieved_qps);
+  EXPECT_EQ(a.goodput_qps, b.goodput_qps);
+  EXPECT_EQ(a.done, b.done);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.error_rate, b.error_rate);
+  EXPECT_EQ(a.mean_latency, b.mean_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(a.store_power, b.store_power);
+  EXPECT_EQ(a.queries_per_joule, b.queries_per_joule);
+  EXPECT_EQ(a.cross_rack_replica_fraction, b.cross_rack_replica_fraction);
+  EXPECT_EQ(a.max_rack_uplink_busy, b.max_rack_uplink_busy);
+  EXPECT_EQ(a.max_core_link_busy, b.max_core_link_busy);
+  EXPECT_EQ(a.migration.shards_moved, b.migration.shards_moved);
+  EXPECT_EQ(a.migration.transfers, b.migration.transfers);
+  EXPECT_EQ(a.migration.bulk_bytes, b.migration.bulk_bytes);
+  EXPECT_EQ(a.migration.catchup_bytes, b.migration.catchup_bytes);
+  EXPECT_EQ(a.migration.catchup_rounds, b.migration.catchup_rounds);
+  EXPECT_EQ(a.migration.started, b.migration.started);
+  EXPECT_EQ(a.migration.finished, b.migration.finished);
+  EXPECT_EQ(a.migration.done, b.migration.done);
+  EXPECT_EQ(a.p99_intended_latency, b.p99_intended_latency);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.slo_good_fraction, b.slo_good_fraction);
+  EXPECT_EQ(a.slo_goodput_per_joule, b.slo_goodput_per_joule);
+}
+
 TEST(ShardExperimentTest, TracingEveryQueryChangesNoSimulatedEvent) {
   // Sampled spans and residencies live in pooled records that callees
   // borrow by reference through the join migration; tracing every query
   // must leave the simulation untouched and the energy ledger conserved.
+  // A null sink pointer is the only way to switch a plane off, so an
+  // attached registry and telemetry plane must change no report field
+  // either: only their own sampling ticks add engine events.
   ShardExperimentConfig config = BaseConfig();
   config.churn = Churn::kJoin;
   ShardExperiment untraced(config);
@@ -97,14 +130,26 @@ TEST(ShardExperimentTest, TracingEveryQueryChangesNoSimulatedEvent) {
   config.tracer = &tracer;
   config.energy = &energy;
   config.trace_sample_every = 1;
-  ShardExperiment traced(std::move(config));
+  ShardExperiment traced(config);
+  obs::Tracer all_tracer;
+  obs::EnergyAttributor all_energy;
+  obs::MetricsRegistry metrics;
+  obs::Telemetry telemetry;
+  config.tracer = &all_tracer;
+  config.energy = &all_energy;
+  config.metrics = &metrics;
+  config.telemetry = &telemetry;
+  ShardExperiment all_planes(std::move(config));
   const ShardReport ru = untraced.Measure(1200.0, Seconds(4));
   const ShardReport rt = traced.Measure(1200.0, Seconds(4));
-  EXPECT_EQ(rt.done, ru.done);
-  EXPECT_EQ(rt.p99_latency, ru.p99_latency);
-  EXPECT_EQ(rt.migration.finished, ru.migration.finished);
+  const ShardReport ra = all_planes.Measure(1200.0, Seconds(4));
+  ExpectSameSimulatedOutputs(rt, ru);
   EXPECT_EQ(rt.executed_events, ru.executed_events);
   EXPECT_GT(tracer.size(), 0u);
+  ExpectSameSimulatedOutputs(ra, ru);
+  EXPECT_GT(ra.executed_events, ru.executed_events);
+  EXPECT_FALSE(metrics.series().rows.empty());
+  EXPECT_GT(telemetry.ticks(), 0u);
 
   const obs::EnergyLedger ledger = energy.TakeLedger();
   ASSERT_FALSE(ledger.rows.empty());

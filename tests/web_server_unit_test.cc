@@ -38,10 +38,8 @@ class WebServerUnitTest : public ::testing::Test {
                          Milliseconds(0.02));
     fabric_.SetGroupLink("client-room", "edison-room", Gbps(1),
                          Milliseconds(0.05));
-    cache_ = std::make_unique<CacheServer>(cache_node_.get(), &fabric_,
-                                           BackendCosts{});
-    db_ = std::make_unique<DatabaseServer>(db_node_.get(), &fabric_,
-                                           BackendCosts{}, 7);
+    cache_ = std::make_unique<CacheServer>(cache_node_.get(), &fabric_);
+    db_ = std::make_unique<DatabaseServer>(db_node_.get(), &fabric_, 7);
   }
 
   std::unique_ptr<WebServer> MakeServer(WebServerConfig config) {

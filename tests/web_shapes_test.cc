@@ -37,7 +37,7 @@ TEST(WebShapeTest, DellOverloadProducesSecondSpikeNearOneSecond) {
   // histogram grows a secondary mode near 1 s.
   WebExperiment exp(DellWebTestbed(2, 1));
   const OpenLoopReport report =
-      exp.MeasureOpenLoop(LightMix(), 2600, Seconds(10), 8.0, 32);
+      exp.MeasureOpenLoop(LightMix(), 2600, Seconds(10));
   const LinearHistogram& h = report.delay_histogram;
   ASSERT_GT(h.total(), 1000u);
   // Mass in the 1 s +/- 0.25 s region (buckets 3..4 of 32 over [0,8)).
@@ -55,10 +55,10 @@ TEST(WebShapeTest, EdisonSameLoadHasFewerReconnects) {
   // produces proportionally fewer SYN drops than over 2 Dells.
   WebExperiment edison(EdisonWebTestbed(12, 6));
   const OpenLoopReport e =
-      edison.MeasureOpenLoop(LightMix(), 2600, Seconds(10), 8.0, 32);
+      edison.MeasureOpenLoop(LightMix(), 2600, Seconds(10));
   WebExperiment dell(DellWebTestbed(2, 1));
   const OpenLoopReport d =
-      dell.MeasureOpenLoop(LightMix(), 2600, Seconds(10), 8.0, 32);
+      dell.MeasureOpenLoop(LightMix(), 2600, Seconds(10));
   auto tail_fraction = [](const LinearHistogram& h) {
     std::size_t tail = h.overflow();
     for (std::size_t i = 0; i < h.bucket_count(); ++i) {

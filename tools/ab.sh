@@ -9,6 +9,8 @@
 #
 # BASE is exported with `git archive` to ${TMPDIR:-/tmp}/wimpy-ab/<sha>
 # and kept there, so a later A/B against the same commit skips its build.
+# The pairs are kept next to it, in <sha>-pairs.tsv (the next A/B against
+# that commit overwrites them), and the script prints their path.
 # Each tree builds three targets in Release: perfbench under
 # .bench_build/perfbench (as perfbench/run.py does), and bench_engine_micro
 # and bench_scale_macro under .bench_build/wimpy.
@@ -20,7 +22,7 @@
 #     metrics, replication and fingerprint checks), PAIRS pairs;
 #   - the engine microbenchmarks: tools/run_engine_bench.sh's default
 #     list, PAIRS pairs, and OBS_PAIRS - 1 times as many more pairs of
-#     the two 2%-bound benchmarks alone (tools/ab_verdict.py);
+#     the 2%-bound benchmark alone (tools/ab_verdict.py);
 #   - the bench_scale_macro cells (web and KV at 10k and 100k), PAIRS
 #     pairs.
 # REGEX (grep -E; bench_scale_macro's --filter) keeps only the workloads
@@ -30,10 +32,9 @@
 # them: a measurement regressed when its median per-pair change is worse
 # than its bound and a one-sided sign test on the pairs it lost gives
 # p <= 0.05. The bounds are BENCHMARK.json's for perfbench metrics, 2%
-# for the disabled observability paths and 20% for every other
-# benchmark. A workload also regresses if the two sides' simulated
-# outputs differ in any pair. With fewer than 5 pairs nothing can be
-# flagged.
+# for the untraced scheduler path and 20% for every other benchmark. A
+# workload also regresses if the two sides' simulated outputs differ in
+# any pair. With fewer than 5 pairs nothing can be flagged.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -102,6 +103,8 @@ declare -A ENGINE=([engine]="$(engine_names "${FILTER:-.}")"
 RESULTS="$(mktemp -d "${TMPDIR:-/tmp}/wimpy_ab.XXXXXX")"
 trap 'rm -rf "${RESULTS}"' EXIT
 mkdir "${RESULTS}/bench"
+PAIRS_TSV="${BASE_DIR}-pairs.tsv"
+: > "${PAIRS_TSV}"
 
 # Runs suite $1 once on side $2, writing its JSON to ${RESULTS}/$2.json.
 # Both sides run their binary from ${RESULTS}/bench with the same
@@ -140,10 +143,11 @@ for suite in "${SUITES[@]}"; do
       run "${suite}" "${side}"
     done
     python3 tools/ab_verdict.py pair "${suite}" "${RESULTS}/base.json" \
-      "${RESULTS}/change.json" >> "${RESULTS}/pairs.tsv"
+      "${RESULTS}/change.json" >> "${PAIRS_TSV}"
     rm -f "${RESULTS}/base.json" "${RESULTS}/change.json"
   done
 done
 
 echo "A/B: base ${BASE_SHA:0:12} vs working tree, ${PAIRS} pairs${FILTER:+, filter '${FILTER}'}"
-python3 tools/ab_verdict.py verdict "${RESULTS}/pairs.tsv"
+echo "pairs: ${PAIRS_TSV}"
+python3 tools/ab_verdict.py verdict "${PAIRS_TSV}"

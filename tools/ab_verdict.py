@@ -23,12 +23,13 @@ two sides' replications of a seed differ or the change failed a check.
 
 `verdict` reads those lines, one per pair in pair order, and prints per
 name both sides' medians, the median of the per-pair changes, the pairs
-the change won and lost, the sign test's p-value and the bound. A name
-regressed when its median per-pair change is worse than its bound and
-the change lost so many of the pairs that differ that a fair coin does
-so with probability at most ALPHA (one-sided sign test). An
-outputs_identical name regressed if any pair reads 0. The exit status is
-1 if any name regressed.
+the change won and lost, the sign test's p-value, the bound and both
+sides' quartiles [Q1, Q3], so a gain can be read against the base's
+spread. A name regressed when its median per-pair change is worse than
+its bound and the change lost so many of the pairs that differ that a
+fair coin does so with probability at most ALPHA (one-sided sign test).
+An outputs_identical name regressed if any pair reads 0. The exit status
+is 1 if any name regressed.
 """
 
 import argparse
@@ -45,14 +46,13 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     E2E = {m["name"]: m for m in json.load(f)["end_to_end"]}
 # Every other measurement is items per second: higher is better.
 BENCH_BOUND = 0.20
-# The disabled observability paths must stay in the noise. ab.sh runs
-# them in OBS_PAIRS times as many pairs: on a shared 4-CPU host the
-# change/base ratio of one pair of identical binaries has a standard
-# deviation of ~16%, so a sign test needs ~40 pairs to tell a ~10% loss
-# from that noise.
+# The untraced scheduler path, which every run pays for the tracer's hook
+# point, must stay in the noise. ab.sh runs it in OBS_PAIRS times as many
+# pairs: on a shared 4-CPU host the change/base ratio of one pair of
+# identical binaries has a standard deviation of ~16%, so a sign test
+# needs ~40 pairs to tell a ~10% loss from that noise.
 OBS_BOUND = 0.02
-OBS_BENCHMARKS = ("BM_SchedulerEventThroughput/100000",
-                  "BM_RollupRecordDisabled/100000")
+OBS_BENCHMARKS = ("BM_SchedulerEventThroughput/100000",)
 OBS_PAIRS = 4
 # The largest sign-test p-value that still counts as a loss. With fewer
 # than 5 pairs that differ, no loss can reach it.
@@ -136,6 +136,14 @@ def sign_test(lost, n):
     return sum(math.comb(n, k) for k in range(lost, n + 1)) / 2 ** n
 
 
+def quartiles(xs):
+    """'[Q1, Q3]' of one side's values (inclusive method, as numpy's)."""
+    xs = list(xs)
+    q1, _, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
+                 if len(xs) > 1 else xs * 3)
+    return "[%.4g, %.4g]" % (q1, q3)
+
+
 def verdict(path):
     pairs = {}
     with open(path) as f:
@@ -146,9 +154,9 @@ def verdict(path):
             pairs.setdefault(name, []).append(tuple(
                 None if v == "-" else float(v) for v in (b, c)))
 
-    print("%-42s %10s %10s %8s %5s %5s %6s %6s" % (
+    print("%-42s %10s %10s %8s %5s %5s %6s %6s %21s %21s" % (
         "measurement", "base med", "change med", "paired", "won", "lost",
-        "p", "bound"))
+        "p", "bound", "base [Q1, Q3]", "change [Q1, Q3]"))
     regressed = 0
     for name, sides in pairs.items():
         both = [(b, c) for b, c in sides if b is not None and c is not None]
@@ -170,11 +178,14 @@ def verdict(path):
         paired = statistics.median(gains)
         bad = p <= ALPHA and paired < -bound
         regressed += bad
-        print("%-42s %10.4g %10.4g %+7.1f%% %2d/%-2d %2d/%-2d %6.3f %5.0f%% %s"
+        print("%-42s %10.4g %10.4g %+7.1f%% %2d/%-2d %2d/%-2d %6.3f %5.0f%% "
+              "%21s %21s %s"
               % (name, statistics.median(b for b, _ in both),
                  statistics.median(c for _, c in both),
                  100 * sign * paired + 0.0, won, len(both), lost, len(both),
-                 p, 100 * bound, "REGRESSED" if bad else "ok"))
+                 p, 100 * bound, quartiles(b for b, _ in both),
+                 quartiles(c for _, c in both),
+                 "REGRESSED" if bad else "ok"))
     if regressed:
         print("ab: %d of %d measurements regressed" % (regressed, len(pairs)))
         return 1

@@ -28,6 +28,10 @@
 #      reproduce tests/data/bench_stdout_seed77.sha256, so any drift in
 #      simulated output is caught here and re-baselined on purpose (the
 #      script's header says how; CHANGES.md says why).
+#   6. perfbench self-check — perfbench/run.py on the tiny geometry of
+#      every BENCHMARK.json workload, at --trace 0 and 1: every
+#      replication must match the tiny fingerprints, and the traced
+#      replication must simulate exactly what the untraced one does.
 #
 # Speed is judged separately, against a base commit in alternating pairs
 # (tools/ab.sh); the Debug ctest includes the byte-for-byte goldens of the
@@ -134,6 +138,24 @@ echo "== seed-77 bench stdout digests =="
 BUILD_DIR="${BUILD_DIR}" tools/bench_stdout_digests.sh |
   diff -u tests/data/bench_stdout_seed77.sha256 -
 echo "bench stdout digests OK"
+
+echo
+echo "== perfbench self-check (tiny geometry, --trace 0 and 1) =="
+for workload in $(python3 -c 'import json; print(" ".join(
+    w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  for trace in 0 1; do
+    # run.py's last line is its verdict; a failed check still exits 0.
+    python3 perfbench/run.py --workload="${workload}" --tiny \
+        --trace "${trace}" | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)' || {
+      echo "perfbench ${workload} --trace ${trace}: checks failed" >&2
+      exit 1
+    }
+  done
+done
+echo "perfbench self-check OK"
 
 echo
 echo "OK: ci.sh gates passed"
