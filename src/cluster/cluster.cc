@@ -105,11 +105,10 @@ void Cluster::PublishMetrics(obs::MetricsRegistry* registry,
       return 100.0 * sum / n;
     };
   };
-  registry->AddGauge(prefix + ".cpu_pct", mean_pct(&Cluster::MeanCpuBusy));
-  registry->AddGauge(prefix + ".mem_pct",
-                     mean_pct(&Cluster::MeanMemoryUsed));
-  registry->AddGauge(prefix + ".power_w",
-                     [this, roles] { return TotalWatts(roles); });
+  registry->Add(prefix + ".cpu_pct", mean_pct(&Cluster::MeanCpuBusy));
+  registry->Add(prefix + ".mem_pct", mean_pct(&Cluster::MeanMemoryUsed));
+  registry->Add(prefix + ".power_w",
+                [this, roles] { return TotalWatts(roles); });
 }
 
 }  // namespace wimpy::cluster

@@ -21,18 +21,15 @@ ServerNode::ServerNode(sim::Scheduler* sched, const HardwareProfile& profile,
 
 void ServerNode::PublishMetrics(obs::MetricsRegistry* registry,
                                 const std::string& prefix) {
-  registry->AddGauge(prefix + ".cpu_busy",
-                     [this] { return cpu_.busy_fraction(); });
-  registry->AddGauge(prefix + ".mem_used",
-                     [this] { return memory_.used_fraction(); });
-  registry->AddGauge(prefix + ".nic_busy",
-                     [this] { return nic_.busy_fraction(); });
-  registry->AddGauge(prefix + ".storage_busy",
-                     [this] { return storage_.busy_fraction(); });
-  registry->AddGauge(prefix + ".power_w",
-                     [this] { return power_.current_watts(); });
-  registry->AddCounter(prefix + ".joules",
-                       [this] { return power_.CumulativeJoules(); });
+  registry->Add(prefix + ".cpu_busy", [this] { return cpu_.busy_fraction(); });
+  registry->Add(prefix + ".mem_used",
+                [this] { return memory_.used_fraction(); });
+  registry->Add(prefix + ".nic_busy", [this] { return nic_.busy_fraction(); });
+  registry->Add(prefix + ".storage_busy",
+                [this] { return storage_.busy_fraction(); });
+  registry->Add(prefix + ".power_w", [this] { return power_.current_watts(); });
+  registry->Add(prefix + ".joules",
+                [this] { return power_.CumulativeJoules(); });
 }
 
 void ServerNode::PublishTelemetry(obs::Telemetry* telemetry,

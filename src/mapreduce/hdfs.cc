@@ -147,11 +147,11 @@ double Hdfs::DataLocalFraction() const {
 
 void Hdfs::PublishMetrics(obs::MetricsRegistry* registry,
                           const std::string& prefix) {
-  registry->AddCounter(prefix + ".blocks", [this] {
+  registry->Add(prefix + ".blocks", [this] {
     return static_cast<double>(total_blocks());
   });
-  registry->AddGauge(prefix + ".data_local_frac",
-                     [this] { return DataLocalFraction(); });
+  registry->Add(prefix + ".data_local_frac",
+                [this] { return DataLocalFraction(); });
 }
 
 }  // namespace wimpy::mapreduce

@@ -109,9 +109,8 @@ MrRunResult MrTestbed::RunJob(const JobSpec& spec) {
 
   obs::MetricsRegistry timeline;
   cluster_.PublishMetrics(&timeline, {"mr-slave"}, "slaves");
-  timeline.AddGauge("job.map_pct", [&job] { return job.MapProgressPct(); });
-  timeline.AddGauge("job.reduce_pct",
-                    [&job] { return job.ReduceProgressPct(); });
+  timeline.Add("job.map_pct", [&job] { return job.MapProgressPct(); });
+  timeline.Add("job.reduce_pct", [&job] { return job.ReduceProgressPct(); });
 
   const Joules joules_before = cluster_.CumulativeJoules({"mr-slave"});
   timeline.Start(&sched_);

@@ -90,10 +90,10 @@ hw::ServerNode* Yarn::NodeById(int node_id) const {
 
 void Yarn::PublishMetrics(obs::MetricsRegistry* registry,
                           const std::string& prefix) {
-  registry->AddCounter(prefix + ".containers", [this] {
+  registry->Add(prefix + ".containers", [this] {
     return static_cast<double>(allocated_);
   });
-  registry->AddGauge(prefix + ".mem_used_frac", [this] {
+  registry->Add(prefix + ".mem_used_frac", [this] {
     Bytes free = 0;
     for (const auto& [id, bytes] : free_memory_) free += bytes;
     const Bytes total = TotalUsableMemory();

@@ -299,14 +299,13 @@ void Fabric::PublishLink(GroupLink* link) {
   // The closure reads through the stable GroupLink*, so a later
   // SetGroupLink that replaces the channel servers is tracked without
   // re-registration.
-  metrics_registry_->AddGauge(metrics_prefix_ + ".link." +
-                                  group_names_[link->a] + "-" +
-                                  group_names_[link->b],
-                              [link] {
-                                return std::max(
-                                    link->forward->busy_fraction(),
-                                    link->backward->busy_fraction());
-                              });
+  metrics_registry_->Add(
+      metrics_prefix_ + ".link." + group_names_[link->a] + "-" +
+          group_names_[link->b],
+      [link] {
+        return std::max(link->forward->busy_fraction(),
+                        link->backward->busy_fraction());
+      });
 }
 
 void Fabric::PublishMetrics(obs::MetricsRegistry* registry,

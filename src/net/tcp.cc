@@ -71,16 +71,16 @@ void TcpHost::ReleasePort() {
 
 void TcpHost::PublishMetrics(obs::MetricsRegistry* registry,
                              const std::string& prefix) {
-  registry->AddGauge(prefix + ".ports", [this] {
+  registry->Add(prefix + ".ports", [this] {
     return static_cast<double>(ports_in_use_);
   });
-  registry->AddGauge(prefix + ".conns", [this] {
+  registry->Add(prefix + ".conns", [this] {
     return static_cast<double>(connections_open_);
   });
-  registry->AddGauge(prefix + ".backlog", [this] {
+  registry->Add(prefix + ".backlog", [this] {
     return static_cast<double>(backlog_depth_);
   });
-  registry->AddCounter(prefix + ".syn_drops", [this] {
+  registry->Add(prefix + ".syn_drops", [this] {
     return static_cast<double>(syn_drops_);
   });
 }

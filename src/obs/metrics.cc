@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/telemetry.h"
 
 namespace wimpy::obs {
 
@@ -44,30 +45,23 @@ void MetricsRegistry::Add(std::string name, std::function<double()> probe) {
   series_.names.push_back(probes_.back().name);
 }
 
-void MetricsRegistry::AddGauge(std::string name,
-                               std::function<double()> probe) {
-  Add(std::move(name), std::move(probe));
-}
-
-void MetricsRegistry::AddCounter(std::string name,
-                                 std::function<double()> probe) {
-  Add(std::move(name), std::move(probe));
-}
-
-void MetricsRegistry::Start(sim::Scheduler* sched) {
+void MetricsRegistry::Start(sim::Scheduler* sched, Telemetry* telemetry) {
   if (detached_) DieDetached("Start");
   Stop();
   sched_ = sched;
-  running_ = true;
+  telemetry_ = telemetry;
   Tick();
 }
 
 void MetricsRegistry::Stop() {
-  running_ = false;
-  if (pending_ != 0 && sched_ != nullptr) {
+  if (pending_ != 0) {
     sched_->Cancel(pending_);
     pending_ = 0;
   }
+}
+
+bool MetricsRegistry::TickDueNow() const {
+  return pending_ != 0 && sched_->now() == next_tick_;
 }
 
 void MetricsRegistry::Detach() {
@@ -86,10 +80,11 @@ void MetricsRegistry::SampleNow() {
 }
 
 void MetricsRegistry::Tick() {
-  if (!running_) return;
   SampleNow();
-  pending_ = sched_->ScheduleAfter(kMetricsPeriod, [this] {
+  next_tick_ = sched_->now() + kMetricsPeriod;
+  pending_ = sched_->ScheduleAt(next_tick_, [this] {
     pending_ = 0;
+    if (telemetry_ != nullptr) telemetry_->Tick(sched_->now());
     Tick();
   });
 }

@@ -8,6 +8,11 @@
 // `PublishMetrics(registry, prefix)` members (hw::ServerNode,
 // net::TcpHost/Fabric, mapreduce::Yarn/Hdfs, the web testbed).
 //
+// The registry's tick is also the telemetry plane's clock: a registry
+// started with a `Telemetry` runs its step (obs/telemetry.h) on every
+// periodic tick, just before sampling the row, so a run has one sampling
+// event per simulated second whichever planes are attached.
+//
 // Lifetime contract: probes borrow the component they read. Register all
 // probes before Start(); never sample (Start/SampleNow) after any probed
 // component has been destroyed. Owners that outlive their probed
@@ -34,6 +39,8 @@
 
 namespace wimpy::obs {
 
+class Telemetry;
+
 // Simulated time between two samples of a running registry.
 inline constexpr Duration kMetricsPeriod = 1.0;
 
@@ -57,21 +64,23 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Registers a probe. Gauges are instantaneous levels (utilisation,
-  // queue depth, watts); counters are cumulative monotonic values
-  // (joules, drops) exported as-is so post-processing can difference
-  // them. Both are sampled identically — the split is documentation for
-  // consumers of the exported series. Must be called before the first
-  // sample is taken.
-  void AddGauge(std::string name, std::function<double()> probe);
-  void AddCounter(std::string name, std::function<double()> probe);
+  // Registers a probe: an instantaneous level (utilisation, queue depth,
+  // watts) or a cumulative monotonic value (joules, drops), exported
+  // as-is so post-processing can difference it. Must be called before
+  // the first sample is taken.
+  void Add(std::string name, std::function<double()> probe);
 
   // Begins periodic sampling: one sample immediately, then every
-  // kMetricsPeriod of simulated time until Stop(). The pending tick is a
-  // cancellable scheduler event, so a stopped registry never prevents
-  // the event queue from draining.
-  void Start(sim::Scheduler* sched);
+  // kMetricsPeriod of simulated time until Stop(). Each periodic tick
+  // first runs `telemetry`'s step when it is non-null, then samples, so
+  // probes that read telemetry (NodeHealth's scores) see the buckets the
+  // step just closed. The pending tick is a cancellable scheduler event,
+  // so a stopped registry never prevents the event queue from draining.
+  void Start(sim::Scheduler* sched, Telemetry* telemetry = nullptr);
   void Stop();
+  // True when the pending tick is due at the scheduler's current instant:
+  // a callback scheduled earlier for that instant runs before it.
+  bool TickDueNow() const;
 
   // Takes one sample at the scheduler's current time, outside the
   // periodic clock (e.g. a final sample after the run drains so
@@ -87,7 +96,7 @@ class MetricsRegistry {
   void Detach();
   bool detached() const { return detached_; }
 
-  bool running() const { return running_; }
+  bool running() const { return pending_ != 0; }
   std::size_t probe_count() const { return probes_.size(); }
   const MetricsSeries& series() const { return series_; }
 
@@ -101,14 +110,14 @@ class MetricsRegistry {
     std::function<double()> fn;
   };
 
-  void Add(std::string name, std::function<double()> probe);
   void Tick();
 
   std::vector<Probe> probes_;
   sim::Scheduler* sched_ = nullptr;
+  Telemetry* telemetry_ = nullptr;
   bool detached_ = false;
-  bool running_ = false;
   sim::EventId pending_ = 0;
+  SimTime next_tick_ = 0.0;
   MetricsSeries series_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/energy.h"
-#include "obs/metrics.h"
 
 namespace wimpy::obs {
 
@@ -16,7 +15,12 @@ RunSinks::RunSinks(sim::Scheduler* sched, Tracer* tracer,
       energy_(energy),
       telemetry_(telemetry),
       sample_every_(
-          static_cast<std::uint64_t>(std::max(1, trace_sample_every))) {}
+          static_cast<std::uint64_t>(std::max(1, trace_sample_every))),
+      clock_(metrics != nullptr     ? metrics
+             : telemetry != nullptr ? &telemetry_clock_
+                                    : nullptr) {
+  if (telemetry_ != nullptr) telemetry_->TraceAlertsTo(tracer_);
+}
 
 RunSinks::~RunSinks() {
   if (energy_ != nullptr) energy_->UnobserveAll();
@@ -73,20 +77,20 @@ void RunSinks::OpenWindow() {
 }
 
 void RunSinks::CloseWindow() {
-  if (metrics_ != nullptr) metrics_->Stop();
-  if (telemetry_ != nullptr) telemetry_->Stop();
+  if (clock_ != nullptr) {
+    if (telemetry_ != nullptr && clock_->TickDueNow()) {
+      telemetry_->Tick(sched_->now());  // the run's last full bucket
+    }
+    clock_->Stop();
+  }
   if (tracer_ != nullptr) {
     tracer_->InstantAt(sched_->now(), "measure_end", Category::kApp, 0);
   }
   if (energy_ != nullptr) energy_->EndWindow();
 }
 
-void RunSinks::StartTelemetry() {
-  if (telemetry_ != nullptr) telemetry_->Start(sched_, tracer_);
-}
-
-void RunSinks::StartMetrics() {
-  if (metrics_ != nullptr) metrics_->Start(sched_);
+void RunSinks::StartSampling() {
+  if (clock_ != nullptr) clock_->Start(sched_, telemetry_);
 }
 
 void RunSinks::FinishMetrics() {

@@ -9,8 +9,9 @@
 //   * wires a server tier into the sinks and scores its health;
 //   * arms an open-loop run's default SLO telemetry;
 //   * marks the measurement window (`measure_start` / `measure_end`
-//     instants, the energy ledger window, stopping the samplers);
-//   * starts the samplers and takes the final metrics sample;
+//     instants, the energy ledger window, stopping the sampling clock);
+//   * runs the one sampling clock that drives both the metrics registry
+//     and the telemetry plane, and takes the final metrics sample;
 //   * settles the energy ledger when the testbed goes away.
 // A null sink makes its calls no-ops and changes no simulated event.
 #ifndef WIMPY_OBS_SINKS_H_
@@ -23,6 +24,7 @@
 
 #include "common/units.h"
 #include "load/openloop.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "sim/scheduler.h"
@@ -30,7 +32,6 @@
 namespace wimpy::obs {
 
 class EnergyAttributor;
-class MetricsRegistry;
 
 class RunSinks {
  public:
@@ -99,15 +100,20 @@ class RunSinks {
 
   // Window edges, called from the experiment's own window callbacks
   // after its report bookkeeping. Open: the `measure_start` instant and
-  // the energy window. Close: stops metrics and telemetry, then the
-  // `measure_end` instant and the energy window's end.
+  // the energy window. Close: a telemetry bucket due exactly now is
+  // closed (the window-end callback runs before the tick scheduled for
+  // the same instant, which it cancels), the sampling clock stops, then
+  // the `measure_end` instant and the energy window's end. Metrics take
+  // no row at the window end.
   void OpenWindow();
   void CloseWindow();
 
-  // Starts telemetry ticks on the run's clock (alerts and health go onto
-  // the trace), and 1 s metrics samples. In that order when both run.
-  void StartTelemetry();
-  void StartMetrics();
+  // Starts the run's one sampling clock: the metrics registry, or a
+  // probe-less registry of this run's own when only telemetry is
+  // attached. A metrics row is taken now; every kMetricsPeriod after,
+  // the telemetry step runs (alerts and health go onto the trace), then
+  // the metrics row. No sink, no clock.
+  void StartSampling();
   // After the run drains: a final metrics sample (cumulative counters now
   // match the report), then detach, since the registry outlives the
   // testbed its probes read.
@@ -125,6 +131,10 @@ class RunSinks {
   std::uint64_t sample_every_;
   std::uint64_t requests_ = 0;
   std::unique_ptr<NodeHealth> health_;
+  // Drives telemetry when no metrics registry is attached.
+  MetricsRegistry telemetry_clock_;
+  // `metrics_`, else `&telemetry_clock_` when telemetry is attached.
+  MetricsRegistry* clock_;
 };
 
 }  // namespace wimpy::obs

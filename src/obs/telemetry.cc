@@ -112,14 +112,6 @@ double Counter::total() const {
 
 // --- Telemetry ------------------------------------------------------------
 
-Telemetry::~Telemetry() {
-  running_ = false;
-  if (pending_ != 0 && sched_ != nullptr) {
-    sched_->Cancel(pending_);
-    pending_ = 0;
-  }
-}
-
 Rollup* Telemetry::AddInstrument(std::string name, Rollup::Kind kind) {
   // by_name_ keeps the first of two equal names, so a duplicate's rollup
   // would be orphaned: recorded into, but never found or exported by name.
@@ -157,44 +149,7 @@ void Telemetry::AddTickHook(std::function<void(SimTime)> hook) {
   tick_hooks_.push_back(std::move(hook));
 }
 
-void Telemetry::Start(sim::Scheduler* sched, Tracer* tracer) {
-  Stop();
-  sched_ = sched;
-  tracer_ = tracer;
-  running_ = true;
-  open_start_ = sched_->now();
-  pending_ = sched_->ScheduleAfter(kTelemetrySlide, [this] {
-    pending_ = 0;
-    Tick();
-  });
-}
-
-void Telemetry::Stop() {
-  if (!running_) return;
-  // A window-end ScheduleAt callback carries an older sequence number
-  // than the tick scheduled for the same instant, so it runs first and
-  // cancels that tick below. If a full bucket is due exactly now, close
-  // it here so the run's last bucket is not lost.
-  if (sched_ != nullptr && sched_->now() == open_start_ + kTelemetrySlide) {
-    CloseBuckets(sched_->now());
-  }
-  running_ = false;
-  if (pending_ != 0 && sched_ != nullptr) {
-    sched_->Cancel(pending_);
-    pending_ = 0;
-  }
-}
-
-void Telemetry::Tick() {
-  if (!running_) return;
-  CloseBuckets(sched_->now());
-  pending_ = sched_->ScheduleAfter(kTelemetrySlide, [this] {
-    pending_ = 0;
-    Tick();
-  });
-}
-
-void Telemetry::CloseBuckets(SimTime bucket_end) {
+void Telemetry::Tick(SimTime now) {
   for (auto& instrument : instruments_) {
     if (instrument->kind_ == Rollup::Kind::kGauge && instrument->probe_) {
       instrument->Observe(instrument->probe_());
@@ -205,14 +160,14 @@ void Telemetry::CloseBuckets(SimTime bucket_end) {
     if (bucket.count != 0) {
       const std::string& name = instrument->name_;
       series_.rows.push_back(
-          {bucket_end, name + ".count", static_cast<double>(bucket.count)});
-      series_.rows.push_back({bucket_end, name + ".sum", bucket.sum});
-      series_.rows.push_back({bucket_end, name + ".min", bucket.min});
-      series_.rows.push_back({bucket_end, name + ".max", bucket.max});
+          {now, name + ".count", static_cast<double>(bucket.count)});
+      series_.rows.push_back({now, name + ".sum", bucket.sum});
+      series_.rows.push_back({now, name + ".min", bucket.min});
+      series_.rows.push_back({now, name + ".max", bucket.max});
       if (instrument->kind_ == Rollup::Kind::kHistogram) {
         instrument->open_sketch_.ForEachNonZero(
             [&](int index, std::uint64_t count) {
-              series_.rows.push_back({bucket_end,
+              series_.rows.push_back({now,
                                       name + ".b" + std::to_string(index),
                                       static_cast<double>(count)});
             });
@@ -221,9 +176,8 @@ void Telemetry::CloseBuckets(SimTime bucket_end) {
     instrument->Close();
   }
   ++ticks_;
-  open_start_ = bucket_end;
-  EvaluateRules(bucket_end);
-  for (auto& hook : tick_hooks_) hook(bucket_end);
+  EvaluateRules(now);
+  for (auto& hook : tick_hooks_) hook(now);
 }
 
 void Telemetry::EvaluateRules(SimTime now) {
@@ -335,8 +289,8 @@ double NodeHealth::Score(int node_id) const {
 void NodeHealth::PublishMetrics(MetricsRegistry* registry,
                                 const std::string& prefix) {
   for (const Node& node : nodes_) {
-    registry->AddGauge(prefix + ".node" + std::to_string(node.id),
-                       [this, id = node.id] { return Score(id); });
+    registry->Add(prefix + ".node" + std::to_string(node.id),
+                  [this, id = node.id] { return Score(id); });
   }
 }
 

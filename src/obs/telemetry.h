@@ -13,6 +13,11 @@
 // burn rates) and the `NodeHealth` score are the first consumers,
 // firing deterministic instants onto the trace.
 //
+// The plane has no clock of its own. `Tick(now)` is its step: in a run
+// the metrics registry's 1 s tick calls it (`MetricsRegistry::Start`
+// with this plane), and `RunSinks::CloseWindow` calls it once more when
+// a bucket is due exactly at the window end (obs/sinks.h).
+//
 // Determinism contract (same as the rest of src/obs): every bucket
 // boundary, query result, alert instant, and exported row is a pure
 // function of the simulation. Sweeps keep one `Telemetry` per
@@ -40,14 +45,14 @@
 #include "obs/metrics.h"
 #include "obs/sketch.h"
 #include "obs/tracer.h"
-#include "sim/scheduler.h"
 
 namespace wimpy::obs {
 
 class Telemetry;
 
-// Width of one rollup bucket and the telemetry tick period.
-inline constexpr Duration kTelemetrySlide = 1.0;
+// Width of one rollup bucket: the period of the sampling tick that
+// drives the plane.
+inline constexpr Duration kTelemetrySlide = kMetricsPeriod;
 // Closed buckets each rollup keeps: the deepest queryable window is
 // kTelemetrySlide times this.
 inline constexpr std::size_t kRollupRingBuckets = 120;
@@ -85,7 +90,7 @@ struct RollupResult {
 
 // One instrument's windowed state: an accumulating open bucket plus a
 // ring of up to kRollupRingBuckets closed ones, tumbled every
-// kTelemetrySlide by the owning Telemetry's tick. Histogram rollups carry
+// kTelemetrySlide by the owning Telemetry's step. Histogram rollups carry
 // an HdrSketch per bucket; closed sketches are recycled through the ring,
 // so steady-state tumbling allocates nothing.
 class Rollup {
@@ -222,12 +227,11 @@ struct TelemetrySeries {
 class Telemetry {
  public:
   Telemetry() = default;
-  ~Telemetry();
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  // --- instruments (register before Start) ------------------------------
+  // --- instruments (register before the first step) ---------------------
   // Names are unique; registering a duplicate is a programming error.
   Counter AddCounter(std::string name);
   Histogram AddHistogram(std::string name);
@@ -240,18 +244,16 @@ class Telemetry {
   void AddThresholdRule(ThresholdRule rule);
   void AddBurnRateRule(BurnRateRule rule);
 
-  // --- clock ------------------------------------------------------------
-  // Ticks every kTelemetrySlide from now: each tick samples gauges,
-  // tumbles every rollup, appends export rows, evaluates rules (alerts go
-  // to the alert log and, when `tracer` is non-null, onto the trace as
-  // kAlert instants), then runs tick hooks. Stop() cancels the pending tick; if
-  // a full bucket is due exactly now (the window-end ScheduleAt runs
-  // before the tick scheduled for the same instant), it is closed first
-  // so the last bucket is never lost.
-  void Start(sim::Scheduler* sched, Tracer* tracer = nullptr);
-  void Stop();
-  bool running() const { return running_; }
+  // --- step -------------------------------------------------------------
+  // Closes the bucket ending at `now`: samples gauges, tumbles every
+  // rollup, appends export rows, evaluates rules (alerts go to the alert
+  // log and onto the TraceAlertsTo tracer as kAlert instants), then runs
+  // tick hooks. The caller keeps the period (kTelemetrySlide).
+  void Tick(SimTime now);
   std::uint64_t ticks() const { return ticks_; }
+  // Where fired alerts land as trace instants; null (the default) keeps
+  // them in the alert log only.
+  void TraceAlertsTo(Tracer* tracer) { tracer_ = tracer; }
 
   // Runs after rule evaluation on every tick — how NodeHealth (or a
   // future controller) gets a deterministic periodic callback.
@@ -272,8 +274,6 @@ class Telemetry {
 
  private:
   Rollup* AddInstrument(std::string name, Rollup::Kind kind);
-  void Tick();
-  void CloseBuckets(SimTime bucket_end);
   void EvaluateRules(SimTime now);
   void Fire(SimTime now, const std::string& rule, const std::string& metric,
             double value, double threshold, Duration window);
@@ -292,11 +292,7 @@ class Telemetry {
   std::vector<ThresholdState> threshold_rules_;
   std::vector<BurnState> burn_rules_;
   std::vector<std::function<void(SimTime)>> tick_hooks_;
-  sim::Scheduler* sched_ = nullptr;
   Tracer* tracer_ = nullptr;
-  bool running_ = false;
-  sim::EventId pending_ = 0;
-  SimTime open_start_ = 0.0;
   std::uint64_t ticks_ = 0;
   std::vector<Alert> alerts_;
   TelemetrySeries series_;

@@ -409,8 +409,7 @@ ShardReport ShardExperiment::Run(double target_qps, int failed_nodes,
                                  .threshold = 0.90,
                                  .window = Seconds(4)});
   }
-  tb.sinks.StartTelemetry();
-  tb.sinks.StartMetrics();
+  tb.sinks.StartSampling();
   load::ArrivalConfig shape = config_.openloop.arrival;
   shape.rate = target_qps;
   sim::Spawn(tb.sched,

@@ -89,7 +89,7 @@ EventId Scheduler::RescheduleAfter(EventId id, Duration delay) {
 }
 
 void Scheduler::ResumeLater(std::coroutine_handle<> handle) {
-  RingPush(handle, next_seq_++);
+  ring_.push_back(RingEntry{handle, next_seq_++});
   ++fast_lane_resumes_;
 }
 
@@ -232,7 +232,7 @@ void Scheduler::ResolveTop() {
 }
 
 bool Scheduler::TakeRingNext() const {
-  if (ring_count_ == 0) return false;
+  if (ring_.empty()) return false;
   if (top_ == kNil) return true;
   const Entry& top = entries_[top_];
   // Ring entries were posted at the current instant (the clock cannot
@@ -240,37 +240,13 @@ bool Scheduler::TakeRingNext() const {
   // loses; at the current instant the smaller sequence number wins.
   if (top.time > now_) return true;
   assert(top.time == now_);
-  return (top.key >> kSlotBits) > ring_[ring_head_].seq;
-}
-
-void Scheduler::RingPush(std::coroutine_handle<> handle, std::uint64_t seq) {
-  if (ring_count_ == ring_.size()) RingGrow();
-  ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)] =
-      RingEntry{handle, seq};
-  ++ring_count_;
-}
-
-Scheduler::RingEntry Scheduler::RingPop() {
-  const RingEntry e = ring_[ring_head_];
-  ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-  --ring_count_;
-  return e;
-}
-
-void Scheduler::RingGrow() {
-  const std::size_t old_cap = ring_.size();
-  const std::size_t new_cap = old_cap == 0 ? 16 : old_cap * 2;
-  std::vector<RingEntry> grown(new_cap);
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    grown[i] = ring_[(ring_head_ + i) & (old_cap - 1)];
-  }
-  ring_ = std::move(grown);
-  ring_head_ = 0;
+  return (top.key >> kSlotBits) > ring_.front().seq;
 }
 
 void Scheduler::ExecuteNext() {
   if (TakeRingNext()) {
-    const RingEntry e = RingPop();
+    const RingEntry e = ring_.front();
+    ring_.pop_front();
     ++executed_events_;
     if (exec_hook_) exec_hook_(exec_hook_ctx_, now_, e.seq);
     e.handle.resume();
@@ -310,7 +286,7 @@ std::size_t Scheduler::Run(SimTime until, std::size_t max_events) {
     ResolveTop();
     // A non-empty ring always has work due at the current instant, which
     // is <= until by the loop invariant.
-    if (ring_count_ == 0) {
+    if (ring_.empty()) {
       if (top_ == kNil) {
         // Queue drained before the time limit: land the clock on `until`,
         // matching the next-event-beyond-`until` exit below.

@@ -61,6 +61,7 @@
 
 #include "common/units.h"
 #include "sim/event_fn.h"
+#include "sim/ring_buffer.h"
 
 namespace wimpy::sim {
 
@@ -123,7 +124,7 @@ class Scheduler {
 
   bool empty() const { return pending_events() == 0; }
   std::size_t pending_events() const {
-    return live_scheduled_ + ring_count_;
+    return live_scheduled_ + ring_.size();
   }
   std::size_t executed_events() const { return executed_events_; }
 
@@ -235,9 +236,6 @@ class Scheduler {
   // True when the next event in (time, seq) order is the ring front.
   // Precondition: ResolveTop() ran.
   bool TakeRingNext() const;
-  void RingPush(std::coroutine_handle<> handle, std::uint64_t seq);
-  RingEntry RingPop();
-  void RingGrow();
 
   // Executes the globally minimal pending event.
   // Precondition: ResolveTop() ran and pending_events() > 0.
@@ -272,10 +270,8 @@ class Scheduler {
   std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Fast-lane FIFO ring (power-of-two capacity).
-  std::vector<RingEntry> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_count_ = 0;
+  // Fast-lane FIFO ring.
+  RingDeque<RingEntry> ring_;
 
   std::uint64_t fn_heap_allocs_ = 0;
   std::uint64_t fast_lane_resumes_ = 0;

@@ -157,35 +157,35 @@ struct Testbed {
   // from the CSV.
   void PublishAggregates(obs::MetricsRegistry* metrics) {
     fabric.PublishMetrics(metrics, "net");
-    metrics->AddGauge("svc.db_delay_mean",
-                      [this] { return MergedDbDelay().mean(); });
-    metrics->AddCounter("svc.db_delay_count", [this] {
+    metrics->Add("svc.db_delay_mean",
+                 [this] { return MergedDbDelay().mean(); });
+    metrics->Add("svc.db_delay_count", [this] {
       return static_cast<double>(MergedDbDelay().count());
     });
-    metrics->AddGauge("svc.cache_delay_mean",
-                      [this] { return MergedCacheDelay().mean(); });
-    metrics->AddCounter("svc.cache_delay_count", [this] {
+    metrics->Add("svc.cache_delay_mean",
+                 [this] { return MergedCacheDelay().mean(); });
+    metrics->Add("svc.cache_delay_count", [this] {
       return static_cast<double>(MergedCacheDelay().count());
     });
-    metrics->AddGauge("svc.total_delay_mean",
-                      [this] { return MergedTotalDelay().mean(); });
-    metrics->AddCounter("svc.total_delay_count", [this] {
+    metrics->Add("svc.total_delay_mean",
+                 [this] { return MergedTotalDelay().mean(); });
+    metrics->Add("svc.total_delay_count", [this] {
       return static_cast<double>(MergedTotalDelay().count());
     });
-    metrics->AddCounter("svc.calls_ok", [this] {
+    metrics->Add("svc.calls_ok", [this] {
       std::int64_t n = 0;
       for (auto& w : webs) n += w->calls_ok();
       return static_cast<double>(n);
     });
-    metrics->AddCounter("svc.errors_500", [this] {
+    metrics->Add("svc.errors_500", [this] {
       std::int64_t n = 0;
       for (auto& w : webs) n += w->errors_500();
       return static_cast<double>(n);
     });
-    metrics->AddGauge("svc.middle_watts", [this] {
+    metrics->Add("svc.middle_watts", [this] {
       return clstr.TotalWatts({"web-server", "cache-server"});
     });
-    metrics->AddCounter("svc.middle_joules", [this] {
+    metrics->Add("svc.middle_joules", [this] {
       return clstr.CumulativeJoules({"web-server", "cache-server"});
     });
   }
@@ -520,7 +520,7 @@ LevelReport WebExperiment::MeasureClosedLoop(const WorkloadMix& mix,
     tb.sinks.CloseWindow();
   });
 
-  tb.sinks.StartMetrics();
+  tb.sinks.StartSampling();
   const ClosedLoopRun run(tb, {&window}, mix, calls_per_connection);
   sim::Spawn(tb.sched, ClosedLoopArrivals(run, concurrency, tb.rng.Fork()));
   tb.sched.Run();
@@ -585,7 +585,7 @@ WebExperiment::FailureReport WebExperiment::MeasureWithFailure(
   });
   tb.sched.ScheduleAt(after.measure_end, [&tb] { tb.sinks.CloseWindow(); });
 
-  tb.sinks.StartMetrics();
+  tb.sinks.StartSampling();
   const ClosedLoopRun run(tb, {&before, &after}, mix, calls_per_connection);
   sim::Spawn(tb.sched, ClosedLoopArrivals(run, concurrency, tb.rng.Fork()));
   tb.sched.Run();
@@ -663,8 +663,7 @@ OpenLoopReport WebExperiment::MeasureOpenLoop(
                                   load_config.slo);
   load::OpenLoopGate gate(load_config);
   tb.sinks.ArmSloRules(recorder, gate, load_config.slo);
-  tb.sinks.StartTelemetry();
-  tb.sinks.StartMetrics();
+  tb.sinks.StartSampling();
   PercentileTracker service_latency;
   const OpenLoopRun run{tb, window, mix, &report.delay_histogram,
                         recorder, gate, service_latency};

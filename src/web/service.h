@@ -61,12 +61,13 @@ struct WebTestbedConfig {
   // joules-per-span and the ledger's window subtotal mirrors the
   // report's energy accounting. Borrowed; may be null.
   obs::EnergyAttributor* energy = nullptr;
-  // Online telemetry plane (obs/telemetry.h; null = zero overhead). A
-  // MeasureOpenLoop run wires per-web-node `web<i>.cpu_busy|power_w`
-  // probes, the recorder's SLO stream into `slo.*`, a `gate.queue_depth`
-  // probe, default SLO alert rules (installed when the load config sets
-  // an SLO bound), and an obs::NodeHealth scorer over the web tier
-  // (`health.*` metrics columns + kHealth trace instants). One Telemetry
+  // Online telemetry plane (obs/telemetry.h; null = zero overhead). Every
+  // measure call wires per-web-node `web<i>.cpu_busy|power_w` probes and
+  // an obs::NodeHealth scorer over the web tier (`health.*` metrics
+  // columns + kHealth trace instants), stepped by the run's sampling
+  // clock. A MeasureOpenLoop run also wires the recorder's SLO stream
+  // into `slo.*`, a `gate.queue_depth` probe and default SLO alert rules
+  // (installed when the load config sets an SLO bound). One Telemetry
   // per measure call; borrowed, must outlive it.
   obs::Telemetry* telemetry = nullptr;
 };

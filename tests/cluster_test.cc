@@ -72,7 +72,7 @@ TEST_F(ClusterTest, PublishedMetricsRecordTimeline) {
   obs::MetricsRegistry registry;
   cluster_.PublishMetrics(&registry, {"w"}, "w");
   double progress = 0;
-  registry.AddGauge("progress", [&] { return progress; });
+  registry.Add("progress", [&] { return progress; });
   registry.Start(&sched_);
   sim::Spawn(sched_, BurnCpu(nodes[0], 5.0));  // busy [0, 5] on one core
   sched_.ScheduleAt(3.0, [&] { progress = 50.0; });

@@ -27,8 +27,8 @@ TEST(MetricsRegistryTest, SamplesOnTheSimulatedClock) {
   MetricsRegistry registry;
   double level = 0;
   double total = 0;
-  registry.AddGauge("level", [&level] { return level; });
-  registry.AddCounter("total", [&total] { return total; });
+  registry.Add("level", [&level] { return level; });
+  registry.Add("total", [&total] { return total; });
   ASSERT_EQ(registry.probe_count(), 2u);
 
   sched.ScheduleAt(2.5, [&] { level = 3; total += 10; });
@@ -57,7 +57,7 @@ TEST(MetricsRegistryTest, SamplesOnTheSimulatedClock) {
 TEST(MetricsRegistryTest, TakeSeriesKeepsProbesRegistered) {
   sim::Scheduler sched;
   MetricsRegistry registry;
-  registry.AddGauge("g", [] { return 1.0; });
+  registry.Add("g", [] { return 1.0; });
   registry.Start(&sched);
   registry.Stop();
   const MetricsSeries first = registry.TakeSeries();
@@ -81,7 +81,7 @@ TEST(MetricsRegistryDeathTest, SamplingAfterDetachAborts) {
   MetricsRegistry registry;
   {
     double level = 7;
-    registry.AddGauge("level", [&level] { return level; });
+    registry.Add("level", [&level] { return level; });
     registry.Start(&sched);
     registry.Stop();
     registry.SampleNow();  // fine: `level` is still alive here
@@ -97,18 +97,16 @@ TEST(MetricsRegistryDeathTest, SamplingAfterDetachAborts) {
 TEST(MetricsRegistryDeathTest, AddAfterFirstSampleAborts) {
   sim::Scheduler sched;
   MetricsRegistry registry;
-  registry.AddGauge("early", [] { return 1.0; });
-  registry.AddCounter("also_early", [] { return 2.0; });
+  registry.Add("early", [] { return 1.0; });
+  registry.Add("also_early", [] { return 2.0; });
   registry.Start(&sched);  // samples at t=0 immediately
   registry.Stop();
-  EXPECT_DEATH(registry.AddGauge("late", [] { return 3.0; }),
+  EXPECT_DEATH(registry.Add("late", [] { return 3.0; }),
                "obs::MetricsRegistry: probe registered after the first "
                "sample");
-  EXPECT_DEATH(registry.AddCounter("late", [] { return 3.0; }),
-               "probe registered after the first sample");
   // A fresh series takes new columns again.
   registry.TakeSeries();
-  registry.AddGauge("late", [] { return 3.0; });
+  registry.Add("late", [] { return 3.0; });
   registry.SampleNow();
   EXPECT_EQ(registry.series().Column("late"), (std::vector<double>{3.0}));
 }
@@ -116,7 +114,7 @@ TEST(MetricsRegistryDeathTest, AddAfterFirstSampleAborts) {
 TEST(MetricsRegistryTest, DetachStopsTheSamplingClock) {
   sim::Scheduler sched;
   MetricsRegistry registry;
-  registry.AddGauge("g", [] { return 1.0; });
+  registry.Add("g", [] { return 1.0; });
   registry.Start(&sched);
   registry.Detach();
   EXPECT_FALSE(registry.running());
@@ -152,7 +150,7 @@ MetricsSeries MetricsReplication(int bumps, Rng& root) {
   sim::Scheduler sched;
   MetricsRegistry registry;
   double level = 0;
-  registry.AddGauge("level", [&level] { return level; });
+  registry.Add("level", [&level] { return level; });
   Rng rng = root.Fork();
   for (int i = 1; i <= bumps; ++i) {
     sched.ScheduleAt(i * 0.9, [&level, &rng] {

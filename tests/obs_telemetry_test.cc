@@ -2,7 +2,8 @@
 // rollups on the simulated clock, the live-query == exported-CSV
 // recomputation contract, threshold and multi-window burn-rate alert
 // rules, thread-count determinism of the exports, the SLO stream glue,
-// and the node-health score.
+// the node-health score, and the run's sampling clock driving the plane
+// up to the window end (obs/sinks.h).
 #include "obs/telemetry.h"
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "common/random.h"
 #include "load/openloop.h"
 #include "obs/export.h"
+#include "obs/sinks.h"
 #include "obs/sketch.h"
 #include "obs/tracer.h"
 #include "sim/replication.h"
@@ -24,6 +26,16 @@
 
 namespace wimpy::obs {
 namespace {
+
+// Runs the telemetry step at every slide edge up to and including `end`,
+// as the run's sampling clock does; call after scheduling the load, so a
+// step and an event at the same instant keep the clock's order (the
+// event first).
+void TickThrough(sim::Scheduler& sched, Telemetry& telemetry, SimTime end) {
+  for (SimTime t = kTelemetrySlide; t <= end; t += kTelemetrySlide) {
+    sched.ScheduleAt(t, [&telemetry, t] { telemetry.Tick(t); });
+  }
+}
 
 // --- post-hoc recomputation from exported rows ----------------------------
 //
@@ -141,8 +153,7 @@ TEST(TelemetryTest, LiveQueryMatchesExportRecomputation) {
       lat.Record(rng.Exponential(400.0));
     });
   }
-  sched.ScheduleAt(10.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched);
+  TickThrough(sched, telemetry, 10.0);
   sched.Run();
   EXPECT_EQ(telemetry.ticks(), 10u);
 
@@ -171,27 +182,30 @@ TEST(TelemetryTest, LiveQueryMatchesExportRecomputation) {
   EXPECT_EQ(telemetry.QueryAgg("no.such", Agg::kRate, 5.0), 0.0);
 }
 
-TEST(TelemetryTest, StopClosesBucketDueExactlyNow) {
-  // The experiment idiom: the window-end ScheduleAt lambda runs before
-  // the tick scheduled for the same instant (older sequence number) and
-  // stops telemetry — the full final bucket must not be lost.
+TEST(RunSinksTest, CloseWindowClosesBucketDueExactlyNow) {
+  // The experiment idiom: the window-end ScheduleAt callback runs before
+  // the sampling tick scheduled for the same instant (older sequence
+  // number) and closes the window — the full final bucket must not be
+  // lost.
   sim::Scheduler sched;
   Telemetry telemetry;
   Counter c = telemetry.AddCounter("c");
+  RunSinks sinks(&sched, nullptr, nullptr, nullptr, &telemetry, 1);
   sched.ScheduleAt(1.5, [&c] { c.Add(3.0); });
-  sched.ScheduleAt(2.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched);
+  sched.ScheduleAt(2.0, [&sinks] { sinks.CloseWindow(); });
+  sinks.StartSampling();
   sched.Run();
   EXPECT_EQ(telemetry.ticks(), 2u);
   EXPECT_EQ(telemetry.Query("c", 1.0).sum, 3.0);
 
-  // A stop mid-bucket closes nothing extra.
+  // A close mid-bucket closes nothing extra.
   sim::Scheduler sched2;
   Telemetry telemetry2;
   Counter c2 = telemetry2.AddCounter("c");
-  sched2.ScheduleAt(2.5, [&telemetry2] { telemetry2.Stop(); });
+  RunSinks sinks2(&sched2, nullptr, nullptr, nullptr, &telemetry2, 1);
+  sched2.ScheduleAt(2.5, [&sinks2] { sinks2.CloseWindow(); });
   sched2.ScheduleAt(2.25, [&c2] { c2.Add(); });
-  telemetry2.Start(&sched2);
+  sinks2.StartSampling();
   sched2.Run();
   EXPECT_EQ(telemetry2.ticks(), 2u);
   // The 2.25 observation sits in the never-closed open bucket.
@@ -219,8 +233,7 @@ TEST(TelemetryTest, ThresholdRuleFiresOnRisingEdgeOnly) {
   burst(2.0);  // still hot at tick 3: no re-fire
   // bucket [3,4) quiet: clears at tick 4
   burst(4.0);  // hot again at tick 5: second fire
-  sched.ScheduleAt(6.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched);
+  TickThrough(sched, telemetry, 6.0);
   sched.Run();
 
   ASSERT_EQ(telemetry.alerts().size(), 2u);
@@ -259,8 +272,8 @@ TEST(TelemetryTest, BurnRateNeedsBothWindowsAndRecomputes) {
       });
     }
   }
-  sched.ScheduleAt(8.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched, &tracer);
+  telemetry.TraceAlertsTo(&tracer);
+  TickThrough(sched, telemetry, 8.0);
   sched.Run();
 
   ASSERT_EQ(telemetry.alerts().size(), 1u);
@@ -324,8 +337,7 @@ SweepResult RunSweepCell(const SweepCell& cell, Rng& root) {
       if (latency <= 0.004) good.Add();
     });
   }
-  sched.ScheduleAt(6.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched);
+  TickThrough(sched, telemetry, 6.0);
   sched.Run();
   return SweepResult{telemetry.TakeSeries(), telemetry.TakeAlerts()};
 }
@@ -385,8 +397,7 @@ TEST(TelemetryTest, SloStreamFeedsInstruments) {
     // shed
     recorder.OnShed(0.45);
   });
-  sched.ScheduleAt(1.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched);
+  TickThrough(sched, telemetry, 1.0);
   sched.Run();
   EXPECT_EQ(telemetry.Query("slo.offered", 1.0).sum, 4.0);
   EXPECT_EQ(telemetry.Query("slo.good", 1.0).sum, 1.0);
@@ -418,8 +429,7 @@ TEST(TelemetryTest, NodeHealthScoresAndRenormalizesWeights) {
   for (int i = 0; i < 8; ++i) {  // 2 sheds/s
     sched.ScheduleAt(0.25 + 0.5 * i, [&shed] { shed.Add(); });
   }
-  sched.ScheduleAt(4.0, [&telemetry] { telemetry.Stop(); });
-  telemetry.Start(&sched, &tracer);
+  TickThrough(sched, telemetry, 4.0);
   sched.Run();
 
   // util term: mean 0.5 / cap 1.0; shed term: rate 2/s / cap 10. Only

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "obs/energy.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
@@ -157,6 +158,33 @@ TEST(ShardExperimentTest, TracingEveryQueryChangesNoSimulatedEvent) {
   for (const obs::SpanEnergyRow& row : ledger.rows) attributed += row.joules;
   EXPECT_NEAR(attributed + ledger.unattributed_joules, ledger.total_joules,
               ledger.total_joules * 1e-9);
+}
+
+TEST(ShardExperimentTest, MetricsNextToTelemetryAddNoSamplingEvent) {
+  // One sampling clock per run: the metrics registry's 1 s tick runs the
+  // telemetry step, so attaching a registry next to the telemetry plane
+  // adds no engine event and leaves the telemetry exports unchanged.
+  ShardExperimentConfig config = BaseConfig();
+  config.churn = Churn::kJoin;
+  obs::Telemetry telemetry_only;
+  config.telemetry = &telemetry_only;
+  ShardExperiment one_plane(config);
+  obs::Telemetry telemetry;
+  obs::MetricsRegistry metrics;
+  config.telemetry = &telemetry;
+  config.metrics = &metrics;
+  ShardExperiment both_planes(std::move(config));
+  const ShardReport r1 = one_plane.Measure(1200.0, Seconds(4));
+  const ShardReport r2 = both_planes.Measure(1200.0, Seconds(4));
+  ExpectSameSimulatedOutputs(r2, r1);
+  EXPECT_EQ(r2.executed_events, r1.executed_events);
+  EXPECT_FALSE(metrics.series().rows.empty());
+  EXPECT_GT(telemetry.ticks(), 0u);
+  EXPECT_EQ(telemetry.ticks(), telemetry_only.ticks());
+  EXPECT_EQ(obs::RenderTelemetryCsv({telemetry.series()}),
+            obs::RenderTelemetryCsv({telemetry_only.series()}));
+  EXPECT_EQ(obs::RenderAlertsCsv({telemetry.TakeAlerts()}),
+            obs::RenderAlertsCsv({telemetry_only.TakeAlerts()}));
 }
 
 TEST(ShardExperimentTest, OversubscriptionBendsTheThroughputCurve) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
+#include "obs/tracer.h"
 #include "web/workload.h"
 
 namespace wimpy::web {
@@ -101,6 +106,68 @@ TEST(WebExperimentTest, OpenLoopHistogramCollectsDelays) {
   // At this easy load the delays concentrate in the first bucket.
   EXPECT_EQ(report.delay_histogram.ArgMaxBucket(), 0u);
   EXPECT_GT(report.client_delay.mean(), 0.0);
+}
+
+TEST(WebExperimentTest, OpenLoopSinksChangeNoSimulatedOutput) {
+  // The open loop starts the same sampling clock as the store harness.
+  // With a tracer, a metrics registry and a telemetry plane attached, the
+  // report equals the sink-free one in every field but the engine event
+  // count, and both planes record: telemetry rows, and the web tier's
+  // health scores as metrics columns.
+  load::OpenLoopConfig load_config;
+  load_config.arrival.rate = 200;
+  load_config.slo = Milliseconds(20);
+  const WebTestbedConfig bare = EdisonWebTestbed(4, 2);
+  WebTestbedConfig observed = bare;
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::Telemetry telemetry;
+  observed.tracer = &tracer;
+  observed.metrics = &metrics;
+  observed.telemetry = &telemetry;
+  const OpenLoopReport a =
+      WebExperiment(bare).MeasureOpenLoop(LightMix(), load_config, Seconds(4));
+  const OpenLoopReport b = WebExperiment(observed).MeasureOpenLoop(
+      LightMix(), load_config, Seconds(4));
+
+  EXPECT_EQ(a.target_rps, b.target_rps);
+  EXPECT_EQ(a.achieved_rps, b.achieved_rps);
+  EXPECT_EQ(a.error_rate, b.error_rate);
+  ASSERT_EQ(a.delay_histogram.bucket_count(), b.delay_histogram.bucket_count());
+  for (std::size_t i = 0; i < a.delay_histogram.bucket_count(); ++i) {
+    EXPECT_EQ(a.delay_histogram.BucketValue(i),
+              b.delay_histogram.BucketValue(i));
+  }
+  EXPECT_EQ(a.delay_histogram.underflow(), b.delay_histogram.underflow());
+  EXPECT_EQ(a.delay_histogram.overflow(), b.delay_histogram.overflow());
+  const auto same_stats = [](const OnlineStats& x, const OnlineStats& y) {
+    EXPECT_EQ(x.count(), y.count());
+    EXPECT_EQ(x.mean(), y.mean());
+    EXPECT_EQ(x.min(), y.min());
+    EXPECT_EQ(x.max(), y.max());
+  };
+  same_stats(a.db_delay, b.db_delay);
+  same_stats(a.cache_delay, b.cache_delay);
+  same_stats(a.total_delay, b.total_delay);
+  same_stats(a.client_delay, b.client_delay);
+  same_stats(a.intended_delay, b.intended_delay);
+  EXPECT_EQ(a.offered_rps, b.offered_rps);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.p99_intended, b.p99_intended);
+  EXPECT_EQ(a.p99_client, b.p99_client);
+  EXPECT_EQ(a.slo_good_fraction, b.slo_good_fraction);
+  EXPECT_EQ(a.slo_goodput_per_joule, b.slo_goodput_per_joule);
+  EXPECT_EQ(a.middle_tier_power, b.middle_tier_power);
+  EXPECT_EQ(a.window_joules, b.window_joules);
+  EXPECT_GT(b.executed_events, a.executed_events);
+
+  EXPECT_GT(telemetry.ticks(), 0u);
+  EXPECT_FALSE(telemetry.series().rows.empty());
+  const std::vector<double> health =
+      metrics.series().Column("health.node0");
+  ASSERT_FALSE(health.empty());
+  EXPECT_LT(*std::min_element(health.begin(), health.end()), 1.0);
+  EXPECT_GT(tracer.size(), 0u);
 }
 
 TEST(WebExperimentTest, EdisonFasterResponseAtLowLoadThanUnderStress) {
