@@ -8,6 +8,7 @@
 #include "common/table.h"
 #include "hw/profiles.h"
 #include "net/fabric.h"
+#include "net/topology.h"
 #include "sim/process.h"
 
 namespace {
@@ -34,8 +35,9 @@ PairResult Measure(bool src_dell, bool dst_dell) {
   };
   auto* src = add(src_dell, 0);
   auto* dst = add(dst_dell, 1);
-  fabric.SetGroupLink("dell-room", "edison-room", wimpy::Gbps(1),
-                      wimpy::Milliseconds(0.02));
+  net::HierarchicalTopology rooms(&fabric,
+                                  {.racks = 1, .rack_name = "edison-room"});
+  rooms.AttachToCore("dell-room", net::kEdisonDellLink);
 
   double done_at = -1;
   auto xfer = [&]() -> sim::Process {

@@ -4,7 +4,7 @@ namespace wimpy::hw {
 
 CpuModel::CpuModel(sim::Scheduler* sched, const CpuSpec& spec)
     : spec_(spec),
-      server_(sched, spec.total_dmips(), spec.dmips_per_thread, "cpu") {}
+      server_(sched, spec.total_dmips(), spec.dmips_per_thread) {}
 
 sim::Task<void> CpuModel::Execute(double minstr) {
   co_await server_.Serve(minstr);

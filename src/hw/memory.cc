@@ -6,7 +6,7 @@ namespace wimpy::hw {
 
 MemoryModel::MemoryModel(sim::Scheduler* sched, const MemorySpec& spec)
     : spec_(spec),
-      bus_(sched, spec.peak_bandwidth, spec.per_thread_bandwidth, "membus"),
+      bus_(sched, spec.peak_bandwidth, spec.per_thread_bandwidth),
       capacity_mb_(sched, ToMb(spec.total)) {}
 
 std::int64_t MemoryModel::ToMb(Bytes bytes) {

@@ -7,8 +7,8 @@ namespace wimpy::hw {
 
 NicModel::NicModel(sim::Scheduler* sched, const NicSpec& spec)
     : spec_(spec),
-      tx_(sched, spec.bandwidth, spec.bandwidth, "nic-tx"),
-      rx_(sched, spec.bandwidth, spec.bandwidth, "nic-rx") {
+      tx_(sched, spec.bandwidth, spec.bandwidth),
+      rx_(sched, spec.bandwidth, spec.bandwidth) {
   assert(spec.bandwidth > 0);
 }
 

@@ -5,7 +5,7 @@
 namespace wimpy::hw {
 
 StorageDevice::StorageDevice(sim::Scheduler* sched, const StorageSpec& spec)
-    : sched_(sched), spec_(spec), channel_(sched, 1.0, 1.0, "disk") {
+    : sched_(sched), spec_(spec), channel_(sched, 1.0, 1.0) {
   assert(spec.write_direct > 0 && spec.write_buffered > 0);
   assert(spec.read_direct > 0 && spec.read_buffered > 0);
 }

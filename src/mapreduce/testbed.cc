@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "hw/profiles.h"
+#include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/process.h"
@@ -57,9 +58,12 @@ MrTestbed::MrTestbed(const MrClusterConfig& config)
     slaves_ = cluster_.AddNodes(config_.slave_profile, config_.slave_count,
                                 "mr-slave", config_.slave_group);
   }
+  // A one-rack tree, the slaves' room, with the master's Dell room
+  // attached (paper §5.1.2); a Dell cluster is one room with no link.
+  net::HierarchicalTopology rooms(
+      &fabric_, {.racks = 1, .rack_name = config_.slave_group});
   if (config_.slave_group != "dell-room") {
-    fabric_.SetGroupLink(config_.slave_group, "dell-room", Gbps(1),
-                         Milliseconds(0.02));
+    rooms.AttachToCore("dell-room", net::kEdisonDellLink);
   }
 
   // OS + datanode + nodemanager resident baselines, so memory telemetry

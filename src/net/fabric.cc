@@ -25,16 +25,25 @@ void Check(bool ok, const char* what) {
 }  // namespace
 
 Fabric::Fabric(sim::Scheduler* sched) : sched_(sched) {
-  assert(sched != nullptr);
+  Check(sched != nullptr, "scheduler must not be null");
 }
 
 int Fabric::InternGroup(const std::string& name) {
   const int found = FindGroup(name);
   if (found >= 0) return found;
+  // Re-stride the G×G route table for one more group; every declared
+  // route keeps its (src, dst) ids.
+  const std::size_t old_g = group_names_.size();
+  const std::size_t g = old_g + 1;
+  std::vector<Route> routes(g * g);
+  for (std::size_t src = 0; src < old_g; ++src) {
+    std::copy_n(routes_.begin() + static_cast<std::ptrdiff_t>(src * old_g),
+                old_g,
+                routes.begin() + static_cast<std::ptrdiff_t>(src * g));
+  }
+  routes_ = std::move(routes);
   group_names_.push_back(name);
-  const int id = static_cast<int>(group_names_.size()) - 1;
-  RebuildLinkTables();  // G changed; tables are G×G
-  return id;
+  return static_cast<int>(old_g);
 }
 
 int Fabric::FindGroup(const std::string& name) const {
@@ -62,6 +71,8 @@ void Fabric::AddNode(hw::ServerNode* node, const std::string& group) {
 void Fabric::SetGroupLink(const std::string& a, const std::string& b,
                           BytesPerSecond bandwidth, Duration latency) {
   Check(bandwidth > 0, "group link bandwidth must be > 0");
+  Check(a != b, "a group link must join two distinct groups");
+  Check(!published_, "group link added after PublishMetrics");
   // Canonical pair order is lexicographic by NAME (not by interned id):
   // published gauge names and channel direction must not depend on the
   // order groups happened to be interned.
@@ -69,23 +80,10 @@ void Fabric::SetGroupLink(const std::string& a, const std::string& b,
   const std::string& kb = a <= b ? b : a;
   const int ga = InternGroup(ka);
   const int gb = InternGroup(kb);
-  GroupLink* link = FindLink(ga, gb);
-  if (link == nullptr) {
-    links_.push_back(std::make_unique<GroupLink>());
-    link = links_.back().get();
-    link->a = ga;
-    link->b = gb;
-  }
-  link->forward = std::make_unique<sim::FairShareServer>(
-      sched_, bandwidth, bandwidth, "link:" + a + ">" + b);
-  link->backward = std::make_unique<sim::FairShareServer>(
-      sched_, bandwidth, bandwidth, "link:" + b + ">" + a);
-  link->latency = latency;
-  RebuildLinkTables();
-  // Links configured after PublishMetrics still get their gauge: the
-  // closure reads through the stable GroupLink*, so a later SetGroupLink
-  // replacing the channels is tracked automatically as well.
-  PublishLink(link);
+  Check(RouteOf(ga, gb).nseg == 0, "group pair routed twice");
+  GroupLink& link = links_.emplace_back(sched_, ga, gb, bandwidth);
+  RouteOf(ga, gb) = Route{{&link.forward}, 1, latency};
+  RouteOf(gb, ga) = Route{{&link.backward}, 1, latency};
 }
 
 void Fabric::SetGroupPath(const std::string& a, const std::string& b,
@@ -93,94 +91,48 @@ void Fabric::SetGroupPath(const std::string& a, const std::string& b,
   Check(a != b, "a group path must join two distinct groups");
   Check(static_cast<int>(via.size()) + 1 <= kMaxPathHops,
         "group path exceeds kMaxPathHops hops");
-  // Canonical orientation by name, like SetGroupLink: one stored route per
-  // unordered pair, replayed into both table directions.
-  std::vector<std::string> groups;
-  groups.reserve(via.size() + 2);
-  if (a <= b) {
-    groups.push_back(a);
-    groups.insert(groups.end(), via.begin(), via.end());
-    groups.push_back(b);
-  } else {
-    groups.push_back(b);
-    groups.insert(groups.end(), via.rbegin(), via.rend());
-    groups.push_back(a);
+  // Canonical orientation by name, like SetGroupLink: both directions sum
+  // the hop latencies in the same order, so they agree bit for bit.
+  std::array<int, kMaxPathHops + 1> groups{};
+  int n = 0;
+  const bool flip = b < a;
+  groups[static_cast<std::size_t>(n++)] = FindGroup(flip ? b : a);
+  for (std::size_t i = 0; i < via.size(); ++i) {
+    groups[static_cast<std::size_t>(n++)] =
+        FindGroup(via[flip ? via.size() - 1 - i : i]);
   }
-  for (const std::string& g : groups) InternGroup(g);
-  for (GroupPath& path : paths_) {
-    if (path.groups.front() == groups.front() &&
-        path.groups.back() == groups.back()) {
-      path.groups = std::move(groups);
-      RebuildLinkTables();
-      return;
-    }
-  }
-  paths_.push_back(GroupPath{std::move(groups)});
-  RebuildLinkTables();
-}
+  groups[static_cast<std::size_t>(n++)] = FindGroup(flip ? a : b);
 
-Fabric::GroupLink* Fabric::FindLink(int a, int b) {
-  for (auto& link : links_) {
-    if ((link->a == a && link->b == b) || (link->a == b && link->b == a)) {
-      return link.get();
-    }
+  const int hops = n - 1;
+  Route fwd;
+  Route bwd;
+  for (int h = 0; h < hops; ++h) {
+    const int x = groups[static_cast<std::size_t>(h)];
+    const int y = groups[static_cast<std::size_t>(h) + 1];
+    Check(x >= 0 && y >= 0 && FindLink(x, y) != nullptr,
+          "group path hop has no link");
+    const Route& hop = RouteOf(x, y);
+    const Route& back = RouteOf(y, x);
+    fwd.segs[static_cast<std::size_t>(fwd.nseg++)] = hop.segs[0];
+    fwd.latency += hop.latency;
+    bwd.segs[static_cast<std::size_t>(hops - 1 - h)] = back.segs[0];
+    ++bwd.nseg;
+    bwd.latency += back.latency;
   }
-  return nullptr;
+  const int src = groups[0];
+  const int dst = groups[static_cast<std::size_t>(hops)];
+  Check(RouteOf(src, dst).nseg == 0, "group pair routed twice");
+  RouteOf(src, dst) = fwd;
+  RouteOf(dst, src) = bwd;
 }
 
 const Fabric::GroupLink* Fabric::FindLink(int a, int b) const {
-  return const_cast<Fabric*>(this)->FindLink(a, b);
-}
-
-void Fabric::RebuildLinkTables() {
-  const std::size_t g = group_names_.size();
-  channels_.assign(g * g, nullptr);
-  link_latencies_.assign(g * g, 0);
-  for (const auto& link : links_) {
-    const std::size_t fwd = static_cast<std::size_t>(link->a) * g +
-                            static_cast<std::size_t>(link->b);
-    const std::size_t bwd = static_cast<std::size_t>(link->b) * g +
-                            static_cast<std::size_t>(link->a);
-    channels_[fwd] = link->forward.get();
-    channels_[bwd] = link->backward.get();
-    link_latencies_[fwd] = link->latency;
-    link_latencies_[bwd] = link->latency;
-  }
-  // Resolve multi-hop routes against the fresh direct tables. Hops whose
-  // link is not configured yet resolve to nseg == 0 (direct fallback) and
-  // are re-resolved on the next rebuild — topology builders may declare
-  // paths and links in any order.
-  path_table_.assign(g * g, PathEntry{});
-  for (const GroupPath& path : paths_) {
-    PathEntry fwd;
-    PathEntry bwd;
-    bool complete = true;
-    const int hops = static_cast<int>(path.groups.size()) - 1;
-    for (int h = 0; h < hops; ++h) {
-      const int x = FindGroup(path.groups[static_cast<std::size_t>(h)]);
-      const int y = FindGroup(path.groups[static_cast<std::size_t>(h) + 1]);
-      const std::size_t fi =
-          static_cast<std::size_t>(x) * g + static_cast<std::size_t>(y);
-      const std::size_t bi =
-          static_cast<std::size_t>(y) * g + static_cast<std::size_t>(x);
-      if (channels_[fi] == nullptr) {
-        complete = false;
-        break;
-      }
-      fwd.segs[static_cast<std::size_t>(fwd.nseg++)] = channels_[fi];
-      fwd.latency += link_latencies_[fi];
-      bwd.segs[static_cast<std::size_t>(hops - 1 - h)] = channels_[bi];
-      ++bwd.nseg;
-      bwd.latency += link_latencies_[bi];
+  for (const GroupLink& link : links_) {
+    if ((link.a == a && link.b == b) || (link.a == b && link.b == a)) {
+      return &link;
     }
-    if (!complete) continue;
-    const int src = FindGroup(path.groups.front());
-    const int dst = FindGroup(path.groups.back());
-    path_table_[static_cast<std::size_t>(src) * g +
-                static_cast<std::size_t>(dst)] = fwd;
-    path_table_[static_cast<std::size_t>(dst) * g +
-                static_cast<std::size_t>(src)] = bwd;
   }
+  return nullptr;
 }
 
 bool Fabric::HasNode(int node_id) const {
@@ -202,13 +154,7 @@ Duration Fabric::Latency(int src_id, int dst_id) const {
   const Endpoint& dst = Lookup(dst_id);
   Duration latency = src.node->nic().endpoint_latency() +
                      dst.node->nic().endpoint_latency();
-  if (src.group != dst.group) {
-    const std::size_t idx = static_cast<std::size_t>(src.group) *
-                                group_names_.size() +
-                            static_cast<std::size_t>(dst.group);
-    latency += path_table_[idx].nseg > 0 ? path_table_[idx].latency
-                                         : link_latencies_[idx];
-  }
+  if (src.group != dst.group) latency += RouteOf(src.group, dst.group).latency;
   return latency;
 }
 
@@ -218,16 +164,10 @@ int Fabric::Segments(int src_id, int dst_id, SegmentList& out) const {
   int n = 0;
   out[static_cast<std::size_t>(n++)] = &src.node->nic().tx();
   if (src.group != dst.group) {
-    const std::size_t idx =
-        static_cast<std::size_t>(src.group) * group_names_.size() +
-        static_cast<std::size_t>(dst.group);
-    const PathEntry& path = path_table_[idx];
-    if (path.nseg > 0) {
-      for (int i = 0; i < path.nseg; ++i) {
-        out[static_cast<std::size_t>(n++)] = path.segs[i];
-      }
-    } else if (channels_[idx] != nullptr) {
-      out[static_cast<std::size_t>(n++)] = channels_[idx];
+    const Route& route = RouteOf(src.group, dst.group);
+    for (int i = 0; i < route.nseg; ++i) {
+      out[static_cast<std::size_t>(n++)] =
+          route.segs[static_cast<std::size_t>(i)];
     }
   }
   out[static_cast<std::size_t>(n++)] = &dst.node->nic().rx();
@@ -289,36 +229,18 @@ double Fabric::GroupLinkAverageBusyFraction(const std::string& a,
   if (ga < 0 || gb < 0) return 0.0;
   const GroupLink* link = FindLink(ga, gb);
   if (link == nullptr) return 0.0;
-  return std::max(link->forward->AverageBusyFraction(),
-                  link->backward->AverageBusyFraction());
-}
-
-void Fabric::PublishLink(GroupLink* link) {
-  if (metrics_registry_ == nullptr || link->published) return;
-  link->published = true;
-  // The closure reads through the stable GroupLink*, so a later
-  // SetGroupLink that replaces the channel servers is tracked without
-  // re-registration.
-  metrics_registry_->Add(
-      metrics_prefix_ + ".link." + group_names_[link->a] + "-" +
-          group_names_[link->b],
-      [link] {
-        return std::max(link->forward->busy_fraction(),
-                        link->backward->busy_fraction());
-      });
+  return std::max(link->forward.AverageBusyFraction(),
+                  link->backward.AverageBusyFraction());
 }
 
 void Fabric::PublishMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {
-  metrics_registry_ = registry;
-  metrics_prefix_ = prefix;
-  // Probe registration order (and therefore CSV column order) must stay
-  // deterministic and name-sorted, exactly as when links_ was an ordered
-  // map keyed by name pair. Links configured after this call append in
-  // SetGroupLink order (see PublishLink).
-  std::vector<GroupLink*> sorted;
+  published_ = true;
+  // Probe registration order (and therefore CSV column order) is
+  // name-sorted, so it does not depend on the order links were declared.
+  std::vector<const GroupLink*> sorted;
   sorted.reserve(links_.size());
-  for (const auto& link : links_) sorted.push_back(link.get());
+  for (const GroupLink& link : links_) sorted.push_back(&link);
   std::sort(sorted.begin(), sorted.end(),
             [this](const GroupLink* x, const GroupLink* y) {
               const std::string& xa = group_names_[x->a];
@@ -326,7 +248,14 @@ void Fabric::PublishMetrics(obs::MetricsRegistry* registry,
               if (xa != ya) return xa < ya;
               return group_names_[x->b] < group_names_[y->b];
             });
-  for (GroupLink* l : sorted) PublishLink(l);
+  for (const GroupLink* link : sorted) {
+    registry->Add(prefix + ".link." + group_names_[link->a] + "-" +
+                      group_names_[link->b],
+                  [link] {
+                    return std::max(link->forward.busy_fraction(),
+                                    link->backward.busy_fraction());
+                  });
+  }
 }
 
 }  // namespace wimpy::net

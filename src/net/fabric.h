@@ -12,25 +12,27 @@
 // each segment is an independent fair-share server, which reproduces
 // per-flow bandwidth sharing and aggregate bottleneck saturation.
 //
-// Beyond single links, a *group path* (SetGroupPath) routes traffic between
-// two groups through intermediate groups — rack → aggregation → core — so a
-// hierarchical datacenter tree (net/topology.h) composes from pairwise
-// links: a cross-pod flow occupies both rack uplinks and the core hop
-// concurrently and its bandwidth is the min fair share across all of them,
-// which is exactly how oversubscription bites.
+// The links and routes are declared once, by net::HierarchicalTopology
+// (net/topology.h), the only caller of the private SetGroupLink and
+// SetGroupPath. A *group path* routes traffic between two groups through
+// intermediate groups — rack → aggregation → core — so a cross-pod flow
+// occupies both rack uplinks and the core hop concurrently and its
+// bandwidth is the min fair share across all of them, which is exactly how
+// oversubscription bites. A group pair the topology joins neither by a
+// link nor by a path pays only the two NICs.
 //
 // Layout: group names are interned into dense integer ids at topology-build
 // time; endpoints live in a flat vector indexed by node id (sparse ids leave
-// holes) and the directed link channel / latency for any group pair is a
-// G×G table lookup. The steady-state Transfer path therefore does no string
-// hashing, no ordered-map walks, and no heap allocation.
+// holes) and the route of any directed group pair is a G×G table lookup.
+// The steady-state Transfer path therefore does no string hashing, no
+// ordered-map walks, and no heap allocation.
 #ifndef WIMPY_NET_FABRIC_H_
 #define WIMPY_NET_FABRIC_H_
 
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,24 +61,6 @@ class Fabric {
   // Registers a node in a group. Node ids must be unique across the fabric.
   void AddNode(hw::ServerNode* node, const std::string& group);
 
-  // Configures the shared aggregate link between two groups (both
-  // directions share one set of duplex channels, like a switch uplink).
-  // Calling again replaces the previous configuration.
-  void SetGroupLink(const std::string& a, const std::string& b,
-                    BytesPerSecond bandwidth, Duration latency);
-
-  // Routes a<->b traffic through the intermediate groups `via` (in a->b
-  // order): the flow traverses link(a, via[0]), link(via[0], via[1]), ...,
-  // link(via.back(), b), occupying every hop concurrently. All hops must
-  // already be configured with SetGroupLink by the time traffic flows (the
-  // path is re-resolved whenever the topology changes, so call order
-  // doesn't matter). At most kMaxPathHops hops. Calling again replaces the
-  // previous path for the pair; an empty `via` restores direct routing.
-  void SetGroupPath(const std::string& a, const std::string& b,
-                    const std::vector<std::string>& via);
-
-  static constexpr int kMaxPathHops = 4;
-
   bool HasNode(int node_id) const;
 
   // Dense interned id of the node's group (assigned in first-seen order at
@@ -85,7 +69,7 @@ class Fabric {
   int GroupIdOf(int node_id) const;
 
   // One-way propagation latency between two nodes: both endpoint latencies
-  // plus the group link's latency when crossing groups. Loopback is ~free.
+  // plus the route's latency when crossing groups. Loopback is ~free.
   Duration Latency(int src_id, int dst_id) const;
   Duration Rtt(int src_id, int dst_id) const {
     return 2.0 * Latency(src_id, dst_id);
@@ -162,84 +146,88 @@ class Fabric {
   double GroupLinkAverageBusyFraction(const std::string& a,
                                       const std::string& b) const;
 
-  // Registers one busy-fraction gauge per configured group link, named
-  // `<prefix>.link.<a>-<b>` (see docs/observability.md). Links configured
-  // *after* this call are published too, at SetGroupLink time (appended
-  // after the existing columns); links present now are registered
-  // name-sorted, so a fully built topology keeps its deterministic column
-  // order.
+  // Registers one busy-fraction gauge per group link, named
+  // `<prefix>.link.<a>-<b>` (see docs/observability.md), in name order so
+  // the column order is deterministic. Call it once the topology is
+  // built: a link added afterwards aborts.
   void PublishMetrics(obs::MetricsRegistry* registry,
                       const std::string& prefix);
 
   sim::Scheduler& scheduler() { return *sched_; }
 
  private:
+  friend class HierarchicalTopology;
+
+  static constexpr int kMaxPathHops = 4;
+
+  // Declares the shared aggregate link between two distinct groups (both
+  // directions share one set of duplex channels, like a switch uplink).
+  // Each group pair is routed once, by a link or by a path.
+  void SetGroupLink(const std::string& a, const std::string& b,
+                    BytesPerSecond bandwidth, Duration latency);
+
+  // Routes a<->b traffic through the intermediate groups `via` (in a->b
+  // order, non-empty): the flow traverses link(a, via[0]), link(via[0],
+  // via[1]), ..., link(via.back(), b), occupying every hop concurrently.
+  // Every hop's link must already be declared. At most kMaxPathHops hops.
+  void SetGroupPath(const std::string& a, const std::string& b,
+                    const std::vector<std::string>& via);
+
   struct Endpoint {
     hw::ServerNode* node = nullptr;
     int group = -1;  // interned group id
   };
   struct GroupLink {
-    int a = -1;  // canonical pair: group_names_[a] <= group_names_[b]
-    int b = -1;
-    std::unique_ptr<sim::FairShareServer> forward;   // a->b
-    std::unique_ptr<sim::FairShareServer> backward;  // b->a
-    Duration latency = 0;
-    bool published = false;  // gauge already registered
+    GroupLink(sim::Scheduler* sched, int a, int b, BytesPerSecond bandwidth)
+        : a(a),
+          b(b),
+          forward(sched, bandwidth, bandwidth),
+          backward(sched, bandwidth, bandwidth) {}
+
+    int a;  // canonical pair: group_names_[a] <= group_names_[b]
+    int b;
+    sim::FairShareServer forward;   // a->b
+    sim::FairShareServer backward;  // b->a
   };
-  // A multi-hop route between two groups: the full group sequence
-  // [a, via..., b], stored by name so it survives re-interning and link
-  // replacement. Resolved into the flat path table on every rebuild.
-  struct GroupPath {
-    std::vector<std::string> groups;
-  };
-  // Resolved directed route: up to kMaxPathHops link channels a flow
-  // occupies concurrently, plus the summed hop latency. nseg == 0 means
-  // "no multi-hop path; use the direct link table".
-  struct PathEntry {
+  // The link channels a flow between two groups occupies concurrently,
+  // in src->dst order, and their summed latency: one for a link, two to
+  // kMaxPathHops for a path, none for a pair the topology does not join.
+  struct Route {
     std::array<sim::FairShareServer*, kMaxPathHops> segs{};
     int nseg = 0;
     Duration latency = 0;
   };
 
   // The fair-share channels a flow between two distinct nodes occupies
-  // concurrently, in join order: the source NIC's tx, the group path's
-  // hops (or the direct group link) when crossing groups, the
-  // destination NIC's rx. Returns how many were written.
+  // concurrently, in join order: the source NIC's tx, the route's links
+  // when crossing groups, the destination NIC's rx. Returns how many were
+  // written.
   using SegmentList = std::array<sim::FairShareServer*, 2 + kMaxPathHops>;
   int Segments(int src_id, int dst_id, SegmentList& out) const;
 
-  // Returns the dense id for a group name, interning it on first use.
+  // Returns the dense id for a group name, interning it on first use (and
+  // re-striding the route table, build time only).
   int InternGroup(const std::string& name);
   // Id of an already-interned group, or -1.
   int FindGroup(const std::string& name) const;
   const Endpoint& Lookup(int node_id) const;
-  GroupLink* FindLink(int a, int b);
   const GroupLink* FindLink(int a, int b) const;
-  // Registers the link's busy-fraction gauge with the stored registry (a
-  // no-op before PublishMetrics has been called).
-  void PublishLink(GroupLink* link);
-  // Re-derives the G×G directed channel/latency tables from links_ and
-  // re-resolves paths_ into path_table_. Called whenever a group, link,
-  // or path is added — build time only.
-  void RebuildLinkTables();
+  Route& RouteOf(int src_group, int dst_group) {
+    return routes_[static_cast<std::size_t>(src_group) *
+                       group_names_.size() +
+                   static_cast<std::size_t>(dst_group)];
+  }
+  const Route& RouteOf(int src_group, int dst_group) const {
+    return const_cast<Fabric*>(this)->RouteOf(src_group, dst_group);
+  }
 
   sim::Scheduler* sched_;
   std::vector<std::string> group_names_;  // indexed by group id
   std::vector<Endpoint> endpoints_;       // indexed by node id, with holes
-  // unique_ptr so gauge closures and the flat tables can hold stable
-  // pointers across vector growth and link replacement.
-  std::vector<std::unique_ptr<GroupLink>> links_;
-  // Directed [src_group * G + dst_group] tables; nullptr / 0 where the
-  // pair has no configured aggregate link.
-  std::vector<sim::FairShareServer*> channels_;
-  std::vector<Duration> link_latencies_;
-  // Configured multi-hop routes (by name) and the resolved directed
-  // [src_group * G + dst_group] table derived from them.
-  std::vector<GroupPath> paths_;
-  std::vector<PathEntry> path_table_;
-  // Set by PublishMetrics so links configured later self-register.
-  obs::MetricsRegistry* metrics_registry_ = nullptr;
-  std::string metrics_prefix_;
+  // A deque, so routes and gauge closures can hold stable pointers.
+  std::deque<GroupLink> links_;
+  std::vector<Route> routes_;  // [src_group * G + dst_group]
+  bool published_ = false;     // PublishMetrics has run
 };
 
 }  // namespace wimpy::net

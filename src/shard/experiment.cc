@@ -26,15 +26,20 @@ namespace {
 constexpr double kValueSizeMean = 1024;
 constexpr double kValueSizeStddev = 256;
 
+// Racks per aggregation switch, and the pod-to-core thinning on top of
+// the rack oversubscription (1: the core adds none).
+constexpr int kRacksPerPod = 2;
+constexpr double kCoreOversubscription = 1.0;
+
 net::HierarchicalTopologyConfig TopologyConfig(
     const ShardExperimentConfig& config) {
   net::HierarchicalTopologyConfig topo;
   topo.racks = config.racks;
-  topo.racks_per_pod = config.racks_per_pod;
+  topo.racks_per_pod = kRacksPerPod;
   topo.nodes_per_rack = config.nodes_per_rack;
   topo.node_bandwidth = config.node_profile.nic.bandwidth;
   topo.rack_oversubscription = config.rack_oversubscription;
-  topo.core_oversubscription = config.core_oversubscription;
+  topo.core_oversubscription = kCoreOversubscription;
   return topo;
 }
 
@@ -52,7 +57,7 @@ struct ShardTestbed {
     // and replication traffic contend for the same oversubscribed
     // uplinks. With one rack the room links straight to it: the FAWN
     // rig's single client↔store hop.
-    topo.AttachToCore("client-room", Gbps(10), Milliseconds(0.02));
+    topo.AttachToCore("client-room", {Gbps(10), Milliseconds(0.02)});
 
     // Ring members rack by rack (store index == fabric node id because
     // stores are created first), then the provisioned spares round-robin

@@ -49,11 +49,10 @@ struct ShardExperimentConfig {
   // racks, after the members); the join scenario's target.
   int spare_nodes = 1;
   int client_machines = 4;  // Dell-class generators in a core-attached room
-  // Topology knobs (net/topology.h): rack uplink =
-  // nodes_per_rack * NIC / rack_oversubscription, and so on up.
+  // Topology knob (net/topology.h): rack uplink =
+  // nodes_per_rack * NIC / rack_oversubscription. Two racks share a pod,
+  // and the core adds no thinning of its own.
   double rack_oversubscription = 4.0;
-  double core_oversubscription = 1.0;
-  int racks_per_pod = 2;
   RingConfig ring;  // shards, vnodes, chain replication factor
   MigratorConfig migration;
   kv::KvConfig store;

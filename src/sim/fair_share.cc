@@ -21,12 +21,12 @@ void CheckRate(double rate, const char* what) {
 }  // namespace
 
 FairShareServer::FairShareServer(Scheduler* sched, double capacity,
-                                 double per_job_cap, std::string name)
+                                 double per_job_cap)
     : sched_(sched),
       capacity_(capacity),
-      per_job_cap_(per_job_cap > 0 ? per_job_cap : capacity),
-      name_(std::move(name)) {
-  assert(sched != nullptr);
+      per_job_cap_(per_job_cap > 0 ? per_job_cap : capacity) {
+  Check(sched != nullptr, "sim::FairShareServer",
+        "scheduler must not be null");
   CheckRate(capacity, "capacity must be > 0");
   last_update_ = sched_->now();
   busy_history_.Set(last_update_, 0.0);

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -39,8 +38,7 @@ class FairShareServer {
  public:
   // `capacity` and `per_job_cap` are in units/second; both must be > 0.
   // `per_job_cap` defaults to the full capacity (pure processor sharing).
-  FairShareServer(Scheduler* sched, double capacity, double per_job_cap = 0,
-                  std::string name = "");
+  FairShareServer(Scheduler* sched, double capacity, double per_job_cap = 0);
 
   FairShareServer(const FairShareServer&) = delete;
   FairShareServer& operator=(const FairShareServer&) = delete;
@@ -86,7 +84,6 @@ class FairShareServer {
   double capacity() const { return capacity_; }
   double per_job_cap() const { return per_job_cap_; }
   double total_work_served() const { return total_served_; }
-  const std::string& name() const { return name_; }
 
   // Invoked with the new busy fraction whenever it changes (job arrives or
   // departs). The power model subscribes here.
@@ -130,7 +127,6 @@ class FairShareServer {
   Scheduler* sched_;
   double capacity_;
   double per_job_cap_;
-  std::string name_;
 
   std::priority_queue<Job, std::vector<Job>, JobOrder> jobs_;
   double served_per_job_ = 0.0;  // aggregate service delivered per job

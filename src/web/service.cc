@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "hw/profiles.h"
 #include "load/driver.h"
+#include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "shard/ring.h"
@@ -82,15 +83,14 @@ struct Testbed {
                    shard::DenseIds(config.cache_servers)),
         sinks(&sched, config.tracer, config.metrics, config.energy,
               config.telemetry, config.trace_sample_every) {
-    // Room-level topology (paper §5.1.2): clients reach the Edison room
-    // over a single 1 Gbps uplink but the Dell room at 2 Gbps aggregate;
-    // the Edison and Dell rooms interconnect at 1 Gbps.
-    fabric.SetGroupLink("client-room", "edison-room", Gbps(1),
-                        Milliseconds(0.05));
-    fabric.SetGroupLink("client-room", "dell-room", Gbps(2),
-                        Milliseconds(0.02));
-    fabric.SetGroupLink("edison-room", "dell-room", Gbps(1),
-                        Milliseconds(0.02));
+    // Room-level topology (paper §5.1.2): a one-rack tree, the Edison
+    // room, with the client and Dell rooms attached and a direct
+    // client↔Dell link.
+    net::HierarchicalTopology rooms(&fabric,
+                                    {.racks = 1, .rack_name = "edison-room"});
+    rooms.AttachToCore("client-room", net::kClientEdisonLink);
+    rooms.AttachToCore("dell-room", net::kEdisonDellLink);
+    rooms.LinkRooms("client-room", "dell-room", net::kClientDellLink);
 
     auto cache_nodes = clstr.AddNodes(config.middle_profile,
                                       config.cache_servers, "cache-server",

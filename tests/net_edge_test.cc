@@ -7,6 +7,7 @@
 
 #include "hw/profiles.h"
 #include "net/tcp.h"
+#include "net/topology.h"
 #include "sim/process.h"
 
 namespace wimpy::net {
@@ -111,10 +112,11 @@ TEST_F(NetEdgeTest, HoldBacklogKeepsSlotUntilExplicitRelease) {
 TEST_F(NetEdgeTest, LatencyComposesEndpointsAndLink) {
   hw::ServerNode c(&sched_, hw::EdisonProfile(), 2);
   Fabric fabric(&sched_);
+  HierarchicalTopology rooms(&fabric, {.racks = 1, .rack_name = "x"});
+  rooms.AttachToCore("y", {Gbps(1), Milliseconds(0.1)});
   hw::ServerNode d1(&sched_, hw::DellR620Profile(), 0);
   fabric.AddNode(&d1, "x");
   fabric.AddNode(&c, "y");
-  fabric.SetGroupLink("x", "y", Gbps(1), Milliseconds(0.1));
   EXPECT_NEAR(fabric.Latency(0, 2),
               Milliseconds(0.12 + 0.65 + 0.1), 1e-12);
   // Without a configured link, only endpoint latencies count.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "hw/profiles.h"
+#include "net/topology.h"
 #include "sim/process.h"
 
 namespace wimpy::net {
@@ -14,7 +15,10 @@ namespace {
 
 class FabricTest : public ::testing::Test {
  protected:
-  FabricTest() : fabric_(&sched_) {
+  FabricTest()
+      : fabric_(&sched_),
+        rooms_(&fabric_, {.racks = 1, .rack_name = "edison-room"}) {
+    rooms_.AttachToCore("dell-room", kEdisonDellLink);
     for (int i = 0; i < 2; ++i) {
       edison_.push_back(
           std::make_unique<hw::ServerNode>(&sched_, hw::EdisonProfile(), i));
@@ -25,8 +29,6 @@ class FabricTest : public ::testing::Test {
           &sched_, hw::DellR620Profile(), i));
       fabric_.AddNode(dell_.back().get(), "dell-room");
     }
-    fabric_.SetGroupLink("edison-room", "dell-room", Gbps(1),
-                         Milliseconds(0.02));
   }
 
   sim::Process DoTransfer(int src, int dst, Bytes n, double* done_at) {
@@ -36,6 +38,7 @@ class FabricTest : public ::testing::Test {
 
   sim::Scheduler sched_;
   Fabric fabric_;
+  HierarchicalTopology rooms_;
   std::vector<std::unique_ptr<hw::ServerNode>> edison_;
   std::vector<std::unique_ptr<hw::ServerNode>> dell_;
 };
@@ -151,13 +154,14 @@ TEST(FabricAggregateTest, GroupLinkCapsAggregateThroughput) {
   // each flow could do 1 Gbps alone, but the aggregate pipe is shared.
   sim::Scheduler sched;
   Fabric fabric(&sched);
+  HierarchicalTopology rooms(&fabric, {.racks = 1, .rack_name = "room-a"});
+  rooms.AttachToCore("room-b", {Gbps(1), 0});
   std::vector<std::unique_ptr<hw::ServerNode>> nodes;
   for (int i = 0; i < 20; ++i) {
     nodes.push_back(std::make_unique<hw::ServerNode>(
         &sched, hw::DellR620Profile(), i));
     fabric.AddNode(nodes.back().get(), i < 10 ? "room-a" : "room-b");
   }
-  fabric.SetGroupLink("room-a", "room-b", Gbps(1), 0);
   std::vector<double> done(10, -1);
   auto xfer = [&](int src, int dst, double* out) -> sim::Process {
     co_await fabric.Transfer(src, dst, MB(125));
@@ -190,24 +194,29 @@ TEST(FabricDeathTest, BadNodesAbortInEveryBuild) {
   EXPECT_EQ(fabric.GroupIdOf(3), 0);  // "room", the first group interned
 }
 
+// Links and paths are declared only through the topology builder, so
+// these reach the fabric's checks through it.
 TEST(FabricDeathTest, BadLinksAndPathsAbortInEveryBuild) {
   sim::Scheduler sched;
   Fabric fabric(&sched);
-  EXPECT_DEATH(fabric.SetGroupLink("a", "b", 0, 0),
+  HierarchicalTopology room(&fabric, {.racks = 1, .rack_name = "a"});
+  EXPECT_DEATH(room.AttachToCore("b", {0, 0}),
                "group link bandwidth must be > 0");
-  EXPECT_DEATH(fabric.SetGroupLink("a", "b", -Gbps(1), 0),
+  EXPECT_DEATH(room.AttachToCore("b", {-Gbps(1), 0}),
                "group link bandwidth must be > 0");
-  EXPECT_DEATH(fabric.SetGroupPath("a", "a", {"b"}),
+  EXPECT_DEATH(room.AttachToCore("a", {Gbps(1), 0}),
+               "a group link must join two distinct groups");
+  // Attaching a rack as if it were a room would route it to itself.
+  HierarchicalTopologyConfig tree;
+  tree.racks = 2;
+  tree.node_bandwidth = Gbps(1);
+  HierarchicalTopology racks(&fabric, tree);
+  EXPECT_DEATH(racks.AttachToCore(racks.RackGroup(0), {Gbps(1), 0}),
                "a group path must join two distinct groups");
-  // kMaxPathHops hops is the most a path may take.
-  std::vector<std::string> via;
-  for (int i = 0; i + 1 < Fabric::kMaxPathHops; ++i) {
-    via.push_back("via" + std::to_string(i));
-  }
-  fabric.SetGroupPath("a", "b", via);
-  via.push_back("one-too-many");
-  EXPECT_DEATH(fabric.SetGroupPath("a", "b", via),
-               "group path exceeds kMaxPathHops hops");
+}
+
+TEST(FabricDeathTest, NullSchedulerAbortsInEveryBuild) {
+  EXPECT_DEATH(Fabric(nullptr), "scheduler must not be null");
 }
 
 }  // namespace

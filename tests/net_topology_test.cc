@@ -1,11 +1,14 @@
 // Hierarchical topology (net/topology.h) on the multi-hop fabric: path
 // latency composition, oversubscription bandwidth caps at each layer,
-// uplink sharing, and the PublishMetrics late-link contract.
+// uplink sharing, the paper's rooms as a one-rack tree, and the
+// build-time checks (one route per group pair, no link after
+// PublishMetrics).
 #include "net/topology.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/profiles.h"
@@ -112,7 +115,7 @@ TEST_F(TopologyTest, FlowsShareTheRackUplink) {
 TEST_F(TopologyTest, AttachToCoreReachesEveryRack) {
   auto client = std::make_unique<hw::ServerNode>(
       &sched_, hw::DellR620Profile(), 100);
-  topo_.AttachToCore("client-room", Gbps(10), Milliseconds(0.02));
+  topo_.AttachToCore("client-room", {Gbps(10), Milliseconds(0.02)});
   fabric_.AddNode(client.get(), "client-room");
   // Dell 0.12 ms + Edison 0.65 ms endpoints, then access + core + uplink
   // hops.
@@ -128,21 +131,6 @@ TEST_F(TopologyTest, AttachToCoreReachesEveryRack) {
   EXPECT_NEAR(done_at, 2.0, 0.01);
 }
 
-TEST(TopologyMetricsTest, LinksConfiguredAfterPublishGetGauges) {
-  sim::Scheduler sched;
-  Fabric fabric(&sched);
-  obs::MetricsRegistry registry;
-  fabric.SetGroupLink("a", "b", Mbps(100), Microseconds(5));
-  fabric.PublishMetrics(&registry, "net");
-  EXPECT_EQ(registry.probe_count(), 1u);
-  // The late link self-registers at SetGroupLink time...
-  fabric.SetGroupLink("a", "c", Mbps(100), Microseconds(5));
-  EXPECT_EQ(registry.probe_count(), 2u);
-  // ...and reconfiguring an already-published link does not duplicate.
-  fabric.SetGroupLink("a", "b", Mbps(200), Microseconds(5));
-  EXPECT_EQ(registry.probe_count(), 2u);
-}
-
 TEST(TopologyMetricsTest, WholeTreePublishesOneGaugePerLink) {
   sim::Scheduler sched;
   Fabric fabric(&sched);
@@ -152,11 +140,10 @@ TEST(TopologyMetricsTest, WholeTreePublishesOneGaugePerLink) {
   config.nodes_per_rack = 4;
   config.node_bandwidth = Mbps(100);
   HierarchicalTopology topo(&fabric, config);
+  topo.AttachToCore("clients", {Gbps(10), Milliseconds(0.02)});
   obs::MetricsRegistry registry;
   fabric.PublishMetrics(&registry, "net");
-  // 3 rack uplinks + 2 pod uplinks.
-  EXPECT_EQ(registry.probe_count(), 5u);
-  topo.AttachToCore("clients", Gbps(10), Milliseconds(0.02));
+  // 3 rack uplinks + 2 pod uplinks + the clients' access link.
   EXPECT_EQ(registry.probe_count(), 6u);
 }
 
@@ -170,7 +157,7 @@ TEST(TopologyMetricsTest, OneRackTreeLinksTheRoomStraightToTheRack) {
   config.nodes_per_rack = 2;
   config.node_bandwidth = Mbps(100);
   HierarchicalTopology topo(&fabric, config);
-  topo.AttachToCore("client-room", Gbps(10), Milliseconds(0.02));
+  topo.AttachToCore("client-room", {Gbps(10), Milliseconds(0.02)});
   obs::MetricsRegistry registry;
   fabric.PublishMetrics(&registry, "net");
   registry.Start(&sched);  // one sample names the probes
@@ -185,6 +172,86 @@ TEST(TopologyMetricsTest, OneRackTreeLinksTheRoomStraightToTheRack) {
   EXPECT_EQ(fabric.Latency(client.id(), store.id()),
             client.nic().endpoint_latency() +
                 store.nic().endpoint_latency() + Milliseconds(0.02));
+}
+
+// The paper's web rooms (§5.1.2): the Edison room is the rack, the client
+// and Dell rooms attach to it, and clients reach the Dell room over their
+// own 2 Gbps link, never through the Edison room.
+class PaperRoomsTest : public ::testing::Test {
+ protected:
+  PaperRoomsTest()
+      : fabric_(&sched_),
+        rooms_(&fabric_, {.racks = 1, .rack_name = "edison-room"}),
+        edison_(&sched_, hw::EdisonProfile(), 0),
+        dell_(&sched_, hw::DellR620Profile(), 1),
+        client_(&sched_, hw::DellR620Profile(), 2) {
+    rooms_.AttachToCore("client-room", kClientEdisonLink);
+    rooms_.AttachToCore("dell-room", kEdisonDellLink);
+    rooms_.LinkRooms("client-room", "dell-room", kClientDellLink);
+    fabric_.AddNode(&edison_, "edison-room");
+    fabric_.AddNode(&dell_, "dell-room");
+    fabric_.AddNode(&client_, "client-room");
+  }
+
+  sim::Scheduler sched_;
+  Fabric fabric_;
+  HierarchicalTopology rooms_;
+  hw::ServerNode edison_, dell_, client_;
+};
+
+TEST_F(PaperRoomsTest, ClientToDellCrossesOnlyTheDirectLink) {
+  const Duration endpoints = client_.nic().endpoint_latency() +
+                             dell_.nic().endpoint_latency();
+  // 0.02 ms, not the 0.07 ms of client → Edison → Dell.
+  EXPECT_EQ(fabric_.Latency(client_.id(), dell_.id()),
+            endpoints + Milliseconds(0.02));
+
+  auto xfer = [&]() -> sim::Process {
+    co_await fabric_.Transfer(client_.id(), dell_.id(), MB(10));
+  };
+  sim::Spawn(sched_, xfer());
+  sched_.Run();
+  EXPECT_GT(
+      fabric_.GroupLinkAverageBusyFraction("client-room", "dell-room"), 0.0);
+  EXPECT_EQ(
+      fabric_.GroupLinkAverageBusyFraction("client-room", "edison-room"),
+      0.0);
+  EXPECT_EQ(
+      fabric_.GroupLinkAverageBusyFraction("dell-room", "edison-room"), 0.0);
+}
+
+TEST_F(PaperRoomsTest, PublishesTheThreeRoomLinksInNameOrder) {
+  obs::MetricsRegistry registry;
+  fabric_.PublishMetrics(&registry, "net");
+  registry.Start(&sched_);  // one sample names the probes
+  registry.Stop();
+  EXPECT_EQ(registry.series().names,
+            (std::vector<std::string>{"net.link.client-room-dell-room",
+                                      "net.link.client-room-edison-room",
+                                      "net.link.dell-room-edison-room"}));
+}
+
+TEST(TopologyDeathTest, EachGroupPairIsRoutedOnce) {
+  sim::Scheduler sched;
+  Fabric fabric(&sched);
+  HierarchicalTopology rooms(&fabric, {.racks = 1, .rack_name = "room"});
+  rooms.AttachToCore("clients", kClientEdisonLink);
+  EXPECT_DEATH(rooms.AttachToCore("clients", kClientEdisonLink),
+               "group pair routed twice");
+  EXPECT_DEATH(rooms.LinkRooms("clients", "elsewhere", kClientDellLink),
+               "LinkRooms joins two attached rooms");
+}
+
+TEST(TopologyDeathTest, LinkAddedAfterPublishMetricsAborts) {
+  sim::Scheduler sched;
+  Fabric fabric(&sched);
+  HierarchicalTopology rooms(&fabric, {.racks = 1, .rack_name = "room"});
+  rooms.AttachToCore("clients", kClientEdisonLink);
+  obs::MetricsRegistry registry;
+  fabric.PublishMetrics(&registry, "net");
+  EXPECT_EQ(registry.probe_count(), 1u);
+  EXPECT_DEATH(rooms.AttachToCore("late", kClientEdisonLink),
+               "group link added after PublishMetrics");
 }
 
 TEST(TopologyDeathTest, InvalidGeometryAbortsInEveryBuild) {
@@ -204,6 +271,14 @@ TEST(TopologyDeathTest, InvalidGeometryAbortsInEveryBuild) {
   undersubscribed.rack_oversubscription = 0.5;
   EXPECT_DEATH(HierarchicalTopology(&fabric, undersubscribed),
                "rack_oversubscription must be >= 1");
+  HierarchicalTopologyConfig named = config;
+  named.rack_name = "room";  // three racks cannot share one name
+  EXPECT_DEATH(HierarchicalTopology(&fabric, named),
+               "rack_name names the rack of a one-rack tree");
+  // A one-rack tree reads no uplink input, so it needs none.
+  HierarchicalTopology room(&fabric, {.racks = 1, .rack_name = "room"});
+  EXPECT_EQ(room.RackGroup(0), "room");
+  EXPECT_EQ(room.rack_uplink_bandwidth(), 0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "hw/profiles.h"
 #include "hw/server_node.h"
 #include "net/fabric.h"
+#include "net/topology.h"
 #include "obs/critical_path.h"
 #include "obs/energy.h"
 #include "obs/export.h"
@@ -296,6 +297,11 @@ struct WebCallRun {
 WebCallRun RunWebCall(SimTime window_begin = 0, SimTime window_end = 0) {
   sim::Scheduler sched;
   net::Fabric fabric(&sched);
+  // The Edison room with the client room attached; the Dell room has no
+  // link at all.
+  net::HierarchicalTopology rooms(&fabric,
+                                  {.racks = 1, .rack_name = "edison-room"});
+  rooms.AttachToCore("client-room", net::kClientEdisonLink);
   hw::ServerNode web_node(&sched, hw::EdisonProfile(), 0);
   hw::ServerNode cache_node(&sched, hw::EdisonProfile(), 1);
   hw::ServerNode db_node(&sched, hw::DellR620Profile(), 2);
@@ -304,8 +310,6 @@ WebCallRun RunWebCall(SimTime window_begin = 0, SimTime window_end = 0) {
   fabric.AddNode(&cache_node, "edison-room");
   fabric.AddNode(&db_node, "dell-room");
   fabric.AddNode(&client_node, "client-room");
-  fabric.SetGroupLink("client-room", "edison-room", Gbps(1),
-                      Milliseconds(0.05));
   web::CacheServer cache(&cache_node, &fabric);
   web::DatabaseServer db(&db_node, &fabric, 7);
   const shard::Ring ring(shard::RingConfig{}, {0});

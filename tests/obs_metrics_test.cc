@@ -92,8 +92,8 @@ TEST(MetricsRegistryDeathTest, SamplingAfterDetachAborts) {
 }
 
 // A column registered after the first sample would leave the earlier rows
-// shorter than `names`, so Column() would read past their end. Fabric
-// registers late links on this path; it is rejected in every build type.
+// shorter than `names`, so Column() would read past their end; it is
+// rejected in every build type.
 TEST(MetricsRegistryDeathTest, AddAfterFirstSampleAborts) {
   sim::Scheduler sched;
   MetricsRegistry registry;

@@ -704,9 +704,9 @@ TEST(EventTraceTest, GoldenMixedWorkloadTrace) {
   // executed event, without disturbing the app-level golden stream.
   Tracer engine_trace;
   engine_trace.AttachEngineHook(&sched);
-  FairShareServer cpu(&sched, 12.0, 4.0, "cpu");
-  FairShareServer nic(&sched, 8.0, 8.0, "nic");
-  FairShareServer disk(&sched, 6.0, 6.0, "disk");
+  FairShareServer cpu(&sched, 12.0, 4.0);
+  FairShareServer nic(&sched, 8.0, 8.0);
+  FairShareServer disk(&sched, 6.0, 6.0);
   Semaphore threads(&sched, 4);
   WaitQueue<int> tasks(&sched);
 

@@ -194,5 +194,9 @@ TEST(FairShareDeathTest, NonPositiveRatesAbortInEveryBuild) {
   EXPECT_EQ(server.per_job_cap(), 4.0);
 }
 
+TEST(FairShareDeathTest, NullSchedulerAbortsInEveryBuild) {
+  EXPECT_DEATH(FairShareServer(nullptr, 10.0), "scheduler must not be null");
+}
+
 }  // namespace
 }  // namespace wimpy::sim

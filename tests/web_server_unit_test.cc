@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hw/profiles.h"
+#include "net/topology.h"
 #include "obs/tracer.h"
 #include "shard/ring.h"
 #include "sim/process.h"
@@ -21,7 +22,13 @@ namespace {
 
 class WebServerUnitTest : public ::testing::Test {
  protected:
-  WebServerUnitTest() : fabric_(&sched_) {
+  // The Edison room with the Dell and client rooms attached, and no
+  // client↔Dell link (no call crosses it).
+  WebServerUnitTest()
+      : fabric_(&sched_),
+        rooms_(&fabric_, {.racks = 1, .rack_name = "edison-room"}) {
+    rooms_.AttachToCore("dell-room", net::kEdisonDellLink);
+    rooms_.AttachToCore("client-room", net::kClientEdisonLink);
     web_node_ = std::make_unique<hw::ServerNode>(
         &sched_, hw::EdisonProfile(), 0);
     cache_node_ = std::make_unique<hw::ServerNode>(
@@ -34,10 +41,6 @@ class WebServerUnitTest : public ::testing::Test {
     fabric_.AddNode(cache_node_.get(), "edison-room");
     fabric_.AddNode(db_node_.get(), "dell-room");
     fabric_.AddNode(client_node_.get(), "client-room");
-    fabric_.SetGroupLink("edison-room", "dell-room", Gbps(1),
-                         Milliseconds(0.02));
-    fabric_.SetGroupLink("client-room", "edison-room", Gbps(1),
-                         Milliseconds(0.05));
     cache_ = std::make_unique<CacheServer>(cache_node_.get(), &fabric_);
     db_ = std::make_unique<DatabaseServer>(db_node_.get(), &fabric_, 7);
   }
@@ -57,6 +60,7 @@ class WebServerUnitTest : public ::testing::Test {
 
   sim::Scheduler sched_;
   net::Fabric fabric_;
+  net::HierarchicalTopology rooms_;
   std::unique_ptr<hw::ServerNode> web_node_, cache_node_, db_node_,
       client_node_;
   std::unique_ptr<CacheServer> cache_;

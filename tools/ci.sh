@@ -58,8 +58,8 @@ ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 ASAN_SMOKE=(sim_scheduler_test sim_scheduler_stress_test
             sim_process_test sim_semaphore_test
             sim_fair_share_test sim_frame_pool_test net_fabric_test
-            net_tcp_test net_topology_test web_service_test kv_store_test
-            kv_failover_test load_openloop_test obs_energy_test
+            net_edge_test net_tcp_test net_topology_test web_service_test
+            kv_store_test kv_failover_test load_openloop_test obs_energy_test
             obs_causal_test obs_telemetry_test shard_experiment_test
             shard_router_test web_server_unit_test obs_metrics_test
             cluster_test mapreduce_job_test sim_event_trace_test
